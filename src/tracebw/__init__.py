@@ -21,7 +21,7 @@ from .bandwidth import (
     select_bytes,
     to_output_unit,
 )
-from .errors import InvalidSpec, IoFailure, MalformedLine
+from .errors import InvalidSpec, IoFailure, MalformedLine, MalformedSidecar
 from .export import (
     CSV_HEADER,
     WORKSHEET_HEADER,
@@ -60,6 +60,7 @@ __all__ = [
     "IoFailure",
     "JobRecord",
     "MalformedLine",
+    "MalformedSidecar",
     "MbBase",
     "MemorySource",
     "ParseReport",

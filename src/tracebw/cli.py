@@ -6,12 +6,15 @@ writes the per-job worksheet (or the full CSV with ``--full``),
 fixture trace plus its ground-truth sidecar. Data goes to standard
 output or ``--out``; diagnostics always go to standard error. Exit
 status is 0 on success, 1 on I/O failure, 2 on invalid flags or
-generator specs.
+generator specs, and 141 (128 + SIGPIPE, as a shell reports a filter
+killed by SIGPIPE) when the reader of the output goes away early, as
+with ``| head``; that last case writes no error message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,6 +28,8 @@ from .parsing import TraceFormat, parse_trace, write_lanl_trace
 from .synth import generate, load_genspec, write_sidecar
 
 _MB_CHOICES = {"binary": MbBase.BINARY, "decimal": MbBase.DECIMAL}
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,8 @@ def _open_input(path: str) -> Iterator[IO[str]]:
 def _open_output(path: str | None) -> Iterator[IO[str]]:
     if path is None or path == "-":
         yield sys.stdout
+        # A closed pipe must surface here, not in the flush at interpreter exit.
+        sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -216,12 +223,27 @@ def run(config: RunConfig) -> int:
     except InvalidSpec as exc:
         sys.stderr.write(f"tracebw: error: {exc}\n")
         return 2
-    except IoFailure as exc:
+    except (IoFailure, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) or isinstance(exc.__cause__, BrokenPipeError):
+            _discard_stdout()
+            return EXIT_BROKEN_PIPE
         sys.stderr.write(f"tracebw: error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"tracebw: error: {exc}\n")
-        return 1
+
+
+def _discard_stdout() -> None:
+    """Send what is left in the stdout buffer to the null device.
+
+    Python flushes standard output at exit; after the reader has gone,
+    that flush would fail again and print a warning.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor, so nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -37,3 +37,15 @@ class IoFailure(RuntimeError):
 
 class InvalidSpec(ValueError):
     """A generator spec violates its invariants or cannot be read."""
+
+
+class MalformedSidecar(ValueError):
+    """A ground-truth sidecar does not follow the layout write_sidecar uses.
+
+    Carries the 1-based number of the offending line; a sidecar too
+    short to hold its two header lines names the first missing one.
+    """
+
+    def __init__(self, line_no: int, detail: str):
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {detail}")

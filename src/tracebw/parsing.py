@@ -29,6 +29,17 @@ ARCHIVE18
     whole-job figure unless ``scale_per_proc_memory=False``. There is no
     ARCHIVE18 writer.
 
+Each format is one column table: a tuple of (field name, converter,
+reason code) entries in column order, run by one loop per line. A
+converter turns a cell into a value; when it raises ValueError the line
+is malformed with the entry's reason code and the detail
+``name='cell'``, and when it finds a value below zero in a non-negative
+column the reason is ``negative-value`` with the detail ``name=value``.
+The first failing column, in column order, names the line's reason.
+LANL16 cells that are empty or ``-1`` are absent and skip the converter;
+ARCHIVE18 converters read ``-1`` as absent themselves, since ``-1.0`` is
+absent too. Timestamp cells follow the grammar in :mod:`tracebw.timefmt`.
+
 Malformed lines are counted and skipped, never fatal; only a failure of
 the underlying stream aborts a session (:class:`IoFailure`, carrying the
 partial report).
@@ -36,9 +47,9 @@ partial report).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from enum import Enum
+from math import isfinite
 from typing import IO, Iterable, Iterator
 
 from .errors import IoFailure, MalformedLine
@@ -57,12 +68,80 @@ ARCHIVE_FIELD_COUNT = 18
 _MISSING_TOKENS = ("", "-1")
 
 
+class _NegativeValue(Exception):
+    """Raised by a converter for a value below zero in a non-negative column."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.value = value
+
+
+def _malformed(line_no: int, column: tuple, cell: str, exc: Exception) -> MalformedLine:
+    """The MalformedLine for a cell whose converter raised ``exc``."""
+    name, _, reason = column
+    if isinstance(exc, _NegativeValue):
+        return MalformedLine(line_no, "negative-value", f"{name}={exc.value}")
+    return MalformedLine(line_no, reason, f"{name}={cell!r}")
+
+
+# Converters take one cell and return its value. They raise ValueError when
+# the cell does not convert (reported under the column's reason code) and
+# _NegativeValue when a non-negative column holds a value below zero.
+
+def _timestamp(cell: str) -> Timestamp:
+    # parse_timestamp is looked up per call so that a wrapper installed on
+    # this module's attribute (as a tracer does) sees every cell.
+    return parse_timestamp(cell)
+
+
+def _count(cell: str) -> int:
+    value = int(cell)
+    if value < 0:
+        raise _NegativeValue(value)
+    return value
+
+
+def _seconds(cell: str) -> float:
+    value = float(cell)
+    if not isfinite(value):
+        raise ValueError(cell)
+    if value < 0:
+        raise _NegativeValue(value)
+    return value
+
+
+def _flag(cell: str) -> bool:
+    return int(cell) != 0
+
+
 def _split_lanl(line: str) -> list[str]:
     # Tabs delimit when present (civil timestamps contain spaces); a line
     # with no tab at all splits on whitespace runs instead.
     if "\t" in line:
         return [cell.strip(" ") for cell in line.split("\t")]
     return line.split()
+
+
+# Columns 1-15 in JobRecord field order, as (field name, converter, reason
+# code). Column 0, the job id, is taken verbatim; in every other column an
+# empty cell or "-1" is absent and skips the converter.
+_LANL_COLUMNS = (
+    ("submit_time", _timestamp, "bad-timestamp"),
+    ("start_time", _timestamp, "bad-timestamp"),
+    ("end_time", _timestamp, "bad-timestamp"),
+    ("req_procs", _count, "bad-int"),
+    ("used_procs", _count, "bad-int"),
+    ("req_cpu_s", _seconds, "bad-real"),
+    ("used_cpu_s", _seconds, "bad-real"),
+    ("req_mem_kb", _count, "bad-int"),
+    ("used_mem_kb", _count, "bad-int"),
+    ("queue", str, ""),
+    ("dedicated", _flag, "bad-flag"),
+    ("user", str, ""),
+    ("project", str, ""),
+    ("executable", str, ""),
+    ("exit_code", int, "bad-int"),
+)
 
 
 def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
@@ -76,79 +155,83 @@ def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
     if len(cells) != LANL_FIELD_COUNT:
         raise MalformedLine(line_no, "column-count",
                             f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")
+    values = [cells[0]]
+    append = values.append
+    try:
+        for (_, convert, _), cell in zip(_LANL_COLUMNS, cells[1:]):
+            append(None if cell in _MISSING_TOKENS else convert(cell))
+    except (ValueError, _NegativeValue) as exc:
+        failed = len(values)
+        raise _malformed(line_no, _LANL_COLUMNS[failed - 1], cells[failed], exc) from exc
+    return JobRecord(*values)
 
-    def absent(i: int) -> bool:
-        return cells[i] in _MISSING_TOKENS
 
-    def ts(i: int, name: str) -> Timestamp | None:
-        if absent(i):
-            return None
-        try:
-            return parse_timestamp(cells[i])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad-timestamp", f"{name}={cells[i]!r}") from exc
+def _swf_int(cell: str) -> int | None:
+    # Integral floats such as "4.0" are accepted; -1 is absent.
+    try:
+        value = int(cell)
+    except ValueError:
+        real = float(cell)
+        if not real.is_integer():
+            raise
+        value = int(real)
+    return None if value == -1 else value
 
-    def count(i: int, name: str) -> int | None:
-        if absent(i):
-            return None
-        try:
-            value = int(cells[i])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad-int", f"{name}={cells[i]!r}") from exc
-        if value < 0:
-            raise MalformedLine(line_no, "negative-value", f"{name}={value}")
-        return value
 
-    def seconds(i: int, name: str) -> float | None:
-        if absent(i):
-            return None
-        try:
-            value = float(cells[i])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad-real", f"{name}={cells[i]!r}") from exc
-        if not math.isfinite(value):
-            raise MalformedLine(line_no, "bad-real", f"{name}={cells[i]!r}")
-        if value < 0:
-            raise MalformedLine(line_no, "negative-value", f"{name}={value}")
-        return value
+def _swf_amount(cell: str) -> int | None:
+    value = _swf_int(cell)
+    if value is not None and value < 0:
+        raise _NegativeValue(value)
+    return value
 
-    def text(i: int) -> str | None:
-        return None if absent(i) else cells[i]
 
-    def flag(i: int, name: str) -> bool | None:
-        if absent(i):
-            return None
-        try:
-            return int(cells[i]) != 0
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad-flag", f"{name}={cells[i]!r}") from exc
+def _swf_label(cell: str) -> str | None:
+    # A category number, kept as its text.
+    return None if _swf_int(cell) is None else cell
 
-    def integer(i: int, name: str) -> int | None:
-        if absent(i):
-            return None
-        try:
-            return int(cells[i])
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad-int", f"{name}={cells[i]!r}") from exc
 
-    return JobRecord(
-        job_id=cells[0],
-        submit_time=ts(1, "submit_time"),
-        start_time=ts(2, "start_time"),
-        end_time=ts(3, "end_time"),
-        req_procs=count(4, "req_procs"),
-        used_procs=count(5, "used_procs"),
-        req_cpu_s=seconds(6, "req_cpu_s"),
-        used_cpu_s=seconds(7, "used_cpu_s"),
-        req_mem_kb=count(8, "req_mem_kb"),
-        used_mem_kb=count(9, "used_mem_kb"),
-        queue=text(10),
-        dedicated=flag(11, "dedicated"),
-        user=text(12),
-        project=text(13),
-        executable=text(14),
-        exit_code=integer(15, "exit_code"),
-    )
+def _swf_seconds(cell: str) -> float | None:
+    value = float(cell)
+    if value == -1:
+        return None
+    if not isfinite(value):
+        raise ValueError(cell)
+    if value < 0:
+        raise _NegativeValue(value)
+    return value
+
+
+# Fields 1-17 as (field name, converter, reason code); field 0, the job
+# number, is taken verbatim. Trailing category fields are validated even
+# where unused.
+_ARCHIVE_COLUMNS = (
+    ("submit", _swf_seconds, "bad-real"),
+    ("wait", _swf_seconds, "bad-real"),
+    ("runtime", _swf_seconds, "bad-real"),
+    ("allocated_procs", _swf_amount, "bad-int"),
+    ("avg_cpu", _swf_seconds, "bad-real"),
+    ("used_mem_kb_per_proc", _swf_amount, "bad-int"),
+    ("requested_procs", _swf_amount, "bad-int"),
+    ("requested_time", _swf_seconds, "bad-real"),
+    ("requested_mem_kb_per_proc", _swf_amount, "bad-int"),
+    ("status", _swf_int, "bad-int"),
+    ("user", _swf_label, "bad-int"),
+    ("group", _swf_label, "bad-int"),
+    ("executable", _swf_label, "bad-int"),
+    ("queue", _swf_label, "bad-int"),
+    ("partition", _swf_int, "bad-int"),
+    ("preceding_job", _swf_int, "bad-int"),
+    ("think_time", _swf_int, "bad-int"),
+)
+
+
+def _ms(value_s: float | None) -> Timestamp | None:
+    return None if value_s is None else Timestamp(int(round(value_s * MS_PER_S)))
+
+
+def _whole_job(mem_per_proc: int | None, procs: int | None) -> int | None:
+    # A per-processor figure needs the processor count to become a whole-job one.
+    return None if mem_per_proc is None or procs is None else mem_per_proc * procs
 
 
 def parse_archive_line(line: str, line_no: int = 0, *,
@@ -158,94 +241,29 @@ def parse_archive_line(line: str, line_no: int = 0, *,
     if len(cells) != ARCHIVE_FIELD_COUNT:
         raise MalformedLine(line_no, "column-count",
                             f"expected {ARCHIVE_FIELD_COUNT} fields, got {len(cells)}")
-
-    def integer(i: int, name: str) -> int | None:
-        token = cells[i]
-        try:
-            value = int(token)
-        except ValueError:
-            try:
-                real = float(token)
-            except ValueError as exc:
-                raise MalformedLine(line_no, "bad-int", f"{name}={token!r}") from exc
-            if not real.is_integer():
-                raise MalformedLine(line_no, "bad-int", f"{name}={token!r}")
-            value = int(real)
-        return None if value == -1 else value
-
-    def amount(i: int, name: str) -> int | None:
-        value = integer(i, name)
-        if value is not None and value < 0:
-            raise MalformedLine(line_no, "negative-value", f"{name}={value}")
-        return value
-
-    def seconds(i: int, name: str) -> float | None:
-        token = cells[i]
-        try:
-            value = float(token)
-        except ValueError as exc:
-            raise MalformedLine(line_no, "bad-real", f"{name}={token!r}") from exc
-        if not math.isfinite(value):
-            raise MalformedLine(line_no, "bad-real", f"{name}={token!r}")
-        if value == -1:
-            return None
-        if value < 0:
-            raise MalformedLine(line_no, "negative-value", f"{name}={value}")
-        return value
-
-    def label(i: int, name: str) -> str | None:
-        return None if integer(i, name) is None else cells[i]
-
-    submit_s = seconds(1, "submit")
-    wait_s = seconds(2, "wait")
-    runtime_s = seconds(3, "runtime")
-    alloc_procs = amount(4, "allocated_procs")
-    used_cpu_s = seconds(5, "avg_cpu")
-    used_mem_pp = amount(6, "used_mem_kb_per_proc")
-    req_procs = amount(7, "requested_procs")
-    req_time_s = seconds(8, "requested_time")
-    req_mem_pp = amount(9, "requested_mem_kb_per_proc")
-    exit_code = integer(10, "status")
-    # Trailing category fields are validated even where unused.
-    user = label(11, "user")
-    group = label(12, "group")
-    executable = label(13, "executable")
-    queue = label(14, "queue")
-    integer(15, "partition")
-    integer(16, "preceding_job")
-    integer(17, "think_time")
-
-    def ms(value_s: float | None) -> Timestamp | None:
-        return None if value_s is None else Timestamp(int(round(value_s * MS_PER_S)))
+    values = []
+    append = values.append
+    try:
+        for (_, convert, _), cell in zip(_ARCHIVE_COLUMNS, cells[1:]):
+            append(convert(cell))
+    except (ValueError, _NegativeValue) as exc:
+        failed = len(values)
+        raise _malformed(line_no, _ARCHIVE_COLUMNS[failed], cells[failed + 1], exc) from exc
+    (submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
+     req_time_s, req_mem_pp, exit_code, user, group, executable, queue) = values[:14]
 
     start_s = None if submit_s is None or wait_s is None else submit_s + wait_s
     end_s = None if start_s is None or runtime_s is None else start_s + runtime_s
+    req_mem_kb, used_mem_kb = req_mem_pp, used_mem_pp
+    if scale_per_proc_memory:
+        req_mem_kb = _whole_job(req_mem_pp, alloc_procs)
+        used_mem_kb = _whole_job(used_mem_pp, alloc_procs)
 
-    def whole_job(mem_pp: int | None) -> int | None:
-        if mem_pp is None:
-            return None
-        if not scale_per_proc_memory:
-            return mem_pp
-        return None if alloc_procs is None else mem_pp * alloc_procs
-
-    return JobRecord(
-        job_id=cells[0],
-        submit_time=ms(submit_s),
-        start_time=ms(start_s),
-        end_time=ms(end_s),
-        req_procs=req_procs,
-        used_procs=alloc_procs,
-        req_cpu_s=req_time_s,
-        used_cpu_s=used_cpu_s,
-        req_mem_kb=whole_job(req_mem_pp),
-        used_mem_kb=whole_job(used_mem_pp),
-        queue=queue,
-        dedicated=None,
-        user=user,
-        project=group,
-        executable=executable,
-        exit_code=exit_code,
-    )
+    # Positional, in JobRecord field order: keywords cost a visible share here.
+    return JobRecord(cells[0], _ms(submit_s), _ms(start_s), _ms(end_s),
+                     req_procs, alloc_procs, req_time_s, used_cpu_s,
+                     req_mem_kb, used_mem_kb, queue, None, user, group, executable,
+                     exit_code)
 
 
 _COMMENT_PREFIX = {TraceFormat.LANL16: "#", TraceFormat.ARCHIVE18: ";"}

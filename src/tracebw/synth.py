@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .bandwidth import BYTES_PER_KB
-from .errors import InvalidSpec
+from .errors import InvalidSpec, MalformedSidecar
 from .model import MS_PER_S, JobRecord, Timestamp
 
 # 1994-05-10 00:00:00 UTC; generated traces start on this day.
@@ -172,21 +172,39 @@ def write_sidecar(truth: GroundTruth, sink: IO[str]) -> None:
         sink.write(f"{job_id} {value.numerator}/{value.denominator}\n")
 
 
+def _header_count(lines: list[str], line_no: int, key: str) -> int:
+    line = lines[line_no - 1] if line_no <= len(lines) else ""
+    name, sep, value = line.partition("=")
+    if name == key and sep:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise MalformedSidecar(line_no, f"expected {key}=<count>, got {line!r}")
+
+
 def read_sidecar(source: Iterable[str]) -> GroundTruth:
-    """Parse a ground-truth sidecar written by write_sidecar."""
+    """Parse a ground-truth sidecar written by write_sidecar.
+
+    Raises MalformedSidecar, with the line number, for a missing or
+    malformed header line and for a rate line that is not
+    ``job_id numerator/denominator`` with integers and a nonzero
+    denominator. Blank rate lines are skipped.
+    """
     lines = [line.rstrip("\n") for line in source]
-    if len(lines) < 2 or not lines[0].startswith("expected_valid=") \
-            or not lines[1].startswith("expected_omitted="):
-        raise ValueError("sidecar must start with expected_valid= and expected_omitted= lines")
-    expected_valid = int(lines[0].split("=", 1)[1])
-    expected_omitted = int(lines[1].split("=", 1)[1])
+    expected_valid = _header_count(lines, 1, "expected_valid")
+    expected_omitted = _header_count(lines, 2, "expected_omitted")
     rates = []
-    for line in lines[2:]:
+    for line_no, line in enumerate(lines[2:], start=3):
         if not line:
             continue
         job_id, _, value = line.partition(" ")
         numerator, _, denominator = value.partition("/")
-        rates.append((job_id, Fraction(int(numerator), int(denominator))))
+        try:
+            rates.append((job_id, Fraction(int(numerator), int(denominator))))
+        except (ValueError, ZeroDivisionError):
+            raise MalformedSidecar(
+                line_no, f"expected 'job_id numerator/denominator', got {line!r}") from None
     return GroundTruth(expected_valid, expected_omitted, tuple(rates))
 
 

@@ -1,34 +1,63 @@
 """Text forms for timestamps: log cells and worksheet dates.
 
-Two cell forms appear in 16-column logs: plain integer epoch seconds, and
-a civil form ``Mon DD YY[YY] [HH:MM:SS[.mmm]]`` (month names are English
-three-letter abbreviations, never locale-dependent). Two-digit years are
-pivoted onto 1970-2069, so "94" is 1994 and "05" is 2005; years outside
-that window are written with four digits.
+A timestamp cell, after surrounding whitespace is stripped, is one of two
+forms, told apart by its first character:
+
+epoch seconds
+    Anything that does not start with an ASCII letter, read with ``int()``:
+    an optional sign, decimal digits, optional ``_`` between digits (so
+    ``+7``, ``-5`` and ``1_0`` are accepted; ``²`` and ``1.5`` are not).
+
+civil
+    Starts with a letter: ``Mon DD YY[YY][ HH:MM:SS[.f]]``, the parts
+    separated by whitespace runs. ``Mon`` is an English three-letter
+    month abbreviation in any letter case, never locale-dependent. ``DD``
+    and the year are read with ``int()``; a year token of at most two
+    characters is pivoted onto 1970-2069 (``94`` is 1994, ``05`` is 2005),
+    a longer one is taken as written. The clock is three ``:``-separated
+    ``int()`` fields in 0-23, 0-59 and 0-59, and ``.f`` is 1 to 3 digits
+    of milliseconds (an empty fraction after the dot reads as 0).
+
+Rejected with ValueError: any other part count, an unknown month, a day
+that does not exist in its month and year (``May 32 94``, ``Feb 29 95``),
+a year outside 1-9999, an hour, minute or second out of range
+(``25:00:00``, ``00:60:00``), a fraction of 4 or more digits, and any
+token that ``int()`` refuses where it is applied.
+
+The civil day part is converted once per distinct token (a bounded
+cache; rejections are never cached) and the clock is added with integer
+arithmetic. Worksheet dates are likewise cached per epoch day.
+
+Timestamps are written back as epoch seconds when second-aligned and in
+the civil form otherwise; years outside the 1970-2069 pivot window are
+written with four digits.
 """
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache
 
 from .model import MS_PER_S, Timestamp
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MS = timedelta(milliseconds=1)
+_EPOCH_DATE = _EPOCH.date()
+_EPOCH_ORDINAL = _EPOCH_DATE.toordinal()
+_MS_PER_DAY = 86_400_000
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _MONTH_INDEX = {name.lower(): i + 1 for i, name in enumerate(MONTHS)}
+_CIVIL_INITIALS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 _PIVOT_LOW, _PIVOT_HIGH = 1970, 2069
+
+# Distinct days in a trace span its calendar; a few thousand covers a decade.
+_DAY_CACHE_SIZE = 4096
 
 
 def to_datetime(ts: Timestamp) -> datetime:
     return _EPOCH + timedelta(milliseconds=ts.epoch_ms)
-
-
-def from_datetime(dt: datetime) -> Timestamp:
-    return Timestamp((dt - _EPOCH) // _MS)
 
 
 def _year_from_token(token: str) -> int:
@@ -40,10 +69,30 @@ def _year_from_token(token: str) -> int:
     return year
 
 
-def _ms_from_fraction(token: str) -> int:
-    if not 1 <= len(token) <= 3 or not token.isdigit():
-        raise ValueError(f"bad millisecond fraction {token!r}")
-    return int(token) * 10 ** (3 - len(token))
+@lru_cache(maxsize=_DAY_CACHE_SIZE)
+def _day_ms(day_part: str) -> int:
+    """Epoch milliseconds of midnight UTC on the day ``Mon DD YY[YY]``."""
+    month_token, day_token, year_token = day_part.split()
+    month = _MONTH_INDEX.get(month_token.lower())
+    if month is None:
+        raise ValueError(f"bad month in timestamp {day_part!r}")
+    day = date(_year_from_token(year_token), month, int(day_token))
+    return (day.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
+
+
+def _clock_ms(clock: str) -> int:
+    """Milliseconds after midnight of ``HH:MM:SS[.f]``."""
+    hms, _, fraction = clock.partition(".")
+    hh, mm, ss = hms.split(":")
+    hour, minute, second = int(hh), int(mm), int(ss)
+    if not (0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59):
+        raise ValueError(f"clock out of range {clock!r}")
+    ms = 0
+    if fraction:
+        if len(fraction) > 3 or not fraction.isdigit():
+            raise ValueError(f"bad millisecond fraction {fraction!r}")
+        ms = int(fraction) * 10 ** (3 - len(fraction))
+    return ((hour * 60 + minute) * 60 + second) * MS_PER_S + ms
 
 
 def parse_timestamp(token: str) -> Timestamp:
@@ -52,28 +101,18 @@ def parse_timestamp(token: str) -> Timestamp:
     Raises ValueError when the token is neither.
     """
     token = token.strip()
-    try:
-        return Timestamp.from_epoch_s(int(token))
-    except ValueError:
-        pass
-
+    if token[:1] not in _CIVIL_INITIALS:
+        try:
+            return Timestamp(int(token) * MS_PER_S)
+        except ValueError:
+            raise ValueError(f"bad timestamp {token!r}") from None
     parts = token.split()
-    if len(parts) not in (3, 4):
+    if len(parts) == 3:
+        return Timestamp(_day_ms(token))
+    if len(parts) != 4:
         raise ValueError(f"bad timestamp {token!r}")
-    month = _MONTH_INDEX.get(parts[0].lower())
-    if month is None:
-        raise ValueError(f"bad month in timestamp {token!r}")
-    day = int(parts[1])
-    year = _year_from_token(parts[2])
-    hour = minute = second = ms = 0
-    if len(parts) == 4:
-        clock, _, fraction = parts[3].partition(".")
-        hh, mm, ss = clock.split(":")
-        hour, minute, second = int(hh), int(mm), int(ss)
-        if fraction:
-            ms = _ms_from_fraction(fraction)
-    dt = datetime(year, month, day, hour, minute, second, ms * 1000, tzinfo=timezone.utc)
-    return from_datetime(dt)
+    clock = parts[3]
+    return Timestamp(_day_ms(token[:-len(clock)]) + _clock_ms(clock))
 
 
 def format_timestamp(ts: Timestamp) -> str:
@@ -92,8 +131,13 @@ def format_timestamp(ts: Timestamp) -> str:
 
 def format_day(ts: Timestamp) -> str:
     """Day-granularity worksheet date, e.g. "May 10 94"."""
-    dt = to_datetime(ts)
-    return f"{MONTHS[dt.month - 1]} {dt.day:02d} {dt.year % 100:02d}"
+    return _day_label(ts.epoch_ms // _MS_PER_DAY)
+
+
+@lru_cache(maxsize=_DAY_CACHE_SIZE)
+def _day_label(epoch_day: int) -> str:
+    day = _EPOCH_DATE + timedelta(days=epoch_day)
+    return f"{MONTHS[day.month - 1]} {day.day:02d} {day.year % 100:02d}"
 
 
 def _format_year(year: int) -> str:

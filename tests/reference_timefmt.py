@@ -1,0 +1,57 @@
+"""A datetime-based reference for timestamp cells, for differential tests.
+
+Deliberately simple and slow: every civil cell builds a ``datetime`` and
+lets it validate the date and the clock, and a cell is epoch seconds
+exactly when ``int()`` accepts it. ``tracebw.timefmt`` must accept the
+same cells and return the same milliseconds.
+"""
+
+from __future__ import annotations
+
+from datetime import datetime, timedelta, timezone
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+          "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_MONTH_INDEX = {name.lower(): i + 1 for i, name in enumerate(MONTHS)}
+
+
+def _year(token: str) -> int:
+    year = int(token)
+    if year < 0:
+        raise ValueError(f"negative year {token!r}")
+    if len(token) <= 2:
+        return 1900 + year if year >= 70 else 2000 + year
+    return year
+
+
+def reference_parse_ms(token: str) -> int:
+    """Epoch milliseconds of a timestamp cell; ValueError when it is not one."""
+    token = token.strip()
+    try:
+        return int(token) * 1000
+    except ValueError:
+        pass
+    parts = token.split()
+    if len(parts) not in (3, 4):
+        raise ValueError(f"bad timestamp {token!r}")
+    month = _MONTH_INDEX.get(parts[0].lower())
+    if month is None:
+        raise ValueError(f"bad month {token!r}")
+    day, year = int(parts[1]), _year(parts[2])
+    hour = minute = second = ms = 0
+    if len(parts) == 4:
+        clock, _, fraction = parts[3].partition(".")
+        hh, mm, ss = clock.split(":")
+        hour, minute, second = int(hh), int(mm), int(ss)
+        if fraction:
+            if not 1 <= len(fraction) <= 3 or not fraction.isdigit():
+                raise ValueError(f"bad fraction {fraction!r}")
+            ms = int(fraction) * 10 ** (3 - len(fraction))
+    dt = datetime(year, month, day, hour, minute, second, ms * 1000, tzinfo=timezone.utc)
+    return (dt - EPOCH) // timedelta(milliseconds=1)
+
+
+def reference_format_day(epoch_ms: int) -> str:
+    dt = EPOCH + timedelta(milliseconds=epoch_ms)
+    return f"{MONTHS[dt.month - 1]} {dt.day:02d} {dt.year % 100:02d}"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from tracebw import read_sidecar
-from tracebw.cli import main
+from tracebw.cli import EXIT_BROKEN_PIPE, main
 
 from .test_parsing import LANL_LINE, archive_line
 
@@ -245,6 +245,16 @@ class TestExitCodes:
             main([])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["rates"], ["rates", "--full"], ["summary"], ["inspect"]])
+    def test_closed_pipe_is_silent(self, small_trace, argv, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main([*argv, str(small_trace)]) == EXIT_BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
 
 def test_streams_separate_in_subprocess(small_trace):
     result = subprocess.run(
@@ -253,3 +263,19 @@ def test_streams_separate_in_subprocess(small_trace):
     assert result.stdout.splitlines()[0] == "Start date,End date,Mbytes,Bytes"
     assert "parsed=3" in result.stderr
     assert "Start date" not in result.stderr
+
+
+def test_reader_closing_early_in_subprocess(tmp_path):
+    # Far more output than a pipe buffers, so the writer sees the reader go.
+    trace = tmp_path / "long.trace"
+    trace.write_text((LANL_LINE + "\n") * 5000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tracebw", "rates", str(trace)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert head[0] == b"Start date,End date,Mbytes,Bytes\n"
+    assert err == b""

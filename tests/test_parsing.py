@@ -19,7 +19,8 @@ from tracebw import (
     write_lanl_trace,
 )
 
-from .conftest import job_records
+from .conftest import job_records, optional
+from .swf import SWF_FIELDS, format_swf_line, swf_cell
 
 LANL_LINE = ("j1\t768453000\t768453010\t768453020\t32\t32\t100\t90"
              "\t32768\t30000\tq1\t0\tu1\tp1\ta.out\t0")
@@ -174,6 +175,139 @@ class TestParseArchiveLine:
         with pytest.raises(MalformedLine) as info:
             parse_archive_line(archive_line(wait=-7), 1)
         assert info.value.reason == "negative-value"
+
+
+# --- ARCHIVE18 properties --------------------------------------------------
+
+_REAL_FIELDS = ("submit", "wait", "runtime", "avg_cpu", "requested_time")
+_AMOUNT_FIELDS = ("allocated_procs", "used_mem_kb_per_proc", "requested_procs",
+                  "requested_mem_kb_per_proc")
+_LABEL_FIELDS = ("user", "group", "executable", "queue")
+_INT_FIELDS = _AMOUNT_FIELDS + ("status",) + _LABEL_FIELDS + (
+    "partition", "preceding_job", "think_time")
+
+
+def _integral(low: int, high: int) -> st.SearchStrategy:
+    """Integers, sometimes written as integral floats ("4.0"), never -1."""
+    values = st.integers(low, high).filter(lambda v: v != -1)
+    return values | values.map(float)
+
+
+_whole_seconds = st.integers(0, 2**31)
+_reals = st.floats(min_value=0, max_value=1e9, allow_nan=False) | st.integers(0, 10**7)
+
+swf_jobs = st.fixed_dictionaries({
+    "job": st.integers(1, 10**6),
+    "submit": optional(_whole_seconds),
+    "wait": optional(_whole_seconds),
+    "runtime": optional(_whole_seconds),
+    "avg_cpu": optional(_reals),
+    "requested_time": optional(_reals),
+    **{name: optional(_integral(0, 2**20)) for name in _AMOUNT_FIELDS},
+    **{name: optional(_integral(-300, 300))
+       for name in ("status",) + _LABEL_FIELDS + ("partition", "preceding_job", "think_time")},
+})
+
+
+def expected_archive_record(job: dict, scale: bool) -> JobRecord:
+    """The record an ARCHIVE18 line should give, from the job's own fields."""
+
+    def whole(name):
+        return None if job[name] is None else int(job[name])
+
+    def real(name):
+        return None if job[name] is None else float(job[name])
+
+    def label(name):
+        return None if job[name] is None else swf_cell(job[name])
+
+    def stamp(seconds):
+        return None if seconds is None else Timestamp(seconds * 1000)
+
+    submit, wait, runtime = job["submit"], job["wait"], job["runtime"]
+    start = None if submit is None or wait is None else submit + wait
+    end = None if start is None or runtime is None else start + runtime
+    procs = whole("allocated_procs")
+
+    def memory(name):
+        per_proc = whole(name)
+        if per_proc is None or not scale:
+            return per_proc
+        return None if procs is None else per_proc * procs
+
+    return JobRecord(
+        job_id=str(job["job"]),
+        submit_time=stamp(submit), start_time=stamp(start), end_time=stamp(end),
+        req_procs=whole("requested_procs"), used_procs=procs,
+        req_cpu_s=real("requested_time"), used_cpu_s=real("avg_cpu"),
+        req_mem_kb=memory("requested_mem_kb_per_proc"),
+        used_mem_kb=memory("used_mem_kb_per_proc"),
+        queue=label("queue"), dedicated=None, user=label("user"),
+        project=label("group"), executable=label("executable"),
+        exit_code=whole("status"),
+    )
+
+
+def _corrupted(job: dict, name: str, token: str) -> str:
+    cells = format_swf_line(job).split(" ")
+    cells[SWF_FIELDS.index(name)] = token
+    return " ".join(cells)
+
+
+_bad_ints = st.one_of(
+    st.sampled_from(["x", "1.5", "nan", "inf", "-inf", "1e400", "0x10", "--1", "1,0"]),
+    st.floats(allow_nan=True).filter(lambda v: not v.is_integer()).map(repr),
+    st.text(alphabet="abc.,", min_size=1),
+)
+_bad_reals = st.one_of(
+    st.sampled_from(["x", "nan", "inf", "-inf", "1e400", "-1e400", "1.2.3", "0x10"]),
+    st.text(alphabet="abc.,", min_size=1),
+)
+
+
+class TestArchiveProperties:
+    @given(swf_jobs, st.booleans(), st.sampled_from([" ", "\t", "   "]))
+    def test_round_trip(self, job, scale, sep):
+        line = format_swf_line(job, sep)
+        assert (parse_archive_line(line, 1, scale_per_proc_memory=scale)
+                == expected_archive_record(job, scale))
+
+    @given(swf_jobs, st.integers(0, 30).filter(lambda n: n != len(SWF_FIELDS)))
+    def test_column_count(self, job, count):
+        cells = (format_swf_line(job).split(" ") + ["1"] * 30)[:count]
+        with pytest.raises(MalformedLine) as info:
+            parse_archive_line(" ".join(cells), 9)
+        assert info.value.reason == "column-count"
+        assert str(info.value) == f"line 9: column-count: expected 18 fields, got {count}"
+
+    @given(swf_jobs, st.sampled_from(_INT_FIELDS), _bad_ints)
+    def test_bad_int(self, job, name, token):
+        with pytest.raises(MalformedLine) as info:
+            parse_archive_line(_corrupted(job, name, token), 9)
+        assert info.value.reason == "bad-int"
+        assert str(info.value) == f"line 9: bad-int: {name}={token!r}"
+
+    @given(swf_jobs, st.sampled_from(_REAL_FIELDS), _bad_reals)
+    def test_bad_real(self, job, name, token):
+        with pytest.raises(MalformedLine) as info:
+            parse_archive_line(_corrupted(job, name, token), 9)
+        assert info.value.reason == "bad-real"
+        assert str(info.value) == f"line 9: bad-real: {name}={token!r}"
+
+    @given(swf_jobs, st.data())
+    def test_negative_value(self, job, data):
+        name = data.draw(st.sampled_from(_AMOUNT_FIELDS + _REAL_FIELDS))
+        if name in _AMOUNT_FIELDS:
+            value = data.draw(st.integers(-2**20, -2))
+            token = data.draw(st.sampled_from([str(value), repr(float(value))]))
+        else:
+            value = data.draw(st.floats(max_value=-1e-9, allow_infinity=False)
+                              .filter(lambda v: v != -1))
+            token = repr(value)
+        with pytest.raises(MalformedLine) as info:
+            parse_archive_line(_corrupted(job, name, token), 9)
+        assert info.value.reason == "negative-value"
+        assert str(info.value) == f"line 9: negative-value: {name}={value}"
 
 
 class TestParseTrace:

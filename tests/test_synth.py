@@ -8,6 +8,7 @@ import pytest
 from tracebw import (
     GenSpec,
     InvalidSpec,
+    MalformedSidecar,
     MemorySource,
     TraceFormat,
     compute_rates,
@@ -143,8 +144,25 @@ class TestSidecar:
         assert Fraction(int(numerator), int(denominator)) == truth.rates[0][1]
 
     def test_rejects_missing_header(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedSidecar) as info:
             read_sidecar(io.StringIO("j1 1/2\n"))
+        assert info.value.line_no == 1
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("", 1),
+        ("expected_valid=1\n", 2),
+        ("expected_valid=x\nexpected_omitted=0\n", 1),
+        ("expected_valid=1\nexpected_omitted\n", 2),
+        ("expected_valid=1\nexpected_omitted=0\nj1 1/0\n", 3),
+        ("expected_valid=1\nexpected_omitted=0\nj1\n", 3),
+        ("expected_valid=2\nexpected_omitted=0\nj1 1/2\n\nj2 3\n", 5),
+        ("expected_valid=1\nexpected_omitted=0\nj1 a/2\n", 3),
+    ])
+    def test_malformed_lines_name_their_line(self, text, line_no):
+        with pytest.raises(MalformedSidecar) as info:
+            read_sidecar(io.StringIO(text))
+        assert info.value.line_no == line_no
+        assert str(info.value).startswith(f"line {line_no}: expected ")
 
 
 class TestLoadGenSpec:

@@ -1,19 +1,27 @@
 """Timestamp cell parsing and rendering."""
 
+from datetime import datetime, timedelta, timezone
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracebw.model import Timestamp
 from tracebw.timefmt import format_day, format_timestamp, parse_timestamp
 
 from .conftest import MS_1990, MS_2100
+from .reference_timefmt import EPOCH, MONTHS, reference_format_day, reference_parse_ms
 
 
 @pytest.mark.parametrize("token,epoch_ms", [
     ("768453010", 768453010000),
     ("0", 0),
     ("-5", -5000),
+    ("+7", 7000),
+    ("1_0", 10000),
+    ("  42 ", 42000),
+    ("Feb 29 96", 825552000000),
+    ("May 10 94 01:02:03.", 768528000000 + 3723000),
     ("May 10 94", 768528000000),
     ("may 10 94", 768528000000),
     ("May 10 1994", 768528000000),
@@ -33,8 +41,11 @@ def test_century_pivot():
 
 
 @pytest.mark.parametrize("token", [
-    "", "Foo 10 94", "May 10", "May 10 94 1:2", "May 32 94", "May 10 94 25:00:00",
+    "", "Foo 10 94", "May 10", "May 10 94 1:2", "May 32 94",
+    "May 10 94 24:00:00", "May 10 94 25:00:00",
     "May 10 94 01:02:03.4567", "10 May 94", "May 10 94 01:02:03 x",
+    "Feb 29 95", "May 10 94 00:60:00", "May 10 94 00:00:60", "May 10 94 -1:00:00",
+    "\u00b2", "1.5", "1__0", "yesterday", "May 10 10000",
 ])
 def test_parse_rejects_garbage(token):
     with pytest.raises(ValueError):
@@ -62,3 +73,105 @@ def test_format_day_matches_worksheet_style():
 def test_render_parse_round_trip(epoch_ms):
     ts = Timestamp(epoch_ms)
     assert parse_timestamp(format_timestamp(ts)) == ts
+
+
+# --- differential test against the datetime-based reference ----------------
+
+# Superscript two passes isdigit() but not int(); Arabic-Indic three passes both.
+_CLOCK_FRACTION_CHARS = "0123456789\u00b2\u0663x"
+
+
+@st.composite
+def int_tokens(draw, values):
+    """Integer renderings int() may or may not accept: padded, signed, with ``_``."""
+    value = draw(values)
+    digits = str(abs(value))
+    form = draw(st.sampled_from(["plain", "pad2", "pad4", "plus", "underscore"]))
+    if form == "pad2":
+        digits = digits.zfill(2)
+    elif form == "pad4":
+        digits = digits.zfill(4)
+    elif form == "underscore" and len(digits) > 1:
+        digits = digits[0] + "_" + digits[1:]
+    sign = "-" if value < 0 else ("+" if form == "plus" else "")
+    return sign + digits
+
+
+def _around(low: int, high: int) -> st.SearchStrategy[int]:
+    """Integers near [low, high], with its edges and the values just outside drawn often."""
+    return st.integers(low - 1, high + 2) | st.sampled_from([low - 1, low, high, high + 1])
+
+
+def _mixed_case(word: str) -> st.SearchStrategy[str]:
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(word, upper)))
+
+
+_separators = st.sampled_from([" ", " ", " ", "  ", "\t", " \u3000"])  # mostly one space
+_months = st.sampled_from(MONTHS + ("Foo", "Ma", "Sept")).flatmap(_mixed_case)
+_years = int_tokens(st.one_of(st.integers(-1, 100), st.integers(1965, 2075),
+                              st.sampled_from([0, 1, 9999, 10000])))
+_fractions = st.one_of(
+    st.just(""),
+    st.text(alphabet=_CLOCK_FRACTION_CHARS, max_size=4).map(lambda f: "." + f))
+
+
+@st.composite
+def civil_tokens(draw):
+    sep = draw(_separators)
+    day = _around(1, 31) | st.sampled_from([28, 29, 30])
+    parts = [draw(_months), draw(int_tokens(day)), draw(_years)]
+    if draw(st.booleans()):
+        clock = ":".join([draw(int_tokens(_around(0, 23))),
+                          draw(int_tokens(_around(0, 59))),
+                          draw(int_tokens(_around(0, 59)))])
+        parts.append(clock + draw(_fractions))
+    if draw(st.integers(0, 9)) == 0:
+        parts.append("x")
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return pad + sep.join(parts) + pad
+
+
+epoch_tokens = st.one_of(
+    int_tokens(st.integers(-10**12, 10**12)).map(lambda t: t.center(len(t) + 2)),
+    st.sampled_from(["", "-", "+", "_1", "1_", "1__0", "\u00b2", "\u0663", "1.5", "1e3", "0x10"]),
+)
+
+
+def _outcome(parse, token):
+    try:
+        return parse(token)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=1000)
+@given(st.one_of(civil_tokens(), epoch_tokens,
+                 st.text(alphabet="JFMADjfmad ay0123456789:._+-", max_size=24)))
+@example("May 32 94")
+@example("Feb 29 95")
+@example("Feb 29 2000")
+@example("May 10 94 24:00:00")
+@example("May 10 94 25:00:00")
+@example("May 10 94 00:60:00")
+@example("May 10 94 00:00:00.1234")
+@example("Dec 31 69 23:59:59.999")
+@example("Jan 01 70")
+def test_parse_timestamp_matches_reference(token):
+    assert (_outcome(lambda t: parse_timestamp(t).epoch_ms, token)
+            == _outcome(reference_parse_ms, token))
+
+
+_MS = timedelta(milliseconds=1)
+# The span datetime can represent, which is the span format_day covers.
+_MIN_MS = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _MS
+_MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _MS
+
+
+@given(st.integers(min_value=_MIN_MS, max_value=_MAX_MS))
+@example(-1)
+@example(0)
+@example(86_399_999)
+@example(86_400_000)
+def test_format_day_matches_reference(epoch_ms):
+    assert format_day(Timestamp(epoch_ms)) == reference_format_day(epoch_ms)
