@@ -17,7 +17,6 @@ from .bandwidth import (
     iter_rates,
     partition_jobs,
     rate,
-    resolve_start,
     select_bytes,
     to_output_unit,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "partition_jobs",
     "rate",
     "read_sidecar",
-    "resolve_start",
     "select_bytes",
     "summarize",
     "to_output_unit",

@@ -11,10 +11,12 @@ Negative durations occur in real logs (end before start) and are kept,
 flagged, and produce negative rates; zero durations make the estimate
 undefined rather than infinite. An optional carry-forward rule fills a
 missing start time from the immediately preceding record's end time
-before partitioning; it is off by default, matching the batch policy of
-simply omitting incomplete jobs.
+before the readiness test; it is off by default, matching the batch
+policy of simply omitting incomplete jobs.
 
-All operations are pure functions over immutable inputs. Without
+The readiness test and carry-forward live in one private per-record
+pass that both :func:`iter_rates` and :func:`partition_jobs` run. All
+operations are pure functions over immutable inputs. Without
 carry-forward the per-record computation is an order-preserving map;
 with it the pass is sequential by contract.
 """
@@ -22,7 +24,7 @@ with it the pass is sequential by contract.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .model import MS_PER_S, JobRecord, RateFlag, RateSample, Timestamp
 
@@ -78,47 +80,14 @@ def to_output_unit(rate_bps: float, base: MbBase) -> float:
     return rate_bps / base.divisor
 
 
-def resolve_start(records: Sequence[JobRecord], idx: int) -> Timestamp | None:
-    """Start time for records[idx], borrowing the predecessor's end if needed.
+def _resolved(records: Iterable[JobRecord], source: MemorySource, carry_forward: bool
+              ) -> Iterator[tuple[JobRecord, bool, Timestamp | None, int | None, bool]]:
+    """The per-record pass: ``(record, ready, start, n_bytes, carried)`` in input order.
 
-    Only the immediately preceding record is consulted, and only its end
-    time; if that is also absent the start stays unresolved. The caller
-    is responsible for flagging the substitution.
-    """
-    if not 0 <= idx < len(records):
-        raise IndexError(f"index {idx} out of range for {len(records)} records")
-    start = records[idx].start_time
-    if start is not None:
-        return start
-    if idx >= 1:
-        return records[idx - 1].end_time
-    return None
-
-
-def partition_jobs(records: Iterable[JobRecord],
-                   source: MemorySource) -> tuple[list[JobRecord], list[JobRecord]]:
-    """Split records into bandwidth-ready and omitted, preserving order.
-
-    A record is valid when its start time, end time, and the selected
-    memory field are all present.
-    """
-    valid: list[JobRecord] = []
-    omitted: list[JobRecord] = []
-    for record in records:
-        ready = (record.start_time is not None
-                 and record.end_time is not None
-                 and select_bytes(record, source) is not None)
-        (valid if ready else omitted).append(record)
-    return valid, omitted
-
-
-def iter_rates(records: Iterable[JobRecord], source: MemorySource,
-               carry_forward: bool = False) -> Iterator[RateSample]:
-    """Streaming form of compute_rates: one sample per bandwidth-ready record.
-
-    With ``carry_forward`` the missing-start substitution happens before
-    the validity test, exactly as :func:`resolve_start` does on a
-    materialized sequence, so records must arrive in file order.
+    With ``carry_forward`` a missing start borrows the immediately
+    preceding record's end time, whether or not that record was ready;
+    ``carried`` says it did. A record is bandwidth-ready when its
+    (resolved) start, its end and the selected memory field are present.
     """
     prev_end: Timestamp | None = None
     for record in records:
@@ -129,23 +98,51 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource,
             carried = True
         end = record.end_time
         n_bytes = select_bytes(record, source)
-        if start is not None and end is not None and n_bytes is not None:
-            duration = duration_ms(start, end)
-            flags = set()
-            if carried:
-                flags.add(RateFlag.CARRIED_FORWARD_START)
-            if duration < 0:
-                flags.add(RateFlag.NEGATIVE_DURATION)
-            yield RateSample(
-                job_id=record.job_id,
-                start=start,
-                end=end,
-                n_bytes=n_bytes,
-                duration_ms=duration,
-                rate_bytes_per_s=rate(n_bytes, duration),
-                flags=frozenset(flags),
-            )
-        prev_end = record.end_time
+        ready = start is not None and end is not None and n_bytes is not None
+        yield record, ready, start, n_bytes, carried
+        prev_end = end
+
+
+def partition_jobs(records: Iterable[JobRecord],
+                   source: MemorySource) -> tuple[list[JobRecord], list[JobRecord]]:
+    """Split records into bandwidth-ready and omitted, preserving order.
+
+    A record is valid when its start time, end time, and the selected
+    memory field are all present; no start is carried forward here.
+    """
+    valid: list[JobRecord] = []
+    omitted: list[JobRecord] = []
+    for record, ready, *_ in _resolved(records, source, carry_forward=False):
+        (valid if ready else omitted).append(record)
+    return valid, omitted
+
+
+def iter_rates(records: Iterable[JobRecord], source: MemorySource,
+               carry_forward: bool = False) -> Iterator[RateSample]:
+    """Streaming form of compute_rates: one sample per bandwidth-ready record.
+
+    With ``carry_forward`` the missing-start substitution happens before
+    the readiness test, so records must arrive in file order.
+    """
+    for record, ready, start, n_bytes, carried in _resolved(records, source, carry_forward):
+        if not ready:
+            continue
+        end = record.end_time
+        duration = duration_ms(start, end)
+        flags = set()
+        if carried:
+            flags.add(RateFlag.CARRIED_FORWARD_START)
+        if duration < 0:
+            flags.add(RateFlag.NEGATIVE_DURATION)
+        yield RateSample(
+            job_id=record.job_id,
+            start=start,
+            end=end,
+            n_bytes=n_bytes,
+            duration_ms=duration,
+            rate_bytes_per_s=rate(n_bytes, duration),
+            flags=frozenset(flags),
+        )
 
 
 def compute_rates(records: Iterable[JobRecord], source: MemorySource,

@@ -4,7 +4,10 @@ Four subcommands: ``inspect`` reports line/record accounting, ``rates``
 writes the per-job worksheet (or the full CSV with ``--full``),
 ``summary`` prints aggregate statistics, and ``gen`` synthesizes a
 fixture trace plus its ground-truth sidecar. Data goes to standard
-output or ``--out``; diagnostics always go to standard error. Exit
+output or ``--out``; diagnostics always go to standard error. An
+``--out`` file is written under a temporary name beside it and moved
+into place only when the command succeeds, so a failed run leaves an
+existing file untouched and a trace can be rewritten in place. Exit
 status is 0 on success, 1 on I/O failure, 2 on invalid flags or
 generator specs, and 141 (128 + SIGPIPE, as a shell reports a filter
 killed by SIGPIPE) when the reader of the output goes away early, as
@@ -16,8 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
 from typing import IO, Iterable, Iterator
 
 from .bandwidth import MbBase, MemorySource, iter_rates
@@ -27,27 +29,7 @@ from .model import ParseReport, RateFlag, RateSample, TraceSummary
 from .parsing import TraceFormat, parse_trace, write_lanl_trace
 from .synth import generate, load_genspec, write_sidecar
 
-_MB_CHOICES = {"binary": MbBase.BINARY, "decimal": MbBase.DECIMAL}
-
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from the parsed flags."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    format: TraceFormat = TraceFormat.LANL16
-    memory: MemorySource = MemorySource.REQUESTED
-    mb: MbBase = MbBase.BINARY
-    carry_forward: bool = False
-    drop_negative: bool = False
-    full_csv: bool = False
-    scale_per_proc_memory: bool = True
-    gen_spec_path: str | None = None
-    truth_path: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (default: standard output)")
 
     rated = argparse.ArgumentParser(add_help=False)
-    rated.add_argument("--mb", choices=sorted(_MB_CHOICES), default="binary",
+    rated.add_argument("--mb", choices=[b.name.lower() for b in MbBase], default="binary",
                        help="Mbyte convention for output rates (default: binary)")
     rated.add_argument("--drop-negative", action="store_true",
                        help="exclude negative-duration samples")
@@ -94,27 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser,
-                      args: argparse.Namespace) -> RunConfig:
-    if args.command == "gen":
-        if args.out == "-":
-            parser.error("gen writes two files; --out must be a real path")
-        return RunConfig(command="gen", output_path=args.out,
-                         gen_spec_path=args.genspec, truth_path=args.truth)
-    return RunConfig(
-        command=args.command,
-        input_path=args.trace,
-        output_path=args.out,
-        format=TraceFormat(args.format),
-        memory=MemorySource(args.memory),
-        mb=_MB_CHOICES[getattr(args, "mb", "binary")],
-        carry_forward=args.carry_forward,
-        drop_negative=getattr(args, "drop_negative", False),
-        full_csv=getattr(args, "full", False),
-        scale_per_proc_memory=args.per_proc_memory == "scaled",
-    )
-
-
 @contextmanager
 def _open_input(path: str) -> Iterator[IO[str]]:
     if path == "-":
@@ -130,9 +91,38 @@ def _open_output(path: str | None) -> Iterator[IO[str]]:
         yield sys.stdout
         # A closed pipe must surface here, not in the flush at interpreter exit.
         sys.stdout.flush()
-    else:
+    elif os.path.exists(path) and not os.path.isfile(path):
+        # A device or FIFO cannot be replaced; write to it directly.
         with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
+    else:
+        with _replaced_on_success(path) as handle:
+            yield handle
+
+
+@contextmanager
+def _replaced_on_success(path: str) -> Iterator[IO[str]]:
+    """Write a new file beside ``path`` and move it over ``path`` only on success."""
+    target = os.path.realpath(path)  # through a symlink, replace what it points at
+    directory, name = os.path.split(target)
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            # Not mkstemp: its 0600 mode would become the output's mode.
+            handle = open(temp, "x", encoding="utf-8", newline="")
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 class _Tap:
@@ -168,58 +158,62 @@ def _write_summary(summary: TraceSummary, out: IO[str]) -> None:
         out.write(f"{name}={'' if value is None else repr(value)}\n")
 
 
-def _run_trace_command(config: RunConfig) -> int:
-    with _open_input(config.input_path) as source:
-        stream = parse_trace(source, config.format,
-                             scale_per_proc_memory=config.scale_per_proc_memory)
-        samples = _Tap(iter_rates(stream, config.memory, config.carry_forward))
+def _run_trace_command(args: argparse.Namespace) -> int:
+    with _open_input(args.trace) as source:
+        stream = parse_trace(source, TraceFormat(args.format),
+                             scale_per_proc_memory=args.per_proc_memory == "scaled")
+        samples = _Tap(iter_rates(stream, MemorySource(args.memory), args.carry_forward))
 
-        if config.command == "inspect":
+        if args.command == "inspect":
             for _ in samples:
                 pass
-            with _open_output(config.output_path) as out:
+            with _open_output(args.out) as out:
                 _write_report(stream.report, samples.count, out)
             return 0
 
         kept: Iterable[RateSample] = samples
-        if config.drop_negative:
+        if args.drop_negative:
             kept = (s for s in samples if RateFlag.NEGATIVE_DURATION not in s.flags)
 
-        if config.command == "rates":
-            with _open_output(config.output_path) as out:
-                if config.full_csv:
-                    write_csv(kept, config.mb, out)
+        mb = MbBase[args.mb.upper()]
+        if args.command == "rates":
+            with _open_output(args.out) as out:
+                if args.full:
+                    write_csv(kept, mb, out)
                 else:
-                    write_worksheet(kept, config.mb, out)
+                    write_worksheet(kept, mb, out)
         else:
-            summary = summarize(kept, config.mb)
-            with _open_output(config.output_path) as out:
+            summary = summarize(kept, mb)
+            with _open_output(args.out) as out:
                 _write_summary(summary, out)
         _write_report(stream.report, samples.count, sys.stderr)
     return 0
 
 
-def _run_gen(config: RunConfig) -> int:
-    with open(config.gen_spec_path, encoding="utf-8") as handle:
+def _run_gen(args: argparse.Namespace) -> int:
+    with open(args.genspec, encoding="utf-8") as handle:
         spec = load_genspec(handle)
     records, truth = generate(spec)
-    truth_path = config.truth_path or config.output_path + ".truth"
-    with open(config.output_path, "w", encoding="utf-8", newline="") as out:
+    # Both files move into place only once both are written.
+    with _open_output(args.out) as out, _open_output(args.truth or args.out + ".truth") as side:
         write_lanl_trace(records, out)
-    with open(truth_path, "w", encoding="utf-8", newline="") as out:
-        write_sidecar(truth, out)
+        write_sidecar(truth, side)
     sys.stderr.write(f"count={spec.count}\n")
     sys.stderr.write(f"expected_valid={truth.expected_valid}\n")
     sys.stderr.write(f"expected_omitted={truth.expected_omitted}\n")
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns the process exit status."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "gen" and args.out == "-":
+        parser.error("gen writes two files; --out must be a real path")
     try:
-        if config.command == "gen":
-            return _run_gen(config)
-        return _run_trace_command(config)
+        if args.command == "gen":
+            return _run_gen(args)
+        return _run_trace_command(args)
     except InvalidSpec as exc:
         sys.stderr.write(f"tracebw: error: {exc}\n")
         return 2
@@ -244,12 +238,6 @@ def _discard_stdout() -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(_config_from_args(parser, args))
 
 
 if __name__ == "__main__":

@@ -36,10 +36,6 @@ class Timestamp:
         if not isinstance(self.epoch_ms, int):
             raise ValueError(f"epoch_ms must be an integer, got {type(self.epoch_ms).__name__}")
 
-    @classmethod
-    def from_epoch_s(cls, seconds: int) -> "Timestamp":
-        return cls(seconds * MS_PER_S)
-
     @property
     def second_aligned(self) -> bool:
         return self.epoch_ms % MS_PER_S == 0
@@ -134,20 +130,21 @@ class RateSample:
 class ParseReport:
     """Line accounting for one parse session.
 
-    ``total_lines`` counts every physical line seen; ``parsed``,
-    ``skipped_missing_times`` and ``malformed`` partition the record
-    lines, and whatever remains is comment/blank lines (derived, never
-    negative). ``reasons`` buckets malformed lines by reason code.
+    ``total_lines`` counts every physical line seen; ``parsed`` and
+    ``malformed`` partition the record lines, and whatever remains is
+    comment/blank lines (derived, never negative). ``reasons`` buckets
+    malformed lines by reason code. A parsed record may still lack the
+    data an estimate needs; that partition happens downstream in
+    :mod:`tracebw.bandwidth`.
     """
 
     total_lines: int = 0
     parsed: int = 0
-    skipped_missing_times: int = 0
     malformed: int = 0
     reasons: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("total_lines", "parsed", "skipped_missing_times", "malformed"):
+        for name in ("total_lines", "parsed", "malformed"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
@@ -160,7 +157,7 @@ class ParseReport:
     @property
     def record_lines(self) -> int:
         """Lines that held (or should have held) a record."""
-        return self.parsed + self.skipped_missing_times + self.malformed
+        return self.parsed + self.malformed
 
     @property
     def comment_blank_lines(self) -> int:

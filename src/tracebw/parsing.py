@@ -276,10 +276,6 @@ class TraceStream:
     is independent of file length. ``report`` is a frozen snapshot of the
     counters so far and is final once iteration ends. A session has one
     consumer; distinct sessions are fully independent.
-
-    The parsers never drop a structurally-valid record for missing data,
-    so ``skipped_missing_times`` is always zero here; the data-availability
-    partition happens downstream in :mod:`tracebw.bandwidth`.
     """
 
     def __init__(self, source: Iterable[str] | IO[str], format: TraceFormat, *,
@@ -302,7 +298,6 @@ class TraceStream:
         return ParseReport(
             total_lines=self._total,
             parsed=self._parsed,
-            skipped_missing_times=0,
             malformed=self._malformed,
             reasons=dict(self._reasons),
         )

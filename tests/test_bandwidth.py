@@ -18,7 +18,6 @@ from tracebw import (
     iter_rates,
     partition_jobs,
     rate,
-    resolve_start,
     select_bytes,
     to_output_unit,
 )
@@ -100,29 +99,43 @@ class TestOutputUnit:
         assert to_output_unit(8388608.0, MbBase.BINARY) == 8.0
 
 
+def resolve_start(records, idx):
+    """Oracle for carry-forward on a list: records[idx]'s start, else its predecessor's end."""
+    start = records[idx].start_time
+    if start is None and idx >= 1:
+        return records[idx - 1].end_time
+    return start
+
+
+def carried(records):
+    return compute_rates(records, MemorySource.REQUESTED, carry_forward=True)
+
+
 class TestResolveStart:
+    """How carry-forward resolves a start time, seen through compute_rates."""
+
     def test_present_start_wins(self):
-        records = [record(start=0, end=100), record(start=50, end=300)]
-        assert resolve_start(records, 1) == Timestamp(50)
+        records = [record("a", start=0, end=100), record("b", start=50, end=300, req_mem_kb=1)]
+        (sample,) = carried(records)
+        assert sample.start == Timestamp(50)
+        assert RateFlag.CARRIED_FORWARD_START not in sample.flags
 
     def test_borrows_predecessor_end(self):
-        records = [record(start=0, end=100), record(end=300)]
-        assert resolve_start(records, 1) == Timestamp(100)
+        records = [record("a", start=0, end=100), record("b", end=300, req_mem_kb=1)]
+        (sample,) = carried(records)
+        assert sample.start == Timestamp(100)
+        assert RateFlag.CARRIED_FORWARD_START in sample.flags
 
     def test_first_record_cannot_borrow(self):
-        assert resolve_start([record(end=300)], 0) is None
+        assert carried([record(end=300, req_mem_kb=1)]) == []
 
     def test_predecessor_without_end_gives_nothing(self):
-        records = [record(), record(end=300)]
-        assert resolve_start(records, 1) is None
+        assert carried([record(req_mem_kb=1), record(end=300, req_mem_kb=1)]) == []
 
     def test_only_immediate_predecessor_consulted(self):
-        records = [record(end=100), record(), record(end=300)]
-        assert resolve_start(records, 2) is None
-
-    def test_index_bounds(self):
-        with pytest.raises(IndexError):
-            resolve_start([record()], 1)
+        records = [record(end=100, req_mem_kb=1), record(req_mem_kb=1),
+                   record(end=300, req_mem_kb=1)]
+        assert carried(records) == []
 
 
 class TestPartition:
@@ -142,6 +155,15 @@ class TestPartition:
         assert len(valid) == 7
         assert len(omitted) == 3
         assert [r.job_id for r in omitted] == [base[i].job_id for i in sorted(deleted)]
+
+    def test_never_carries_forward(self):
+        records = [record(start=0, end=100, req_mem_kb=1), record(end=300, req_mem_kb=1)]
+        assert partition_jobs(records, MemorySource.REQUESTED) == (records[:1], records[1:])
+
+    @given(st.lists(job_records, max_size=30), st.sampled_from(MemorySource))
+    def test_valid_records_are_the_ones_with_samples(self, records, source):
+        valid, _ = partition_jobs(records, source)
+        assert [r.job_id for r in valid] == [s.job_id for s in compute_rates(records, source)]
 
     def test_selected_memory_field_matters(self):
         rec = record(start=0, end=1, req_mem_kb=None, used_mem_kb=5)

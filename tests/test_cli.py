@@ -1,14 +1,34 @@
 """Command-line behavior: outputs, exit codes, stream separation."""
 
+import dataclasses
+import errno
 import io
+import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from tracebw import read_sidecar
+import tracebw.cli
+from tracebw import (
+    GenSpec,
+    MbBase,
+    MemorySource,
+    RateFlag,
+    TraceFormat,
+    generate,
+    iter_rates,
+    parse_trace,
+    read_sidecar,
+    summarize,
+    write_csv,
+    write_lanl_trace,
+    write_worksheet,
+)
 from tracebw.cli import EXIT_BROKEN_PIPE, main
 
+from .swf import format_swf_line
 from .test_parsing import LANL_LINE, archive_line
 
 NEGATIVE_LINE = LANL_LINE.replace("j1", "jneg").replace(
@@ -213,15 +233,227 @@ class TestGen:
         assert f"omitted={truth.expected_omitted}" in err
 
 
+class TestOutReplacesOnSuccess:
+    def test_rates_can_overwrite_its_own_input(self, tmp_path, capsys):
+        spec = tmp_path / "s.genspec"
+        spec.write_text("seed=3\ncount=2000\nmissing_start_frac=0.1\n")
+        trace = tmp_path / "t.trace"
+        assert main(["gen", str(spec), "--out", str(trace)]) == 0
+        assert main(["rates", str(trace), "--out", str(tmp_path / "expected.csv")]) == 0
+        capsys.readouterr()
+        assert main(["rates", str(trace), "--out", str(trace)]) == 0
+        _, err = out_err(capsys)
+        assert "total=2000" in err
+        assert trace.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_failing_sink_leaves_existing_target_untouched(self, small_trace, tmp_path,
+                                                          capsys, monkeypatch):
+        class FullDisk:
+            """A sink that takes two writes, then reports a full disk."""
+
+            def __init__(self, sink):
+                self.sink, self.writes = sink, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.sink.write(text)
+
+        real = tracebw.cli.write_worksheet
+        monkeypatch.setattr(tracebw.cli, "write_worksheet",
+                            lambda samples, base, sink: real(samples, base, FullDisk(sink)))
+        target = tmp_path / "sheet.csv"
+        target.write_bytes(b"previous contents\n")
+        assert main(["rates", str(small_trace), "--out", str(target)]) == 1
+        _, err = out_err(capsys)
+        assert "No space left on device" in err
+        assert target.read_bytes() == b"previous contents\n"
+        assert sorted(os.listdir(tmp_path)) == ["sheet.csv", "small.trace"]
+
+    def test_failed_gen_leaves_both_files_untouched(self, tmp_path, monkeypatch):
+        def broken_sidecar(truth, sink):
+            sink.write("expected_valid=")
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(tracebw.cli, "write_sidecar", broken_sidecar)
+        spec = tmp_path / "s.genspec"
+        spec.write_text("count=5\n")
+        trace = tmp_path / "t.trace"
+        trace.write_text("old trace\n")
+        (tmp_path / "t.trace.truth").write_text("old truth\n")
+        assert main(["gen", str(spec), "--out", str(trace)]) == 1
+        assert trace.read_text() == "old trace\n"
+        assert (tmp_path / "t.trace.truth").read_text() == "old truth\n"
+        assert sorted(os.listdir(tmp_path)) == ["s.genspec", "t.trace", "t.trace.truth"]
+
+    def test_new_file_gets_the_usual_mode(self, small_trace, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        target = tmp_path / "sheet.csv"
+        assert main(["rates", str(small_trace), "--out", str(target)]) == 0
+        assert target.stat().st_mode == reference.stat().st_mode
+
+    def test_writes_through_a_symlink(self, small_trace, tmp_path, capsys):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert main(["rates", str(small_trace), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("Start date,")
+
+    def test_non_regular_target_is_written_directly(self, small_trace, capsys):
+        assert main(["rates", str(small_trace), "--out", os.devnull]) == 0
+        assert out_err(capsys)[0] == ""
+
+
+# --- the CLI against the library --------------------------------------------
+
+def _lanl_trace(path):
+    """Generated jobs with missing fields, plus reversed, zero-length and
+    used-memory variants, a comment and a malformed line."""
+    records, _ = generate(GenSpec(seed=11, count=300, missing_start_frac=0.2,
+                                  missing_end_frac=0.1, missing_mem_frac=0.1))
+    rng = random.Random(5)
+    varied = []
+    for rec in records:
+        roll = rng.random()
+        if roll < 0.1 and rec.start_time and rec.end_time:
+            rec = dataclasses.replace(rec, start_time=rec.end_time, end_time=rec.start_time)
+        elif roll < 0.15 and rec.start_time:
+            rec = dataclasses.replace(rec, end_time=rec.start_time)
+        elif roll < 0.3:
+            rec = dataclasses.replace(rec, used_mem_kb=rng.choice([None, 1000, 77777]))
+        varied.append(rec)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("# generated\n")
+        write_lanl_trace(varied, out)
+        out.write("not\ta\tjob\n")
+
+
+def _archive_trace(path):
+    """SWF jobs with missing times, processor counts and memory, zero
+    runtimes, a header comment and a malformed line."""
+    rng = random.Random(6)
+
+    def maybe(value, p_absent=0.15):
+        return None if rng.random() < p_absent else value
+
+    lines = ["; generated"]
+    submit = 1000
+    for job in range(1, 301):
+        submit += rng.randrange(0, 120)
+        lines.append(format_swf_line({
+            "job": job, "submit": maybe(submit, 0.05), "wait": maybe(rng.randrange(0, 60)),
+            "runtime": maybe(rng.choice([0, 1, 7, 3600, rng.randrange(1, 10**5)])),
+            "allocated_procs": maybe(rng.choice([1, 4, 64])),
+            "used_mem_kb_per_proc": maybe(rng.randrange(1, 10**6), 0.3),
+            "requested_mem_kb_per_proc": maybe(rng.randrange(1, 10**6)),
+            "status": 1, "user": rng.randrange(1, 9),
+        }))
+    lines.insert(150, "1 2 3")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _library_output(path, format, command, memory=MemorySource.REQUESTED, mb=MbBase.BINARY,
+                    carry_forward=False, drop_negative=False, scale_per_proc_memory=True):
+    """What the library writes for one CLI command: (data, report)."""
+    with open(path, encoding="utf-8") as handle:
+        stream = parse_trace(handle, format, scale_per_proc_memory=scale_per_proc_memory)
+        samples = list(iter_rates(stream, memory, carry_forward))
+    report = stream.report
+    valid = len(samples)
+    report_text = (f"total={report.parsed + report.malformed}\nparsed={report.parsed}\n"
+                   f"valid={valid}\nomitted={report.parsed - valid}\n"
+                   f"malformed={report.malformed}\n")
+    if command == "inspect":
+        return report_text, ""
+    if drop_negative:
+        samples = [s for s in samples if RateFlag.NEGATIVE_DURATION not in s.flags]
+    data = io.StringIO()
+    if command == "rates":
+        write_worksheet(samples, mb, data)
+    elif command == "rates --full":
+        write_csv(samples, mb, data)
+    else:
+        summary = summarize(samples, mb)
+        data.write(f"n_rates={summary.n_rates}\nn_negative={summary.n_negative}\n"
+                   f"n_undefined={summary.n_undefined}\n")
+        for name in ("min", "max", "mean", "median", "p95"):
+            value = getattr(summary, name)
+            data.write(f"{name}={'' if value is None else repr(value)}\n")
+    return data.getvalue(), report_text
+
+
+_FLAG_SETS = {
+    "default": ([], {}),
+    "memory-used": (["--memory", "used"], {"memory": MemorySource.USED}),
+    "mb-decimal": (["--mb", "decimal"], {"mb": MbBase.DECIMAL}),
+    "carry-forward": (["--carry-forward"], {"carry_forward": True}),
+    "drop-negative": (["--drop-negative"], {"drop_negative": True}),
+    "all": (["--memory", "used", "--mb", "decimal", "--carry-forward", "--drop-negative"],
+            {"memory": MemorySource.USED, "mb": MbBase.DECIMAL, "carry_forward": True,
+             "drop_negative": True}),
+    "per-proc-raw": (["--per-proc-memory", "raw"], {"scale_per_proc_memory": False}),
+}
+_RATED_ONLY = {"mb-decimal", "drop-negative", "all"}
+
+
+def _differential_cases():
+    for format in TraceFormat:
+        for command in ("inspect", "rates", "rates --full", "summary"):
+            for name in _FLAG_SETS:
+                if command == "inspect" and name in _RATED_ONLY:
+                    continue
+                if name == "per-proc-raw" and format is TraceFormat.LANL16:
+                    continue
+                yield pytest.param(format, command, name,
+                                   id=f"{format.name}-{command.replace(' --', '-')}-{name}")
+
+
+@pytest.fixture(scope="module")
+def differential_traces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("differential")
+    _lanl_trace(root / "lanl.trace")
+    _archive_trace(root / "archive.swf")
+    return {TraceFormat.LANL16: root / "lanl.trace", TraceFormat.ARCHIVE18: root / "archive.swf"}
+
+
+@pytest.mark.parametrize("format, command, flag_set", _differential_cases())
+def test_cli_matches_library(differential_traces, format, command, flag_set, capsys):
+    path = differential_traces[format]
+    flags, options = _FLAG_SETS[flag_set]
+    argv = [*command.split(), str(path), "--format", format.value, *flags]
+    assert main(argv) == 0
+    assert out_err(capsys) == _library_output(path, format, command, **options)
+
+
+def test_differential_traces_exercise_every_flag(differential_traces):
+    """Each flag set changes at least one library output, so the CLI test can tell."""
+    for format, path in differential_traces.items():
+        for name, (_, options) in _FLAG_SETS.items():
+            if not options or (name == "per-proc-raw" and format is TraceFormat.LANL16):
+                continue
+            if format is TraceFormat.ARCHIVE18 and name in ("drop-negative", "carry-forward"):
+                # Runtimes are never negative, and a missing start takes the end with it.
+                continue
+            command = "rates --full" if name != "mb-decimal" else "rates"
+            assert (_library_output(path, format, command, **options)
+                    != _library_output(path, format, command)), (format, name)
+
+
 class TestExitCodes:
     def test_missing_input_is_io_failure(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.trace")]) == 1
         _, err = out_err(capsys)
         assert "error" in err
 
-    def test_unwritable_output_is_io_failure(self, small_trace, tmp_path):
+    def test_unwritable_output_is_io_failure(self, small_trace, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["rates", str(small_trace), "--out", str(target)]) == 1
+        _, err = out_err(capsys)
+        assert err == f"tracebw: error: [Errno 2] No such file or directory: '{target}'\n"
 
     def test_invalid_genspec_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.genspec"

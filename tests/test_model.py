@@ -11,9 +11,6 @@ from .conftest import job_records
 
 
 class TestTimestamp:
-    def test_from_epoch_seconds(self):
-        assert Timestamp.from_epoch_s(768453010).epoch_ms == 768453010000
-
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             Timestamp(1.5)
@@ -117,11 +114,11 @@ class TestRateSample:
 
 class TestParseReport:
     def test_conservation_is_derived(self):
-        report = ParseReport(total_lines=10, parsed=6, skipped_missing_times=1,
-                             malformed=2, reasons={"column-count": 2})
+        report = ParseReport(total_lines=10, parsed=6, malformed=3,
+                             reasons={"column-count": 3})
         assert report.record_lines == 9
         assert report.comment_blank_lines == 1
-        assert report.parsed + report.skipped_missing_times + report.malformed \
+        assert report.parsed + report.malformed \
             + report.comment_blank_lines == report.total_lines
 
     def test_rejects_overcounted_records(self):

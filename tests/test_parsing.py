@@ -318,7 +318,6 @@ class TestParseTrace:
         assert len(records) == 3
         report = stream.report
         assert (report.total_lines, report.parsed, report.malformed) == (4, 3, 1)
-        assert report.skipped_missing_times == 0
         assert report.reasons == {"column-count": 1}
 
     def test_empty_stream(self):
@@ -390,15 +389,22 @@ class TestParseTrace:
         next(stream)
         assert stream.report.parsed == 1
 
-    @given(st.lists(st.text(
-        alphabet="\t" + "".join(chr(c) for c in range(32, 127)), max_size=40)))
-    def test_report_conservation_on_arbitrary_text(self, lines):
-        stream = parse_trace(lines, TraceFormat.LANL16)
+    @pytest.mark.parametrize("format", TraceFormat, ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_report_conservation_on_arbitrary_text(self, format, data):
+        if format is TraceFormat.LANL16:
+            valid, comment = job_records.map(format_lanl_line), "# note"
+        else:
+            valid, comment = swf_jobs.map(format_swf_line), "; note"
+        lines = data.draw(st.lists(st.one_of(
+            st.text(alphabet="\t" + "".join(chr(c) for c in range(32, 127)), max_size=40),
+            valid, st.just(comment), st.just("")), max_size=40))
+        stream = parse_trace(lines, format)
         parsed_records = sum(1 for _ in stream)
         report = stream.report
         assert report.total_lines == len(lines)
         assert report.parsed == parsed_records
-        assert report.parsed + report.skipped_missing_times + report.malformed \
+        assert report.parsed + report.malformed \
             + report.comment_blank_lines == report.total_lines
         assert sum(report.reasons.values()) == report.malformed
 
