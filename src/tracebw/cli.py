@@ -3,8 +3,9 @@
 Four subcommands: ``inspect`` reports line/record accounting, ``rates``
 writes the per-job worksheet (or the full CSV with ``--full``),
 ``summary`` prints aggregate statistics, and ``gen`` synthesizes a
-fixture trace plus its ground-truth sidecar. Data goes to standard
-output or ``--out``; diagnostics always go to standard error. An
+fixture trace plus its ground-truth sidecar in constant memory. Data
+goes to standard output or ``--out``; diagnostics always go to standard
+error. An
 ``--out`` file is written under a temporary name beside it and moved
 into place only when the command succeeds, so a failed run leaves an
 existing file untouched and a trace can be rewritten in place. Exit
@@ -18,16 +19,18 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager, suppress
 from typing import IO, Iterable, Iterator
 
 from .bandwidth import MbBase, MemorySource, iter_rates
 from .errors import InvalidSpec, IoFailure
 from .export import summarize, write_csv, write_worksheet
-from .model import ParseReport, RateFlag, RateSample, TraceSummary
+from .model import JobRecord, ParseReport, RateFlag, RateSample, TraceSummary
 from .parsing import TraceFormat, parse_trace, write_lanl_trace
-from .synth import generate, load_genspec, write_sidecar
+from .synth import format_sidecar_header, format_sidecar_line, iter_jobs, load_genspec
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -46,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="requested",
                         help="memory field supplying the byte count (default: requested)")
     reader.add_argument("--carry-forward", action="store_true",
-                        help="fill a missing start time from the previous record's end")
+                        help="fill a missing start time from the previous record's end "
+                             "(lanl format only: an archive record with no start has no "
+                             "end either, so the flag changes nothing there)")
     reader.add_argument("--per-proc-memory", choices=["scaled", "raw"], default="scaled",
                         help="archive format only: scale per-processor memory by "
                              "allocated processors, or take it raw (default: scaled)")
@@ -193,14 +198,28 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 def _run_gen(args: argparse.Namespace) -> int:
     with open(args.genspec, encoding="utf-8") as handle:
         spec = load_genspec(handle)
-    records, truth = generate(spec)
+    valid = 0
+
+    def records(spool: IO[str]) -> Iterator[JobRecord]:
+        # Each job goes to the trace as it is drawn; valid jobs' sidecar
+        # lines wait in the spool until the header counts are known.
+        nonlocal valid
+        for record, rate in iter_jobs(spec):
+            if rate is not None:
+                spool.write(format_sidecar_line(record.job_id, rate))
+                valid += 1
+            yield record
+
     # Both files move into place only once both are written.
-    with _open_output(args.out) as out, _open_output(args.truth or args.out + ".truth") as side:
-        write_lanl_trace(records, out)
-        write_sidecar(truth, side)
+    with _open_output(args.out) as out, _open_output(args.truth) as side, \
+            tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        write_lanl_trace(records(spool), out)
+        side.write(format_sidecar_header(valid, spec.count - valid))
+        spool.seek(0)
+        shutil.copyfileobj(spool, side)
     sys.stderr.write(f"count={spec.count}\n")
-    sys.stderr.write(f"expected_valid={truth.expected_valid}\n")
-    sys.stderr.write(f"expected_omitted={truth.expected_omitted}\n")
+    sys.stderr.write(f"expected_valid={valid}\n")
+    sys.stderr.write(f"expected_omitted={spec.count - valid}\n")
     return 0
 
 
@@ -208,8 +227,12 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen" and args.out == "-":
-        parser.error("gen writes two files; --out must be a real path")
+    if args.command == "gen":
+        if args.out == "-":
+            parser.error("gen writes two files; --out must be a real path")
+        args.truth = args.truth or args.out + ".truth"
+        if os.path.realpath(args.out) == os.path.realpath(args.truth):
+            parser.error("gen writes two files; --out and --truth name the same file")
     try:
         if args.command == "gen":
             return _run_gen(args)

@@ -337,6 +337,29 @@ def parse_trace(source: Iterable[str] | IO[str], format: TraceFormat, *,
     return TraceStream(source, format, scale_per_proc_memory=scale_per_proc_memory)
 
 
+# Cell writers for format_lanl_line: an absent value is written as "-1".
+
+def _opt_ts(ts: Timestamp | None) -> str:
+    # format_timestamp is looked up per call, as parse_timestamp is above.
+    return "-1" if ts is None else format_timestamp(ts)
+
+
+def _opt_int(value: int | None) -> str:
+    return "-1" if value is None else str(value)
+
+
+def _opt_real(value: float | None) -> str:
+    return "-1" if value is None else repr(float(value))
+
+
+def _opt_text(value: str | None) -> str:
+    return "-1" if value is None else value
+
+
+def _opt_flag(value: bool | None) -> str:
+    return "-1" if value is None else ("1" if value else "0")
+
+
 def format_lanl_line(record: JobRecord) -> str:
     """Render a JobRecord as one canonical tab-separated LANL16 line.
 
@@ -348,41 +371,24 @@ def format_lanl_line(record: JobRecord) -> str:
     exit code of exactly -1 cannot survive the trip and comes back as a
     different (or absent) value.
     """
-
-    def opt_ts(ts: Timestamp | None) -> str:
-        return "-1" if ts is None else format_timestamp(ts)
-
-    def opt_int(value: int | None) -> str:
-        return "-1" if value is None else str(value)
-
-    def opt_real(value: float | None) -> str:
-        return "-1" if value is None else repr(float(value))
-
-    def opt_text(value: str | None) -> str:
-        return "-1" if value is None else value
-
-    def opt_flag(value: bool | None) -> str:
-        return "-1" if value is None else ("1" if value else "0")
-
-    cells = (
+    return "\t".join((
         record.job_id,
-        opt_ts(record.submit_time),
-        opt_ts(record.start_time),
-        opt_ts(record.end_time),
-        opt_int(record.req_procs),
-        opt_int(record.used_procs),
-        opt_real(record.req_cpu_s),
-        opt_real(record.used_cpu_s),
-        opt_int(record.req_mem_kb),
-        opt_int(record.used_mem_kb),
-        opt_text(record.queue),
-        opt_flag(record.dedicated),
-        opt_text(record.user),
-        opt_text(record.project),
-        opt_text(record.executable),
-        opt_int(record.exit_code),
-    )
-    return "\t".join(cells)
+        _opt_ts(record.submit_time),
+        _opt_ts(record.start_time),
+        _opt_ts(record.end_time),
+        _opt_int(record.req_procs),
+        _opt_int(record.used_procs),
+        _opt_real(record.req_cpu_s),
+        _opt_real(record.used_cpu_s),
+        _opt_int(record.req_mem_kb),
+        _opt_int(record.used_mem_kb),
+        _opt_text(record.queue),
+        _opt_flag(record.dedicated),
+        _opt_text(record.user),
+        _opt_text(record.project),
+        _opt_text(record.executable),
+        _opt_int(record.exit_code),
+    ))
 
 
 def write_lanl_trace(records: Iterable[JobRecord], sink: IO[str]) -> int:

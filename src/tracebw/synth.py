@@ -4,10 +4,15 @@ A rigid job is fully described by its arrival time, processor count, and
 runtime. This generator draws exponential inter-arrival gaps, a small
 uniform queue wait, uniform runtimes, and uniform picks from the memory
 and processor choice lists, then knocks out start/end/memory fields with
-independent per-job coin flips. Alongside the records it emits ground
-truth - the exact expected valid/omitted partition and each valid job's
-rate as an exact rational - so pipeline tests never re-derive their
-expectations from the code under test.
+independent per-job coin flips. Alongside each record it emits ground
+truth - whether the job is valid and, if so, its rate as an exact
+rational - so pipeline tests never re-derive their expectations from the
+code under test.
+
+:func:`iter_jobs` yields the jobs one at a time as they are drawn, so a
+consumer such as ``tracebw gen`` writes any number of them in constant
+memory. :func:`generate` collects the same jobs into a list and a
+:class:`GroundTruth` with the valid/omitted counts.
 
 Determinism contract: the output is a pure function of the GenSpec. All
 randomness comes from CPython's ``random.Random`` (MT19937) seeded with
@@ -25,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .bandwidth import BYTES_PER_KB
 from .errors import InvalidSpec, MalformedSidecar
@@ -107,16 +112,17 @@ class _Draws:
         return self._random() < probability
 
 
-def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:
-    """Synthesize a record sequence plus its ground truth.
+def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
+    """Yield each synthesized job as it is drawn, with its exact rate.
 
-    Records come out ordered by submit time. A job is valid when none of
-    its start, end, and memory fields were knocked out; its exact rate is
-    ``1000 * mem_kb * 1024 / runtime_ms``.
+    Jobs come out ordered by submit time, one ``(record, rate)`` pair
+    each. A job is valid when none of its start, end, and memory fields
+    were knocked out; its rate is then ``1000 * mem_kb * 1024 /
+    runtime_ms`` in bytes per second as a Fraction, and None otherwise.
+    Nothing is kept between jobs, so memory stays flat however many jobs
+    the spec asks for.
     """
     draws = _Draws(spec.seed)
-    records: list[JobRecord] = []
-    rates: list[tuple[str, Fraction]] = []
     submit_ms = BASE_EPOCH_MS
     for i in range(spec.count):
         submit_ms += int(round(draws.exponential(spec.inter_arrival_mean_ms)))
@@ -128,11 +134,10 @@ def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:
         drop_end = draws.coin(spec.missing_end_frac)
         drop_mem = draws.coin(spec.missing_mem_frac)
 
-        job_id = f"j{i + 1:06d}"
         start_ms = submit_ms + wait_ms
         cpu_s = procs * (runtime_ms / MS_PER_S)
-        records.append(JobRecord(
-            job_id=job_id,
+        record = JobRecord(
+            job_id=f"j{i + 1:06d}",
             submit_time=Timestamp(submit_ms),
             start_time=None if drop_start else Timestamp(start_ms),
             end_time=None if drop_end else Timestamp(start_ms + runtime_ms),
@@ -148,10 +153,21 @@ def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:
             project=f"p{i % 7 + 1:02d}",
             executable=f"app{i % 11 + 1}",
             exit_code=0,
-        ))
-        if not (drop_start or drop_end or drop_mem):
-            rates.append((job_id, Fraction(MS_PER_S * mem_kb * BYTES_PER_KB, runtime_ms)))
+        )
+        if drop_start or drop_end or drop_mem:
+            yield record, None
+        else:
+            yield record, Fraction(MS_PER_S * mem_kb * BYTES_PER_KB, runtime_ms)
 
+
+def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:
+    """Collect every job of :func:`iter_jobs` into a list plus its ground truth."""
+    records: list[JobRecord] = []
+    rates: list[tuple[str, Fraction]] = []
+    for record, rate in iter_jobs(spec):
+        records.append(record)
+        if rate is not None:
+            rates.append((record.job_id, rate))
     truth = GroundTruth(
         expected_valid=len(rates),
         expected_omitted=spec.count - len(rates),
@@ -160,16 +176,25 @@ def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:
     return records, truth
 
 
+def format_sidecar_header(expected_valid: int, expected_omitted: int) -> str:
+    """The sidecar's two header lines, newlines included."""
+    return f"expected_valid={expected_valid}\nexpected_omitted={expected_omitted}\n"
+
+
+def format_sidecar_line(job_id: str, rate: Fraction) -> str:
+    """One valid job's sidecar line, ``job_id numerator/denominator`` and a newline."""
+    return f"{job_id} {rate.numerator}/{rate.denominator}\n"
+
+
 def write_sidecar(truth: GroundTruth, sink: IO[str]) -> None:
     """Write ground truth as line-oriented text.
 
     Two key=value lines (expected_valid, expected_omitted) followed by
     one ``job_id numerator/denominator`` line per valid job.
     """
-    sink.write(f"expected_valid={truth.expected_valid}\n")
-    sink.write(f"expected_omitted={truth.expected_omitted}\n")
+    sink.write(format_sidecar_header(truth.expected_valid, truth.expected_omitted))
     for job_id, value in truth.rates:
-        sink.write(f"{job_id} {value.numerator}/{value.denominator}\n")
+        sink.write(format_sidecar_line(job_id, value))
 
 
 def _header_count(lines: list[str], line_no: int, key: str) -> int:

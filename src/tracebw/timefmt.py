@@ -26,7 +26,8 @@ token that ``int()`` refuses where it is applied.
 
 The civil day part is converted once per distinct token (a bounded
 cache; rejections are never cached) and the clock is added with integer
-arithmetic. Worksheet dates are likewise cached per epoch day.
+arithmetic. Worksheet dates, and the day part of a written civil cell,
+are likewise cached per epoch day.
 
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
@@ -35,13 +36,12 @@ written with four digits.
 
 from __future__ import annotations
 
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, timedelta
 from functools import lru_cache
 
 from .model import MS_PER_S, Timestamp
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_EPOCH_DATE = _EPOCH.date()
+_EPOCH_DATE = date(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH_DATE.toordinal()
 _MS_PER_DAY = 86_400_000
 
@@ -54,10 +54,6 @@ _PIVOT_LOW, _PIVOT_HIGH = 1970, 2069
 
 # Distinct days in a trace span its calendar; a few thousand covers a decade.
 _DAY_CACHE_SIZE = 4096
-
-
-def to_datetime(ts: Timestamp) -> datetime:
-    return _EPOCH + timedelta(milliseconds=ts.epoch_ms)
 
 
 def _year_from_token(token: str) -> int:
@@ -121,12 +117,21 @@ def format_timestamp(ts: Timestamp) -> str:
     The epoch-seconds value -1 would collide with the missing-value
     sentinel, so that one timestamp is written in the civil form instead.
     """
-    if ts.second_aligned and ts.epoch_ms != -MS_PER_S:
-        return str(ts.epoch_ms // MS_PER_S)
-    dt = to_datetime(ts)
-    year = _format_year(dt.year)
-    return (f"{MONTHS[dt.month - 1]} {dt.day:02d} {year} "
-            f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}.{dt.microsecond // 1000:03d}")
+    epoch_ms = ts.epoch_ms
+    if epoch_ms % MS_PER_S == 0 and epoch_ms != -MS_PER_S:
+        return str(epoch_ms // MS_PER_S)
+    epoch_day, ms_of_day = divmod(epoch_ms, _MS_PER_DAY)
+    seconds, ms = divmod(ms_of_day, MS_PER_S)
+    minutes, second = divmod(seconds, 60)
+    hour, minute = divmod(minutes, 60)
+    return f"{_civil_day(epoch_day)}{hour:02d}:{minute:02d}:{second:02d}.{ms:03d}"
+
+
+@lru_cache(maxsize=_DAY_CACHE_SIZE)
+def _civil_day(epoch_day: int) -> str:
+    """``Mon DD YY[YY] `` of a day, trailing space included, as format_timestamp writes it."""
+    day = _EPOCH_DATE + timedelta(days=epoch_day)
+    return f"{MONTHS[day.month - 1]} {day.day:02d} {_format_year(day.year)} "
 
 
 def format_day(ts: Timestamp) -> str:

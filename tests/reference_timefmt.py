@@ -3,7 +3,7 @@
 Deliberately simple and slow: every civil cell builds a ``datetime`` and
 lets it validate the date and the clock, and a cell is epoch seconds
 exactly when ``int()`` accepts it. ``tracebw.timefmt`` must accept the
-same cells and return the same milliseconds.
+same cells and return the same milliseconds, and write the same cells.
 """
 
 from __future__ import annotations
@@ -55,3 +55,14 @@ def reference_parse_ms(token: str) -> int:
 def reference_format_day(epoch_ms: int) -> str:
     dt = EPOCH + timedelta(milliseconds=epoch_ms)
     return f"{MONTHS[dt.month - 1]} {dt.day:02d} {dt.year % 100:02d}"
+
+
+def reference_format_timestamp(epoch_ms: int) -> str:
+    """The log cell for a timestamp: epoch seconds when second-aligned, except
+    -1 s (the missing-value sentinel), and the civil form otherwise."""
+    if epoch_ms % 1000 == 0 and epoch_ms != -1000:
+        return str(epoch_ms // 1000)
+    dt = EPOCH + timedelta(milliseconds=epoch_ms)
+    year = f"{dt.year % 100:02d}" if 1970 <= dt.year <= 2069 else str(dt.year)
+    return (f"{MONTHS[dt.month - 1]} {dt.day:02d} {year} "
+            f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}.{dt.microsecond // 1000:03d}")

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,11 +20,13 @@ from tracebw import (
     TraceFormat,
     generate,
     iter_rates,
+    load_genspec,
     parse_trace,
     read_sidecar,
     summarize,
     write_csv,
     write_lanl_trace,
+    write_sidecar,
     write_worksheet,
 )
 from tracebw.cli import EXIT_BROKEN_PIPE, main
@@ -233,6 +236,59 @@ class TestGen:
         assert f"omitted={truth.expected_omitted}" in err
 
 
+_GEN_SPECS = {
+    "count-0": "count=0\n",
+    "count-1": "seed=3\ncount=1\n",
+    "all-missing": "seed=4\ncount=200\nmissing_start_frac=1\nmissing_end_frac=1\n"
+                   "missing_mem_frac=1\n",
+    "none-missing": "seed=5\ncount=200\n",
+    "5000-jobs": "seed=6\ncount=5000\nmissing_start_frac=0.2\nmissing_end_frac=0.1\n"
+                 "missing_mem_frac=0.05\n",
+}
+
+
+@pytest.mark.parametrize("spec_text", _GEN_SPECS.values(), ids=_GEN_SPECS.keys())
+def test_gen_matches_library(tmp_path, spec_text, capsys):
+    """The streaming gen writes what write_lanl_trace and write_sidecar write for generate."""
+    spec_path = tmp_path / "s.genspec"
+    spec_path.write_text(spec_text)
+    trace = tmp_path / "t.trace"
+    assert main(["gen", str(spec_path), "--out", str(trace)]) == 0
+
+    spec = load_genspec(spec_text.splitlines())
+    records, truth = generate(spec)
+    expected_trace, expected_truth = io.StringIO(), io.StringIO()
+    write_lanl_trace(records, expected_trace)
+    write_sidecar(truth, expected_truth)
+    assert trace.read_bytes() == expected_trace.getvalue().encode("utf-8")
+    assert (tmp_path / "t.trace.truth").read_bytes() == expected_truth.getvalue().encode("utf-8")
+    assert out_err(capsys) == ("", f"count={spec.count}\nexpected_valid={truth.expected_valid}\n"
+                                   f"expected_omitted={truth.expected_omitted}\n")
+
+
+def _gen_peak_bytes(tmp_path, count):
+    spec = tmp_path / f"{count}.genspec"
+    spec.write_text(f"seed=1\ncount={count}\n")  # every job valid: a rate line each
+    tracemalloc.start()
+    try:
+        assert main(["gen", str(spec), "--out", str(tmp_path / f"{count}.trace")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_memory_does_not_grow_with_count(tmp_path, capsys):
+    """gen keeps no record and no sidecar line in memory, so 9,000 more jobs
+    cost only fixed-size buffers: about 170 KB more, because the sidecar copy
+    reads the spool in 64 KB chunks and the smaller spool fits in one. Holding
+    the records would take megabytes, and a list of the 9,000 extra rate lines
+    alone about 0.8 MB."""
+    _gen_peak_bytes(tmp_path, 1_000)  # warm up caches and lazy imports
+    small = _gen_peak_bytes(tmp_path, 1_000)
+    large = _gen_peak_bytes(tmp_path, 10_000)
+    assert large - small < 512 * 1024, (small, large)
+
+
 class TestOutReplacesOnSuccess:
     def test_rates_can_overwrite_its_own_input(self, tmp_path, capsys):
         spec = tmp_path / "s.genspec"
@@ -272,11 +328,12 @@ class TestOutReplacesOnSuccess:
         assert sorted(os.listdir(tmp_path)) == ["sheet.csv", "small.trace"]
 
     def test_failed_gen_leaves_both_files_untouched(self, tmp_path, monkeypatch):
-        def broken_sidecar(truth, sink):
-            sink.write("expected_valid=")
+        def broken_copy(spool, sink):
+            # Fails after the trace and the sidecar's header are written.
+            sink.write("j0")
             raise OSError(errno.EIO, "Input/output error")
 
-        monkeypatch.setattr(tracebw.cli, "write_sidecar", broken_sidecar)
+        monkeypatch.setattr(tracebw.cli.shutil, "copyfileobj", broken_copy)
         spec = tmp_path / "s.genspec"
         spec.write_text("count=5\n")
         trace = tmp_path / "t.trace"
@@ -429,6 +486,19 @@ def test_cli_matches_library(differential_traces, format, command, flag_set, cap
     assert out_err(capsys) == _library_output(path, format, command, **options)
 
 
+@pytest.mark.parametrize("command", ["rates --full", "inspect"])
+def test_carry_forward_is_a_no_op_on_archive(differential_traces, command, capsys):
+    """--carry-forward is LANL16-only: an ARCHIVE18 end is submit + wait + runtime,
+    so a record with no start has no end either and a carried start never
+    makes it ready."""
+    argv = [*command.split(), str(differential_traces[TraceFormat.ARCHIVE18]),
+            "--format", "archive"]
+    assert main(argv) == 0
+    without = out_err(capsys)
+    assert main([*argv, "--carry-forward"]) == 0
+    assert out_err(capsys) == without
+
+
 def test_differential_traces_exercise_every_flag(differential_traces):
     """Each flag set changes at least one library output, so the CLI test can tell."""
     for format, path in differential_traces.items():
@@ -471,6 +541,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["gen", str(spec), "--out", "-"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("truth", ["t.trace", "./t.trace", "link"])
+    def test_gen_out_and_truth_naming_one_file_rejected(self, tmp_path, truth, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.genspec").write_text("count=50\n")
+        (tmp_path / "link").symlink_to(tmp_path / "t.trace")
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "s.genspec", "--out", "t.trace", "--truth", truth])
+        assert info.value.code == 2
+        assert "--out and --truth name the same file" in out_err(capsys)[1]
+        assert sorted(os.listdir(tmp_path)) == ["link", "s.genspec"]
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as info:

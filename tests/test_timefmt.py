@@ -10,7 +10,8 @@ from tracebw.model import Timestamp
 from tracebw.timefmt import format_day, format_timestamp, parse_timestamp
 
 from .conftest import MS_1990, MS_2100
-from .reference_timefmt import EPOCH, MONTHS, reference_format_day, reference_parse_ms
+from .reference_timefmt import (EPOCH, MONTHS, reference_format_day, reference_format_timestamp,
+                               reference_parse_ms)
 
 
 @pytest.mark.parametrize("token,epoch_ms", [
@@ -175,3 +176,23 @@ _MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _MS
 @example(86_400_000)
 def test_format_day_matches_reference(epoch_ms):
     assert format_day(Timestamp(epoch_ms)) == reference_format_day(epoch_ms)
+
+
+_PIVOT_EDGES_MS = [(datetime(year, 1, 1, tzinfo=timezone.utc) - EPOCH) // _MS
+                   for year in (1970, 2070)]
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    st.integers(min_value=_MIN_MS, max_value=_MAX_MS),
+    st.integers(min_value=_MIN_MS // 1000, max_value=_MAX_MS // 1000).map(lambda s: s * 1000),
+    st.sampled_from(_PIVOT_EDGES_MS).flatmap(
+        lambda edge: st.integers(min_value=edge - 86_400_000, max_value=edge + 86_400_000)),
+))
+@example(-1000)
+@example(-1)
+@example(0)
+@example(_MIN_MS + 1)
+@example(_MAX_MS)
+def test_format_timestamp_matches_reference(epoch_ms):
+    assert format_timestamp(Timestamp(epoch_ms)) == reference_format_timestamp(epoch_ms)
