@@ -44,9 +44,18 @@ class MbBase(Enum):
     BINARY = 1048576
     DECIMAL = 1000000
 
-    @property
-    def divisor(self) -> int:
-        return self.value
+    def __init__(self, divisor: int):
+        # A plain attribute: it is read once per output row.
+        self.divisor = divisor
+
+
+# The flag set of a sample, indexed [carried][negative duration]: every sample
+# shares one of these four instead of building its own.
+_FLAGS = (
+    (frozenset(), frozenset({RateFlag.NEGATIVE_DURATION})),
+    (frozenset({RateFlag.CARRIED_FORWARD_START}),
+     frozenset({RateFlag.CARRIED_FORWARD_START, RateFlag.NEGATIVE_DURATION})),
+)
 
 
 def select_bytes(record: JobRecord, source: MemorySource) -> int | None:
@@ -129,20 +138,8 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource,
             continue
         end = record.end_time
         duration = duration_ms(start, end)
-        flags = set()
-        if carried:
-            flags.add(RateFlag.CARRIED_FORWARD_START)
-        if duration < 0:
-            flags.add(RateFlag.NEGATIVE_DURATION)
-        yield RateSample(
-            job_id=record.job_id,
-            start=start,
-            end=end,
-            n_bytes=n_bytes,
-            duration_ms=duration,
-            rate_bytes_per_s=rate(n_bytes, duration),
-            flags=frozenset(flags),
-        )
+        yield RateSample(record.job_id, start, end, n_bytes, duration,
+                         rate(n_bytes, duration), _FLAGS[carried][duration < 0])
 
 
 def compute_rates(records: Iterable[JobRecord], source: MemorySource,

@@ -18,6 +18,7 @@ with ``| head``; that last case writes no error message.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import shutil
 import sys
@@ -84,7 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _open_input(path: str) -> Iterator[IO[str]]:
     if path == "-":
-        yield sys.stdin
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:  # a text-only stream, as when stdin is replaced in process
+            yield sys.stdin
+            return
+        # Decode the bytes as a file path's are: standard input's own
+        # decoder keeps bad bytes as surrogates that no UTF-8 output can hold.
+        wrapper = io.TextIOWrapper(buffer, encoding="utf-8", errors="replace")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()  # leave standard input open
     else:
         with open(path, encoding="utf-8", errors="replace") as handle:
             yield handle

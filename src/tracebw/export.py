@@ -106,11 +106,17 @@ def write_csv(samples: Iterable[RateSample], base: MbBase, sink: IO[str]) -> int
     repr, so re-parsing recovers them bit-exactly.
     """
     writer = csv.writer(sink, lineterminator="\n")
+    flag_cells: dict[frozenset, str] = {}  # samples share a few flag sets
     rows = 0
     try:
         writer.writerow(CSV_HEADER.split(","))
         for sample in samples:
             rate_bps = sample.rate_bytes_per_s
+            flags = sample.flags
+            flag_cell = flag_cells.get(flags)
+            if flag_cell is None:
+                flag_cell = flag_cells[flags] = "|".join(
+                    flag.name for flag in _FLAG_ORDER if flag in flags)
             writer.writerow([
                 sample.job_id,
                 sample.start.epoch_ms,
@@ -119,7 +125,7 @@ def write_csv(samples: Iterable[RateSample], base: MbBase, sink: IO[str]) -> int
                 sample.n_bytes,
                 "" if rate_bps is None else repr(rate_bps),
                 "" if rate_bps is None else repr(to_output_unit(rate_bps, base)),
-                "|".join(flag.name for flag in _FLAG_ORDER if flag in sample.flags),
+                flag_cell,
             ])
             rows += 1
     except OSError as exc:

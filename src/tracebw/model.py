@@ -41,10 +41,16 @@ class Timestamp:
         return self.epoch_ms % MS_PER_S == 0
 
 
-def _require_non_negative(name: str, value) -> None:
-    # None is "absent" and always fine; NaN fails the comparison and is rejected too.
-    if value is not None and not value >= 0:
-        raise ValueError(f"{name} must be >= 0 when present, got {value!r}")
+_RESOURCE_FIELDS = ("req_procs", "used_procs", "req_cpu_s", "used_cpu_s",
+                    "req_mem_kb", "used_mem_kb")
+
+
+def _raise_first_negative(values: tuple) -> None:
+    """Raise the ValueError that names the first resource field below zero."""
+    for name, value in zip(_RESOURCE_FIELDS, values):
+        # None is "absent" and always fine; NaN fails the comparison and is rejected too.
+        if value is not None and not value >= 0:
+            raise ValueError(f"{name} must be >= 0 when present, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,9 +82,14 @@ class JobRecord:
     exit_code: int | None = None
 
     def __post_init__(self):
-        for name in ("req_procs", "used_procs", "req_cpu_s", "used_cpu_s",
-                     "req_mem_kb", "used_mem_kb"):
-            _require_non_negative(name, getattr(self, name))
+        # The parsers refuse negative cells first, with the negative-value
+        # reason and its column; this guards the public constructor in one
+        # scan, and names a field only once a value fails.
+        values = (self.req_procs, self.used_procs, self.req_cpu_s, self.used_cpu_s,
+                  self.req_mem_kb, self.used_mem_kb)
+        for value in values:
+            if value is not None and not value >= 0:
+                _raise_first_negative(values)
 
 
 class RateFlag(Enum):
@@ -113,7 +124,9 @@ class RateSample:
             raise ValueError("duration_ms must equal end - start in milliseconds")
         if (self.rate_bytes_per_s is None) != (self.duration_ms == 0):
             raise ValueError("rate must be present exactly when duration_ms != 0")
-        if (RateFlag.NEGATIVE_DURATION in self.flags) != (self.duration_ms < 0):
+        flags = self.flags
+        # Enum hashing runs in Python, so an empty set skips the lookup.
+        if (RateFlag.NEGATIVE_DURATION in flags if flags else False) != (self.duration_ms < 0):
             raise ValueError("NEGATIVE_DURATION flag must match the sign of duration_ms")
         if self.rate_bytes_per_s is not None:
             lhs = self.rate_bytes_per_s * self.duration_ms
@@ -123,7 +136,8 @@ class RateSample:
                     f"inconsistent sample: {self.rate_bytes_per_s} B/s * {self.duration_ms} ms "
                     f"!= 1000 * {self.n_bytes} B"
                 )
-        object.__setattr__(self, "flags", frozenset(self.flags))
+        if type(flags) is not frozenset:
+            object.__setattr__(self, "flags", frozenset(flags))
 
 
 @dataclass(frozen=True)

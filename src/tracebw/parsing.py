@@ -118,7 +118,11 @@ def _split_lanl(line: str) -> list[str]:
     # Tabs delimit when present (civil timestamps contain spaces); a line
     # with no tab at all splits on whitespace runs instead.
     if "\t" in line:
-        return [cell.strip(" ") for cell in line.split("\t")]
+        cells = line.split("\t")
+        # A cell has a space to strip only where one touches a tab or a line end.
+        if " \t" in line or "\t " in line or line[:1] == " " or line[-1:] == " ":
+            return [cell.strip(" ") for cell in cells]
+        return cells
     return line.split()
 
 
@@ -287,8 +291,9 @@ class TraceStream:
         self._reasons: Counter[str] = Counter()
         self._records = self._run(iter(source), scale_per_proc_memory)
 
-    def __iter__(self) -> "TraceStream":
-        return self
+    def __iter__(self) -> Iterator[JobRecord]:
+        # The record generator itself, so a for loop skips __next__.
+        return self._records
 
     def __next__(self) -> JobRecord:
         return next(self._records)

@@ -24,10 +24,17 @@ a year outside 1-9999, an hour, minute or second out of range
 (``25:00:00``, ``00:60:00``), a fraction of 4 or more digits, and any
 token that ``int()`` refuses where it is applied.
 
-The civil day part is converted once per distinct token (a bounded
-cache; rejections are never cached) and the clock is added with integer
-arithmetic. Worksheet dates, and the day part of a written civil cell,
-are likewise cached per epoch day.
+A civil token in the canonical fixed-width form that
+:func:`format_timestamp` and ``tracebw gen`` write for the years
+1000-9999, ``Mon DD YY[YY] HH:MM:SS.mmm`` (single spaces, ASCII digits,
+a two- or four-digit year, exactly three fraction digits), is matched by
+one compiled pattern and converted directly. Everything else, and a
+canonical-shaped token whose clock is out of range, takes the general
+grammar above, so both routes accept the same tokens with the same
+values. The civil day part is converted once per distinct token (a
+bounded cache shared by both routes; rejections are never cached) and
+the clock is added with integer arithmetic. Worksheet dates, and the day
+part of a written civil cell, are likewise cached per epoch day.
 
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
@@ -36,6 +43,7 @@ written with four digits.
 
 from __future__ import annotations
 
+import re
 from datetime import date, timedelta
 from functools import lru_cache
 
@@ -91,6 +99,14 @@ def _clock_ms(clock: str) -> int:
     return ((hour * 60 + minute) * 60 + second) * MS_PER_S + ms
 
 
+# The canonical civil form, as format_timestamp writes it: the day part with
+# its trailing space (the _day_ms key the general path uses too), then the
+# clock's four fields. ASCII only, so \d is 0-9 and nothing int() would
+# read differently.
+_canonical_civil = re.compile(
+    r"([A-Za-z]{3} \d\d \d\d(?:\d\d)? )(\d\d):(\d\d):(\d\d)\.(\d\d\d)", re.ASCII).fullmatch
+
+
 def parse_timestamp(token: str) -> Timestamp:
     """Parse one timestamp cell, either epoch seconds or the civil form.
 
@@ -102,6 +118,14 @@ def parse_timestamp(token: str) -> Timestamp:
             return Timestamp(int(token) * MS_PER_S)
         except ValueError:
             raise ValueError(f"bad timestamp {token!r}") from None
+    canonical = _canonical_civil(token)
+    if canonical is not None:
+        day_part, hh, mm, ss, ms = canonical.groups()
+        hour, minute, second = int(hh), int(mm), int(ss)
+        if hour <= 23 and minute <= 59 and second <= 59:
+            return Timestamp(_day_ms(day_part)
+                             + ((hour * 60 + minute) * 60 + second) * MS_PER_S + int(ms))
+        # An out-of-range clock is refused by the general path below.
     parts = token.split()
     if len(parts) == 3:
         return Timestamp(_day_ms(token))

@@ -98,6 +98,12 @@ class TestOutputUnit:
     def test_hand_division(self):
         assert to_output_unit(8388608.0, MbBase.BINARY) == 8.0
 
+    def test_members_by_value_and_divisor(self):
+        assert MbBase(1048576) is MbBase.BINARY
+        assert MbBase(1000000) is MbBase.DECIMAL
+        assert MbBase.BINARY.divisor == 1048576
+        assert MbBase.DECIMAL.divisor == 1000000
+
 
 def resolve_start(records, idx):
     """Oracle for carry-forward on a list: records[idx]'s start, else its predecessor's end."""

@@ -103,6 +103,68 @@ class TestInspect:
         assert "parsed=1" in out
 
 
+# A job id holding a byte that is not UTF-8.
+BAD_BYTE_TRACE = LANL_LINE.encode().replace(b"j1", b"j\xff1", 1) + b"\n"
+
+
+class FailingStdinBytes(io.RawIOBase):
+    """Standard input's bytes, one line per read, failing when line ``k`` is read."""
+
+    def __init__(self, lines: list[bytes], k: int):
+        self.lines, self.k, self.served = lines, k, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if self.served == self.k - 1:
+            raise OSError(errno.EIO, "Input/output error")
+        line = self.lines[self.served]
+        self.served += 1
+        buffer[:len(line)] = line
+        return len(line)
+
+
+class TestStdin:
+    def test_bytes_decode_as_from_a_file(self, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "bad.trace"
+        trace.write_bytes(BAD_BYTE_TRACE)
+        assert main(["rates", str(trace), "--full", "--out", str(tmp_path / "file.csv")]) == 0
+        file_err = capsys.readouterr().err
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BAD_BYTE_TRACE)))
+        assert main(["rates", "-", "--full", "--out", str(tmp_path / "stdin.csv")]) == 0
+        assert capsys.readouterr().err == file_err
+        written = (tmp_path / "stdin.csv").read_bytes()
+        assert written == (tmp_path / "file.csv").read_bytes()
+        assert b"j\xef\xbf\xbd1," in written  # U+FFFD in place of the bad byte
+
+    def test_bytes_decode_as_from_a_file_in_subprocess(self, tmp_path):
+        trace = tmp_path / "bad.trace"
+        trace.write_bytes(BAD_BYTE_TRACE)
+        runs = {}
+        for name, source, stdin in (("file", str(trace), None), ("stdin", "-", BAD_BYTE_TRACE)):
+            out = tmp_path / f"{name}.csv"
+            result = subprocess.run(
+                [sys.executable, "-m", "tracebw", "rates", source, "--full", "--out", str(out)],
+                input=stdin, capture_output=True, timeout=120)
+            runs[name] = (result.returncode, result.stdout, result.stderr, out.read_bytes())
+        assert runs["stdin"] == runs["file"]
+        assert runs["file"][0] == 0
+
+    def test_read_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        lines = [(LANL_LINE.replace("j1", f"j{i}") + "\n").encode() for i in range(1, 7)]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BufferedReader(FailingStdinBytes(lines, k=4)), encoding="utf-8"))
+        target = tmp_path / "T"
+        target.write_bytes(b"previous contents\n")
+        assert main(["rates", "-", "--out", str(target)]) == 1
+        out, err = out_err(capsys)
+        assert out == ""
+        assert err == "tracebw: error: I/O failure: [Errno 5] Input/output error\n"
+        assert target.read_bytes() == b"previous contents\n"
+        assert os.listdir(tmp_path) == ["T"]
+
+
 class TestRates:
     def test_empty_file_gives_header_only(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"

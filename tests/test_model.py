@@ -15,6 +15,13 @@ class TestTimestamp:
         with pytest.raises(ValueError):
             Timestamp(1.5)
 
+    def test_accepts_bool_and_int_subclasses(self):
+        class Millis(int):
+            pass
+
+        assert Timestamp(True).epoch_ms == 1
+        assert Timestamp(Millis(5)).epoch_ms == 5
+
     def test_ordering_and_alignment(self):
         assert Timestamp(1000) < Timestamp(1001)
         assert Timestamp(2000).second_aligned
@@ -34,12 +41,17 @@ class TestJobRecord:
     @pytest.mark.parametrize("field", ["req_procs", "used_procs", "req_cpu_s",
                                        "used_cpu_s", "req_mem_kb", "used_mem_kb"])
     def test_rejects_negative_resources(self, field):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0 when present, got -3$"):
             JobRecord(job_id="j", **{field: -3})
 
+    def test_names_the_first_negative_field_in_field_order(self):
+        with pytest.raises(ValueError, match="^used_procs must be >= 0 when present, got -2$"):
+            JobRecord(job_id="j", req_procs=1, used_procs=-2, used_mem_kb=-1)
+
     def test_rejects_nan_cpu_seconds(self):
-        with pytest.raises(ValueError):
-            JobRecord(job_id="j", req_cpu_s=float("nan"))
+        for field in ("req_cpu_s", "used_cpu_s"):
+            with pytest.raises(ValueError, match=f"^{field} must be >= 0 when present, got nan$"):
+                JobRecord(job_id="j", **{field: float("nan")})
 
     def test_negative_duration_is_representable(self):
         # end < start is data at this layer, never an error
@@ -100,16 +112,19 @@ class TestRateSample:
         assert RateFlag.NEGATIVE_DURATION in sample.flags
 
     def test_flag_forbidden_on_positive_duration(self):
-        with pytest.raises(ValueError):
-            self._sample(flags={RateFlag.NEGATIVE_DURATION})
+        for flags in ({RateFlag.NEGATIVE_DURATION},
+                      {RateFlag.CARRIED_FORWARD_START, RateFlag.NEGATIVE_DURATION}):
+            with pytest.raises(ValueError, match="NEGATIVE_DURATION flag"):
+                self._sample(flags=flags)
 
     def test_rejects_negative_byte_count(self):
         with pytest.raises(ValueError):
             self._sample(n_bytes=-1)
 
     def test_flags_frozen(self):
-        assert isinstance(self._sample(flags={RateFlag.CARRIED_FORWARD_START}).flags,
-                          frozenset)
+        flags = self._sample(flags={RateFlag.CARRIED_FORWARD_START}).flags
+        assert type(flags) is frozenset
+        assert flags == frozenset({RateFlag.CARRIED_FORWARD_START})
 
 
 class TestParseReport:

@@ -368,7 +368,9 @@ class TestParseTrace:
         next(stream)
         with pytest.raises(IoFailure) as info:
             next(stream)
+        # The source failed at line k = 3: the report holds the k - 1 lines before it.
         assert info.value.partial_report.parsed == 2
+        assert info.value.partial_report.total_lines == 2
 
     def test_streaming_pulls_one_line_per_record(self):
         pulled = 0

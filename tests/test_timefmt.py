@@ -139,6 +139,40 @@ epoch_tokens = st.one_of(
 )
 
 
+def _fixed_width(low: int, high: int, width: int) -> st.SearchStrategy[str]:
+    """A zero-padded field of ``width`` characters, its range edges drawn often; now
+    and then one holds the non-ASCII digit U+0663, which int() reads and the
+    canonical pattern does not."""
+    edges = [v for v in (low - 1, low, high, high + 1) if 0 <= v < 10 ** width]
+    values = st.integers(0, 10 ** width - 1) | st.sampled_from(edges)
+    odd = st.text(alphabet="0123456789\u0663", min_size=width, max_size=width)
+    return values.map(lambda v: str(v).zfill(width)) | odd
+
+
+@st.composite
+def canonical_tokens(draw):
+    """Tokens shaped like format_timestamp's civil form, ``Mon DD YY[YY] HH:MM:SS.mmm``,
+    with every field pushed past its range now and then."""
+    month = draw(_months)
+    day = draw(_fixed_width(1, 31, 2))
+    year = draw(_fixed_width(0, 99, 2) | _fixed_width(1, 9999, 4)
+                | st.sampled_from(["1969", "1970", "2069", "2070", "0000", "0001", "9999"]))
+    if draw(st.integers(0, 4)) == 0:  # the one day that exists only in leap years
+        month, day = draw(_mixed_case("Feb")), "29"
+    clock = ":".join([draw(_fixed_width(0, 23, 2)), draw(_fixed_width(0, 59, 2)),
+                      draw(_fixed_width(0, 59, 2))])
+    return f"{month} {day} {year} {clock}.{draw(_fixed_width(0, 999, 3))}"
+
+
+_MS = timedelta(milliseconds=1)
+# The span datetime can represent, which is the span format_day covers.
+_MIN_MS = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _MS
+_MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _MS
+
+# What format_timestamp writes, drawn across the whole range datetime covers.
+written_tokens = st.integers(min_value=_MIN_MS, max_value=_MAX_MS).map(reference_format_timestamp)
+
+
 def _outcome(parse, token):
     try:
         return parse(token)
@@ -146,8 +180,8 @@ def _outcome(parse, token):
         return ValueError
 
 
-@settings(max_examples=1000)
-@given(st.one_of(civil_tokens(), epoch_tokens,
+@settings(max_examples=2000)
+@given(st.one_of(civil_tokens(), epoch_tokens, canonical_tokens(), written_tokens,
                  st.text(alphabet="JFMADjfmad ay0123456789:._+-", max_size=24)))
 @example("May 32 94")
 @example("Feb 29 95")
@@ -158,15 +192,25 @@ def _outcome(parse, token):
 @example("May 10 94 00:00:00.1234")
 @example("Dec 31 69 23:59:59.999")
 @example("Jan 01 70")
+@example("May 10 94 23:59:59.999")
+@example("May 10 94 24:00:00.000")
+@example("May 10 94 23:60:00.000")
+@example("May 10 94 23:59:60.000")
+@example("Feb 29 95 12:00:00.000")
+@example("Feb 29 1900 12:00:00.000")
+@example("Feb 29 2000 12:00:00.000")
+@example("may 10 94 01:02:03.456")
+@example("mAY 10 94 01:02:03.456")
+@example("Foo 10 94 01:02:03.456")
+@example("May 10 94 0\u0663:02:03.456")
+@example("May 10 1969 01:02:03.456")
+@example("May 10 2070 01:02:03.456")
+@example("Jan 01 0000 00:00:00.000")
+@example("Jan 01 0001 00:00:00.000")
+@example("Dec 31 9999 23:59:59.999")
 def test_parse_timestamp_matches_reference(token):
     assert (_outcome(lambda t: parse_timestamp(t).epoch_ms, token)
             == _outcome(reference_parse_ms, token))
-
-
-_MS = timedelta(milliseconds=1)
-# The span datetime can represent, which is the span format_day covers.
-_MIN_MS = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _MS
-_MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _MS
 
 
 @given(st.integers(min_value=_MIN_MS, max_value=_MAX_MS))
