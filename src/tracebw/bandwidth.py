@@ -14,11 +14,13 @@ missing start time from the immediately preceding record's end time
 before the readiness test; it is off by default, matching the batch
 policy of simply omitting incomplete jobs.
 
-The readiness test and carry-forward live in one private per-record
-pass that both :func:`iter_rates` and :func:`partition_jobs` run. All
-operations are pure functions over immutable inputs. Without
-carry-forward the per-record computation is an order-preserving map;
-with it the pass is sequential by contract.
+The readiness test is one private predicate that :func:`partition_jobs`
+and :func:`iter_rates` both call. Carry-forward lives only in
+:func:`iter_rates`, whose single loop per record resolves the start,
+tests readiness and builds the sample; :func:`partition_jobs` never
+carries forward. All operations are pure functions over immutable
+inputs. Without carry-forward the per-record computation is an
+order-preserving map; with it the loop is sequential by contract.
 """
 
 from __future__ import annotations
@@ -89,27 +91,9 @@ def to_output_unit(rate_bps: float, base: MbBase) -> float:
     return rate_bps / base.divisor
 
 
-def _resolved(records: Iterable[JobRecord], source: MemorySource, carry_forward: bool
-              ) -> Iterator[tuple[JobRecord, bool, Timestamp | None, int | None, bool]]:
-    """The per-record pass: ``(record, ready, start, n_bytes, carried)`` in input order.
-
-    With ``carry_forward`` a missing start borrows the immediately
-    preceding record's end time, whether or not that record was ready;
-    ``carried`` says it did. A record is bandwidth-ready when its
-    (resolved) start, its end and the selected memory field are present.
-    """
-    prev_end: Timestamp | None = None
-    for record in records:
-        start = record.start_time
-        carried = False
-        if start is None and carry_forward and prev_end is not None:
-            start = prev_end
-            carried = True
-        end = record.end_time
-        n_bytes = select_bytes(record, source)
-        ready = start is not None and end is not None and n_bytes is not None
-        yield record, ready, start, n_bytes, carried
-        prev_end = end
+def _ready(start: Timestamp | None, end: Timestamp | None, n_bytes: int | None) -> bool:
+    """The readiness rule: a start, an end and a byte count are all present."""
+    return start is not None and end is not None and n_bytes is not None
 
 
 def partition_jobs(records: Iterable[JobRecord],
@@ -121,7 +105,8 @@ def partition_jobs(records: Iterable[JobRecord],
     """
     valid: list[JobRecord] = []
     omitted: list[JobRecord] = []
-    for record, ready, *_ in _resolved(records, source, carry_forward=False):
+    for record in records:
+        ready = _ready(record.start_time, record.end_time, select_bytes(record, source))
         (valid if ready else omitted).append(record)
     return valid, omitted
 
@@ -130,13 +115,22 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource,
                carry_forward: bool = False) -> Iterator[RateSample]:
     """Streaming form of compute_rates: one sample per bandwidth-ready record.
 
-    With ``carry_forward`` the missing-start substitution happens before
-    the readiness test, so records must arrive in file order.
+    With ``carry_forward`` a missing start borrows the immediately
+    preceding record's end time, whether or not that record was ready,
+    before the readiness test; records must then arrive in file order.
     """
-    for record, ready, start, n_bytes, carried in _resolved(records, source, carry_forward):
-        if not ready:
-            continue
+    carry_forward = bool(carry_forward)  # so that ``carried`` can index _FLAGS
+    prev_end: Timestamp | None = None
+    for record in records:
+        start = record.start_time
         end = record.end_time
+        carried = start is None and prev_end is not None and carry_forward
+        if carried:
+            start = prev_end
+        prev_end = end
+        n_bytes = select_bytes(record, source)
+        if not _ready(start, end, n_bytes):
+            continue
         duration = duration_ms(start, end)
         yield RateSample(record.job_id, start, end, n_bytes, duration,
                          rate(n_bytes, duration), _FLAGS[carried][duration < 0])

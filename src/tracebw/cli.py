@@ -24,6 +24,8 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
+from itertools import count
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from .bandwidth import MbBase, MemorySource, iter_rates
@@ -141,22 +143,6 @@ def _replaced_on_success(path: str) -> Iterator[IO[str]]:
         raise
 
 
-class _Tap:
-    """Pass-through iterator that counts what flows through it."""
-
-    def __init__(self, samples: Iterable[RateSample]):
-        self._samples = iter(samples)
-        self.count = 0
-
-    def __iter__(self) -> "_Tap":
-        return self
-
-    def __next__(self) -> RateSample:
-        sample = next(self._samples)
-        self.count += 1
-        return sample
-
-
 def _write_report(report: ParseReport, valid: int, out: IO[str]) -> None:
     out.write(f"total={report.record_lines}\n")
     out.write(f"parsed={report.parsed}\n")
@@ -178,13 +164,17 @@ def _run_trace_command(args: argparse.Namespace) -> int:
     with _open_input(args.trace) as source:
         stream = parse_trace(source, TraceFormat(args.format),
                              scale_per_proc_memory=args.per_proc_memory == "scaled")
-        samples = _Tap(iter_rates(stream, MemorySource(args.memory), args.carry_forward))
+        # zip pulls a sample before a count, so once the samples are drained
+        # the counter's next value is their number, with no Python call per sample.
+        counter = count()
+        samples = map(itemgetter(0), zip(
+            iter_rates(stream, MemorySource(args.memory), args.carry_forward), counter))
 
         if args.command == "inspect":
             for _ in samples:
                 pass
             with _open_output(args.out) as out:
-                _write_report(stream.report, samples.count, out)
+                _write_report(stream.report, next(counter), out)
             return 0
 
         kept: Iterable[RateSample] = samples
@@ -202,7 +192,7 @@ def _run_trace_command(args: argparse.Namespace) -> int:
             summary = summarize(kept, mb)
             with _open_output(args.out) as out:
                 _write_summary(summary, out)
-        _write_report(stream.report, samples.count, sys.stderr)
+        _write_report(stream.report, next(counter), sys.stderr)
     return 0
 
 

@@ -39,6 +39,9 @@ The first failing column, in column order, names the line's reason.
 LANL16 cells that are empty or ``-1`` are absent and skip the converter;
 ARCHIVE18 converters read ``-1`` as absent themselves, since ``-1.0`` is
 absent too. Timestamp cells follow the grammar in :mod:`tracebw.timefmt`.
+Processor and memory counts above ``2**63 - 1`` are ``bad-int``; an ARCHIVE18
+time outside the timestamp span is ``bad-real``, blamed on the cell that
+moved it there.
 
 Malformed lines are counted and skipped, never fatal; only a failure of
 the underlying stream aborts a session (:class:`IoFailure`, carrying the
@@ -49,12 +52,13 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import partial
 from math import isfinite
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import IoFailure, MalformedLine
 from .model import MS_PER_S, JobRecord, ParseReport, Timestamp
-from .timefmt import format_timestamp, parse_timestamp
+from .timefmt import _LAST_MS, format_timestamp, parse_timestamp
 
 
 class TraceFormat(Enum):
@@ -94,10 +98,17 @@ def _timestamp(cell: str) -> Timestamp:
     return parse_timestamp(cell)
 
 
+# A signed 64-bit field, the widest an accounting system stores; it keeps
+# every rate finite, even after per-processor memory scaling.
+_MAX_COUNT = 2**63 - 1
+
+
 def _count(cell: str) -> int:
     value = int(cell)
     if value < 0:
         raise _NegativeValue(value)
+    if value > _MAX_COUNT:
+        raise ValueError(cell)
     return value
 
 
@@ -184,8 +195,11 @@ def _swf_int(cell: str) -> int | None:
 
 def _swf_amount(cell: str) -> int | None:
     value = _swf_int(cell)
-    if value is not None and value < 0:
-        raise _NegativeValue(value)
+    if value is not None:
+        if value < 0:
+            raise _NegativeValue(value)
+        if value > _MAX_COUNT:
+            raise ValueError(cell)
     return value
 
 
@@ -229,8 +243,19 @@ _ARCHIVE_COLUMNS = (
 )
 
 
+# The end of the timestamp span before rounding half to even: the last
+# millisecond is odd, so its +0.5 rounds out of the span. An ARCHIVE18 time
+# is never negative, so it cannot fall before the span's start.
+_PAST_SPAN_MS = _LAST_MS + 0.5
+
+
 def _ms(value_s: float | None) -> Timestamp | None:
-    return None if value_s is None else Timestamp(int(round(value_s * MS_PER_S)))
+    if value_s is None:
+        return None
+    ms = value_s * MS_PER_S
+    if ms >= _PAST_SPAN_MS:
+        raise ValueError(value_s)
+    return Timestamp(round(ms))
 
 
 def _whole_job(mem_per_proc: int | None, procs: int | None) -> int | None:
@@ -258,13 +283,22 @@ def parse_archive_line(line: str, line_no: int = 0, *,
 
     start_s = None if submit_s is None or wait_s is None else submit_s + wait_s
     end_s = None if start_s is None or runtime_s is None else start_s + runtime_s
+    submit = start = None
+    try:
+        submit = _ms(submit_s)
+        start = _ms(start_s)
+        end = _ms(end_s)
+    except ValueError as exc:
+        # The cell that moved the time out of the span: submit, wait or runtime.
+        failed = (submit is not None) + (start is not None)
+        raise _malformed(line_no, _ARCHIVE_COLUMNS[failed], cells[failed + 1], exc) from exc
     req_mem_kb, used_mem_kb = req_mem_pp, used_mem_pp
     if scale_per_proc_memory:
         req_mem_kb = _whole_job(req_mem_pp, alloc_procs)
         used_mem_kb = _whole_job(used_mem_pp, alloc_procs)
 
     # Positional, in JobRecord field order: keywords cost a visible share here.
-    return JobRecord(cells[0], _ms(submit_s), _ms(start_s), _ms(end_s),
+    return JobRecord(cells[0], submit, start, end,
                      req_procs, alloc_procs, req_time_s, used_cpu_s,
                      req_mem_kb, used_mem_kb, queue, None, user, group, executable,
                      exit_code)
@@ -287,9 +321,16 @@ class TraceStream:
         self.format = format
         self._total = 0
         self._parsed = 0
-        self._malformed = 0
         self._reasons: Counter[str] = Counter()
-        self._records = self._run(iter(source), scale_per_proc_memory)
+        # The line parser is picked once. A partial that binds a keyword builds
+        # a dict on every call, so the default archive parser is called bare.
+        if format is TraceFormat.LANL16:
+            parse_line = parse_lanl_line
+        elif scale_per_proc_memory:
+            parse_line = parse_archive_line
+        else:
+            parse_line = partial(parse_archive_line, scale_per_proc_memory=False)
+        self._records = self._run(iter(source), parse_line)
 
     def __iter__(self) -> Iterator[JobRecord]:
         # The record generator itself, so a for loop skips __next__.
@@ -303,37 +344,30 @@ class TraceStream:
         return ParseReport(
             total_lines=self._total,
             parsed=self._parsed,
-            malformed=self._malformed,
+            malformed=sum(self._reasons.values()),
             reasons=dict(self._reasons),
         )
 
-    def _run(self, lines: Iterator[str], scale: bool) -> Iterator[JobRecord]:
+    def _run(self, lines: Iterator[str],
+             parse_line: Callable[[str, int], JobRecord]) -> Iterator[JobRecord]:
         comment = _COMMENT_PREFIX[self.format]
-        lanl = self.format is TraceFormat.LANL16
-        while True:
-            try:
-                raw = next(lines)
-            except StopIteration:
-                return
-            except OSError as exc:
-                raise IoFailure(exc, partial_report=self.report) from exc
-            self._total += 1
-            line = raw.rstrip("\r\n")
-            stripped = line.strip()
-            if not stripped or stripped.startswith(comment):
-                continue
-            try:
-                if lanl:
-                    record = parse_lanl_line(line, self._total)
-                else:
-                    record = parse_archive_line(line, self._total,
-                                                scale_per_proc_memory=scale)
-            except MalformedLine as exc:
-                self._malformed += 1
-                self._reasons[exc.reason] += 1
-                continue
-            self._parsed += 1
-            yield record
+        reasons = self._reasons
+        try:
+            # _total is the loop target: when reading line k fails it still holds k - 1.
+            for self._total, raw in enumerate(lines, 1):
+                line = raw.rstrip("\r\n")
+                stripped = line.strip()
+                if not stripped or stripped.startswith(comment):
+                    continue
+                try:
+                    record = parse_line(line, self._total)
+                except MalformedLine as exc:
+                    reasons[exc.reason] += 1
+                    continue
+                self._parsed += 1
+                yield record
+        except OSError as exc:
+            raise IoFailure(exc, partial_report=self.report) from exc
 
 
 def parse_trace(source: Iterable[str] | IO[str], format: TraceFormat, *,

@@ -18,16 +18,21 @@ civil
     ``int()`` fields in 0-23, 0-59 and 0-59, and ``.f`` is 1 to 3 digits
     of milliseconds (an empty fraction after the dot reads as 0).
 
+Every timestamp lies in 0001-01-01 00:00:00.000 .. 9999-12-31
+23:59:59.999 UTC, the span a civil cell can name and that
+:func:`format_timestamp` and :func:`format_day` can write.
+
 Rejected with ValueError: any other part count, an unknown month, a day
 that does not exist in its month and year (``May 32 94``, ``Feb 29 95``),
 a year outside 1-9999, an hour, minute or second out of range
-(``25:00:00``, ``00:60:00``), a fraction of 4 or more digits, and any
-token that ``int()`` refuses where it is applied.
+(``25:00:00``, ``00:60:00``), a fraction of 4 or more digits, epoch
+seconds outside the span (``253402300800`` is in the year 10000), and
+any token that ``int()`` refuses where it is applied.
 
 A civil token in the canonical fixed-width form that
-:func:`format_timestamp` and ``tracebw gen`` write for the years
-1000-9999, ``Mon DD YY[YY] HH:MM:SS.mmm`` (single spaces, ASCII digits,
-a two- or four-digit year, exactly three fraction digits), is matched by
+:func:`format_timestamp` and ``tracebw gen`` write,
+``Mon DD YY[YY] HH:MM:SS.mmm`` (single spaces, ASCII digits, a two- or
+four-digit year, exactly three fraction digits), is matched by
 one compiled pattern and converted directly. Everything else, and a
 canonical-shaped token whose clock is out of range, takes the general
 grammar above, so both routes accept the same tokens with the same
@@ -38,7 +43,8 @@ part of a written civil cell, are likewise cached per epoch day.
 
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
-written with four digits.
+written zero-padded to four digits (``0005``, not ``5``, which would read
+back as 2005), so every timestamp in the span parses back to itself.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ _MONTH_INDEX = {name.lower(): i + 1 for i, name in enumerate(MONTHS)}
 _CIVIL_INITIALS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 _PIVOT_LOW, _PIVOT_HIGH = 1970, 2069
+
+# The span of a timestamp, in epoch milliseconds.
+_FIRST_MS = (date.min.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
+_LAST_MS = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * _MS_PER_DAY - 1
 
 # Distinct days in a trace span its calendar; a few thousand covers a decade.
 _DAY_CACHE_SIZE = 4096
@@ -115,9 +125,12 @@ def parse_timestamp(token: str) -> Timestamp:
     token = token.strip()
     if token[:1] not in _CIVIL_INITIALS:
         try:
-            return Timestamp(int(token) * MS_PER_S)
+            epoch_ms = int(token) * MS_PER_S
         except ValueError:
             raise ValueError(f"bad timestamp {token!r}") from None
+        if not _FIRST_MS <= epoch_ms <= _LAST_MS:
+            raise ValueError(f"timestamp out of range {token!r}")
+        return Timestamp(epoch_ms)
     canonical = _canonical_civil(token)
     if canonical is not None:
         day_part, hh, mm, ss, ms = canonical.groups()
@@ -172,4 +185,4 @@ def _day_label(epoch_day: int) -> str:
 def _format_year(year: int) -> str:
     if _PIVOT_LOW <= year <= _PIVOT_HIGH:
         return f"{year % 100:02d}"
-    return str(year)
+    return f"{year:04d}"

@@ -1,9 +1,10 @@
 """A datetime-based reference for timestamp cells, for differential tests.
 
-Deliberately simple and slow: every civil cell builds a ``datetime`` and
-lets it validate the date and the clock, and a cell is epoch seconds
-exactly when ``int()`` accepts it. ``tracebw.timefmt`` must accept the
-same cells and return the same milliseconds, and write the same cells.
+Deliberately simple and slow: every cell builds a ``datetime``, which
+validates the date and the clock of a civil cell and the span of an
+epoch one, and a cell is epoch seconds exactly when ``int()`` accepts it.
+``tracebw.timefmt`` must accept the same cells and return the same
+milliseconds, and write the same cells.
 """
 
 from __future__ import annotations
@@ -29,9 +30,15 @@ def reference_parse_ms(token: str) -> int:
     """Epoch milliseconds of a timestamp cell; ValueError when it is not one."""
     token = token.strip()
     try:
-        return int(token) * 1000
+        seconds = int(token)
     except ValueError:
         pass
+    else:
+        try:  # the span datetime can hold is the span of a timestamp
+            dt = EPOCH + timedelta(seconds=seconds)
+        except OverflowError:
+            raise ValueError(f"timestamp out of range {token!r}") from None
+        return (dt - EPOCH) // timedelta(milliseconds=1)
     parts = token.split()
     if len(parts) not in (3, 4):
         raise ValueError(f"bad timestamp {token!r}")
@@ -63,6 +70,6 @@ def reference_format_timestamp(epoch_ms: int) -> str:
     if epoch_ms % 1000 == 0 and epoch_ms != -1000:
         return str(epoch_ms // 1000)
     dt = EPOCH + timedelta(milliseconds=epoch_ms)
-    year = f"{dt.year % 100:02d}" if 1970 <= dt.year <= 2069 else str(dt.year)
+    year = f"{dt.year % 100:02d}" if 1970 <= dt.year <= 2069 else f"{dt.year:04d}"
     return (f"{MONTHS[dt.month - 1]} {dt.day:02d} {year} "
             f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}.{dt.microsecond // 1000:03d}")

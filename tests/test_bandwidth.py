@@ -13,9 +13,11 @@ from tracebw import (
     MemorySource,
     RateFlag,
     Timestamp,
+    TraceFormat,
     compute_rates,
     duration_ms,
     iter_rates,
+    parse_trace,
     partition_jobs,
     rate,
     select_bytes,
@@ -23,6 +25,8 @@ from tracebw import (
 )
 
 from .conftest import assert_rate_close, job_records, rational_rate
+from .swf import format_swf_line
+from .test_parsing import swf_jobs
 
 
 def record(job_id="j", start=None, end=None, req_mem_kb=None, used_mem_kb=None, **kw):
@@ -113,6 +117,12 @@ def resolve_start(records, idx):
     return start
 
 
+# Records as an ARCHIVE18 trace gives them: ends derived from submit, wait
+# and runtime, memory scaled by the processor count.
+archive_records = st.lists(swf_jobs, max_size=30).map(
+    lambda jobs: list(parse_trace([format_swf_line(job) for job in jobs], TraceFormat.ARCHIVE18)))
+
+
 def carried(records):
     return compute_rates(records, MemorySource.REQUESTED, carry_forward=True)
 
@@ -166,7 +176,7 @@ class TestPartition:
         records = [record(start=0, end=100, req_mem_kb=1), record(end=300, req_mem_kb=1)]
         assert partition_jobs(records, MemorySource.REQUESTED) == (records[:1], records[1:])
 
-    @given(st.lists(job_records, max_size=30), st.sampled_from(MemorySource))
+    @given(st.lists(job_records, max_size=30) | archive_records, st.sampled_from(MemorySource))
     def test_valid_records_are_the_ones_with_samples(self, records, source):
         valid, _ = partition_jobs(records, source)
         assert [r.job_id for r in valid] == [s.job_id for s in compute_rates(records, source)]
@@ -311,6 +321,13 @@ def test_carry_forward_never_touches_present_starts(records):
     without = compute_rates(records, MemorySource.REQUESTED, carry_forward=False)
     non_carried = [s for s in with_carry if RateFlag.CARRIED_FORWARD_START not in s.flags]
     assert non_carried == without
+
+
+@given(st.lists(job_records, max_size=15))
+def test_carry_forward_is_read_as_a_bool(records):
+    for flag, same in ((1, True), (0, False), ("yes", True), ("", False), (None, False)):
+        assert (compute_rates(records, MemorySource.REQUESTED, carry_forward=flag)
+                == compute_rates(records, MemorySource.REQUESTED, carry_forward=same))
 
 
 @given(st.lists(job_records, max_size=15))

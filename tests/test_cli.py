@@ -575,6 +575,55 @@ def test_differential_traces_exercise_every_flag(differential_traces):
                     != _library_output(path, format, command)), (format, name)
 
 
+def _with_cell(line: str, column: int, token: str) -> str:
+    cells = line.split("\t")
+    cells[column] = token
+    return "\t".join(cells)
+
+
+# Lines whose times fall outside 0001-01-01 .. 9999-12-31 or whose counts are
+# too large for a float rate, each with the reason it is counted under.
+_UNREPRESENTABLE_LINES = {
+    "lanl-year-10000": ("lanl", _with_cell(_with_cell(LANL_LINE, 2, "253402300800"),
+                                           3, "253402300900"), "bad-timestamp"),
+    "lanl-huge-memory": ("lanl", _with_cell(LANL_LINE, 8, str(10**400)), "bad-int"),
+    "archive-infinite-submit": ("archive", "1 1e306 0 10 1 1 1 1 1 1 1 1 1 1 1 1 -1 -1",
+                                "bad-real"),
+    "archive-submit-1e12": ("archive", archive_line(submit="1e12"), "bad-real"),
+    "archive-huge-memory": ("archive", archive_line(req_mem=str(2**63)), "bad-int"),
+}
+
+
+@pytest.mark.parametrize("command", ["inspect", "rates", "rates --full", "summary"])
+@pytest.mark.parametrize("format, bad, reason", _UNREPRESENTABLE_LINES.values(),
+                         ids=_UNREPRESENTABLE_LINES.keys())
+def test_unrepresentable_line_is_malformed(tmp_path, capsys, format, bad, reason, command):
+    if format == "lanl":
+        good = [LANL_LINE, NEGATIVE_LINE]
+    else:
+        good = [archive_line(), archive_line(job=2, wait=5, req_mem=300)]
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    clean.write_text("\n".join(good) + "\n")
+    dirty.write_text("\n".join([good[0], bad, good[1]]) + "\n")
+    stream = parse_trace([good[0], bad, good[1]], TraceFormat(format))
+    assert len(list(stream)) == 2
+    assert stream.report.reasons == {reason: 1}
+
+    outputs = []
+    for path in (clean, dirty):
+        assert main([*command.split(), str(path), "--format", format]) == 0
+        outputs.append(out_err(capsys))
+    (clean_out, clean_err), (dirty_out, dirty_err) = outputs
+    # The report counts the bad line; every other byte is the clean trace's.
+    clean_report = "total=2\nparsed=2\nvalid=2\nomitted=0\nmalformed=0\n"
+    dirty_report = "total=3\nparsed=2\nvalid=2\nomitted=0\nmalformed=1\n"
+    if command == "inspect":
+        assert (clean_out, dirty_out) == (clean_report, dirty_report)
+    else:
+        assert dirty_out == clean_out
+        assert (clean_err, dirty_err) == (clean_report, dirty_report)
+
+
 class TestExitCodes:
     def test_missing_input_is_io_failure(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.trace")]) == 1

@@ -7,6 +7,10 @@ over 1,000 generated lines per input shape, after one warm-up pass so that
 the bounded day caches hold the trace's few days, as they do on any long
 trace after its first lines. A change that adds a Python call to every line
 or cell shows here at once; one that removes calls should lower the bounds.
+
+The in-process CLI is held to the library pipeline's marginal cost: what
+2,000 lines cost beyond 1,000, per line, may exceed the library's by at
+most 0.1 call, so the CLI adds no per-line or per-sample work of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import pytest
 
 from tracebw import (GenSpec, MbBase, MemorySource, TraceFormat, generate,
                      iter_rates, parse_trace, summarize, write_csv, write_worksheet)
+from tracebw.cli import main
 from tracebw.parsing import format_lanl_line
 
 from .swf import format_swf_line
@@ -86,8 +91,8 @@ def archive_summary(lines):
     summarize(iter_rates(records, MemorySource.REQUESTED), MbBase.BINARY)
 
 
-def calls_per_line(run, lines: list[str]) -> float:
-    run(lines)  # warm-up: fills the day caches
+def count_calls(run, *args) -> int:
+    """Python-level calls, generator resumptions included, made by ``run(*args)``."""
     calls = 0
 
     def count(frame, event, arg):
@@ -98,10 +103,15 @@ def calls_per_line(run, lines: list[str]) -> float:
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        run(lines)
+        run(*args)
     finally:
         sys.setprofile(previous)
-    return calls / len(lines)
+    return calls
+
+
+def calls_per_line(run, lines: list[str]) -> float:
+    run(lines)  # warm-up: fills the day caches
+    return count_calls(run, lines) / len(lines)
 
 
 # Bounds: the count measured with this test's inputs plus one. Measured
@@ -116,3 +126,34 @@ def test_python_calls_per_line(make_lines, run, bound):
     lines = make_lines()
     assert len(lines) == 1000
     assert calls_per_line(run, lines) <= bound
+
+
+def marginal_calls_per_line(run, small, large, lines: int) -> float:
+    """Calls per line that ``large`` costs beyond ``small``, ``lines`` lines more."""
+    run(large)  # warm-up: fills the day caches for both inputs
+    return (count_calls(run, large) - count_calls(run, small)) / lines
+
+
+# The CLI's commands for the library runs above, on the same inputs.
+@pytest.mark.parametrize("make_lines,run,command", [
+    (civil_lines, civil_worksheet, ["rates"]),
+    (epoch_lines, epoch_csv, ["rates", "--full", "--carry-forward", "--memory", "used"]),
+    (archive_lines, archive_summary, ["summary", "--format", "archive"]),
+], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
+def test_cli_adds_no_calls_per_line(make_lines, run, command, tmp_path):
+    # Between the input and the output the CLI runs the library pipeline and
+    # nothing else per line: its fixed costs (argument parsing, opening and
+    # replacing files, the report) cancel out between 1,000 and 2,000 lines.
+    lines = make_lines()
+    paths = []
+    for copies in (1, 2):
+        path = tmp_path / f"trace-{copies}"
+        path.write_text("".join(lines * copies), encoding="utf-8")
+        paths.append(str(path))
+    out = str(tmp_path / "out")
+
+    def cli(path):
+        assert main([command[0], path, *command[1:], "--out", out]) == 0
+
+    library = marginal_calls_per_line(run, lines, lines * 2, len(lines))
+    assert marginal_calls_per_line(cli, *paths, len(lines)) <= library + 0.1

@@ -1,6 +1,7 @@
 """Both line formats, the streaming session, and the LANL16 writer."""
 
 import io
+from math import isfinite
 
 import pytest
 from hypothesis import given
@@ -10,8 +11,10 @@ from tracebw import (
     IoFailure,
     JobRecord,
     MalformedLine,
+    MemorySource,
     Timestamp,
     TraceFormat,
+    compute_rates,
     format_lanl_line,
     parse_archive_line,
     parse_lanl_line,
@@ -108,6 +111,28 @@ class TestParseLanlLine:
             parse_lanl_line("\t".join(cells), 3)
         assert info.value.reason == reason
 
+    @pytest.mark.parametrize("column,token,reason", [
+        (2, "253402300800", "bad-timestamp"),  # 10000-01-01
+        (3, "-62135596801", "bad-timestamp"),  # one second before 0001-01-01
+        (4, str(2**63), "bad-int"),
+        (9, str(10**400), "bad-int"),
+    ])
+    def test_values_outside_their_span_are_malformed(self, column, token, reason):
+        cells = LANL_LINE.split("\t")
+        cells[column] = token
+        with pytest.raises(MalformedLine) as info:
+            parse_lanl_line("\t".join(cells), 3)
+        assert info.value.reason == reason
+
+    def test_span_edges_are_accepted(self):
+        cells = LANL_LINE.split("\t")
+        cells[1:5] = ["-62135596800", "253402300799", "Dec 31 9999 23:59:59.999", str(2**63 - 1)]
+        rec = parse_lanl_line("\t".join(cells), 1)
+        assert rec.submit_time == Timestamp(-62135596800000)
+        assert rec.start_time == Timestamp(253402300799000)
+        assert rec.end_time == Timestamp(253402300799999)
+        assert rec.req_procs == 2**63 - 1
+
     def test_job_id_is_verbatim_even_when_sentinel_shaped(self):
         cells = LANL_LINE.split("\t")
         cells[0] = "-1"
@@ -175,6 +200,41 @@ class TestParseArchiveLine:
         with pytest.raises(MalformedLine) as info:
             parse_archive_line(archive_line(wait=-7), 1)
         assert info.value.reason == "negative-value"
+
+    @pytest.mark.parametrize("overrides,detail", [
+        ({"submit": "1e306"}, "submit='1e306'"),  # overflows to infinity in milliseconds
+        ({"submit": "1e12"}, "submit='1e12'"),
+        ({"submit": "253402300799.9996"}, "submit='253402300799.9996'"),  # rounds past it
+        ({"submit": 253402300000, "wait": 1000}, "wait='1000'"),
+        ({"submit": 253402300000, "wait": 10, "runtime": 1000}, "runtime='1000'"),
+        ({"submit": 10, "wait": "1e308", "runtime": "1e308"}, "wait='1e308'"),
+    ])
+    def test_time_outside_the_span_names_the_cell_that_moved_it(self, overrides, detail):
+        with pytest.raises(MalformedLine) as info:
+            parse_archive_line(archive_line(**overrides), 4)
+        assert str(info.value) == f"line 4: bad-real: {detail}"
+
+    def test_span_edge_is_accepted(self):
+        rec = parse_archive_line(archive_line(submit=253402300000, wait=700,
+                                              runtime="99.999"), 1)
+        assert rec.end_time == Timestamp(253402300799999)
+
+    @pytest.mark.parametrize("overrides,detail", [
+        ({"procs": str(2**63)}, f"allocated_procs='{2**63}'"),
+        ({"req_mem": "1e19"}, "requested_mem_kb_per_proc='1e19'"),
+        ({"used_mem": str(10**400)}, f"used_mem_kb_per_proc='{10**400}'"),
+    ])
+    def test_count_too_large_for_a_rate_is_bad_int(self, overrides, detail):
+        with pytest.raises(MalformedLine) as info:
+            parse_archive_line(archive_line(**overrides), 4)
+        assert str(info.value) == f"line 4: bad-int: {detail}"
+
+    def test_largest_counts_keep_rates_finite(self):
+        top = str(2**63 - 1)
+        rec = parse_archive_line(archive_line(procs=top, used_mem=top, req_mem=top), 1)
+        assert rec.req_mem_kb == (2**63 - 1) ** 2
+        (sample,) = compute_rates([rec], MemorySource.REQUESTED)
+        assert isfinite(sample.rate_bytes_per_s)
 
 
 # --- ARCHIVE18 properties --------------------------------------------------

@@ -13,6 +13,15 @@ from .conftest import MS_1990, MS_2100
 from .reference_timefmt import (EPOCH, MONTHS, reference_format_day, reference_format_timestamp,
                                reference_parse_ms)
 
+_MS = timedelta(milliseconds=1)
+# The span datetime can represent, which is the span of a timestamp.
+_MIN_MS = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _MS
+_MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _MS
+
+
+def _ms_of(*fields) -> int:
+    return (datetime(*fields, tzinfo=timezone.utc) - EPOCH) // _MS
+
 
 @pytest.mark.parametrize("token,epoch_ms", [
     ("768453010", 768453010000),
@@ -47,6 +56,7 @@ def test_century_pivot():
     "May 10 94 01:02:03.4567", "10 May 94", "May 10 94 01:02:03 x",
     "Feb 29 95", "May 10 94 00:60:00", "May 10 94 00:00:60", "May 10 94 -1:00:00",
     "\u00b2", "1.5", "1__0", "yesterday", "May 10 10000",
+    "-62135596801", "253402300800",  # epoch seconds just outside 0001-01-01 .. 9999-12-31
 ])
 def test_parse_rejects_garbage(token):
     with pytest.raises(ValueError):
@@ -63,6 +73,11 @@ def test_canonical_rendering():
 def test_rendering_outside_pivot_uses_four_digit_year():
     ts = parse_timestamp("Jan 01 2070")
     assert format_timestamp(Timestamp(ts.epoch_ms + 1)) == "Jan 01 2070 00:00:00.001"
+    # Zero-padded: "5" or "99" would read back as 2005 or 1999.
+    year_5 = Timestamp(_ms_of(5, 3, 1, 0, 0, 0, 1000))
+    assert format_timestamp(year_5) == "Mar 01 0005 00:00:00.001"
+    year_99 = Timestamp(_ms_of(99, 12, 31, 0, 0, 0, 1000))
+    assert format_timestamp(year_99) == "Dec 31 0099 00:00:00.001"
 
 
 def test_format_day_matches_worksheet_style():
@@ -70,7 +85,14 @@ def test_format_day_matches_worksheet_style():
     assert format_day(parse_timestamp("Jan 03 05")) == "Jan 03 05"
 
 
-@given(st.integers(min_value=MS_1990, max_value=MS_2100))
+@settings(max_examples=500)
+@given(st.one_of(st.integers(min_value=MS_1990, max_value=MS_2100),
+                 st.integers(min_value=_MIN_MS, max_value=_MAX_MS),
+                 st.integers(min_value=_MIN_MS, max_value=_ms_of(1000, 1, 1))))
+@example(_ms_of(5, 3, 1, 0, 0, 0, 1000))
+@example(_ms_of(99, 12, 31, 23, 59, 59, 999000))
+@example(_MIN_MS + 1)
+@example(_MAX_MS)
 def test_render_parse_round_trip(epoch_ms):
     ts = Timestamp(epoch_ms)
     assert parse_timestamp(format_timestamp(ts)) == ts
@@ -164,11 +186,6 @@ def canonical_tokens(draw):
     return f"{month} {day} {year} {clock}.{draw(_fixed_width(0, 999, 3))}"
 
 
-_MS = timedelta(milliseconds=1)
-# The span datetime can represent, which is the span format_day covers.
-_MIN_MS = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _MS
-_MAX_MS = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _MS
-
 # What format_timestamp writes, drawn across the whole range datetime covers.
 written_tokens = st.integers(min_value=_MIN_MS, max_value=_MAX_MS).map(reference_format_timestamp)
 
@@ -208,6 +225,10 @@ def _outcome(parse, token):
 @example("Jan 01 0000 00:00:00.000")
 @example("Jan 01 0001 00:00:00.000")
 @example("Dec 31 9999 23:59:59.999")
+@example("-62135596800")
+@example("-62135596801")
+@example("253402300799")
+@example("253402300800")
 def test_parse_timestamp_matches_reference(token):
     assert (_outcome(lambda t: parse_timestamp(t).epoch_ms, token)
             == _outcome(reference_parse_ms, token))
@@ -238,5 +259,6 @@ _PIVOT_EDGES_MS = [(datetime(year, 1, 1, tzinfo=timezone.utc) - EPOCH) // _MS
 @example(0)
 @example(_MIN_MS + 1)
 @example(_MAX_MS)
+@example(_ms_of(5, 3, 1, 0, 0, 0, 1000))
 def test_format_timestamp_matches_reference(epoch_ms):
     assert format_timestamp(Timestamp(epoch_ms)) == reference_format_timestamp(epoch_ms)
