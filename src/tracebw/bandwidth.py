@@ -97,12 +97,15 @@ def _ready(start: Timestamp | None, end: Timestamp | None, n_bytes: int | None) 
 
 
 def partition_jobs(records: Iterable[JobRecord],
-                   source: MemorySource) -> tuple[list[JobRecord], list[JobRecord]]:
+                   source: MemorySource | str) -> tuple[list[JobRecord], list[JobRecord]]:
     """Split records into bandwidth-ready and omitted, preserving order.
 
     A record is valid when its start time, end time, and the selected
     memory field are all present; no start is carried forward here.
+    ``source`` is a MemorySource or its value; anything else raises
+    ValueError.
     """
+    source = MemorySource(source)
     valid: list[JobRecord] = []
     omitted: list[JobRecord] = []
     for record in records:
@@ -111,14 +114,17 @@ def partition_jobs(records: Iterable[JobRecord],
     return valid, omitted
 
 
-def iter_rates(records: Iterable[JobRecord], source: MemorySource,
+def iter_rates(records: Iterable[JobRecord], source: MemorySource | str,
                carry_forward: bool = False) -> Iterator[RateSample]:
     """Streaming form of compute_rates: one sample per bandwidth-ready record.
 
     With ``carry_forward`` a missing start borrows the immediately
     preceding record's end time, whether or not that record was ready,
     before the readiness test; records must then arrive in file order.
+    ``source`` is a MemorySource or its value; anything else raises
+    ValueError when iteration starts.
     """
+    source = MemorySource(source)
     carry_forward = bool(carry_forward)  # so that ``carried`` can index _FLAGS
     prev_end: Timestamp | None = None
     for record in records:
@@ -136,7 +142,7 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource,
                          rate(n_bytes, duration), _FLAGS[carried][duration < 0])
 
 
-def compute_rates(records: Iterable[JobRecord], source: MemorySource,
+def compute_rates(records: Iterable[JobRecord], source: MemorySource | str,
                   carry_forward: bool = False) -> list[RateSample]:
     """Run the full per-job pipeline; omitted records produce no sample."""
     return list(iter_rates(records, source, carry_forward))

@@ -24,6 +24,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 from itertools import count
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
@@ -152,23 +153,20 @@ def _write_report(report: ParseReport, valid: int, out: IO[str]) -> None:
 
 
 def _write_summary(summary: TraceSummary, out: IO[str]) -> None:
-    out.write(f"n_rates={summary.n_rates}\n")
-    out.write(f"n_negative={summary.n_negative}\n")
-    out.write(f"n_undefined={summary.n_undefined}\n")
-    for name in ("min", "max", "mean", "median", "p95"):
-        value = getattr(summary, name)
-        out.write(f"{name}={'' if value is None else repr(value)}\n")
+    for field in fields(summary):
+        value = getattr(summary, field.name)
+        out.write(f"{field.name}={'' if value is None else repr(value)}\n")
 
 
 def _run_trace_command(args: argparse.Namespace) -> int:
     with _open_input(args.trace) as source:
-        stream = parse_trace(source, TraceFormat(args.format),
+        stream = parse_trace(source, args.format,
                              scale_per_proc_memory=args.per_proc_memory == "scaled")
         # zip pulls a sample before a count, so once the samples are drained
         # the counter's next value is their number, with no Python call per sample.
         counter = count()
         samples = map(itemgetter(0), zip(
-            iter_rates(stream, MemorySource(args.memory), args.carry_forward), counter))
+            iter_rates(stream, args.memory, args.carry_forward), counter))
 
         if args.command == "inspect":
             for _ in samples:
@@ -215,12 +213,11 @@ def _run_gen(args: argparse.Namespace) -> int:
     with _open_output(args.out) as out, _open_output(args.truth) as side, \
             tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
         write_lanl_trace(records(spool), out)
-        side.write(format_sidecar_header(valid, spec.count - valid))
+        header = format_sidecar_header(valid, spec.count - valid)
+        side.write(header)
         spool.seek(0)
         shutil.copyfileobj(spool, side)
-    sys.stderr.write(f"count={spec.count}\n")
-    sys.stderr.write(f"expected_valid={valid}\n")
-    sys.stderr.write(f"expected_omitted={spec.count - valid}\n")
+    sys.stderr.write(f"count={spec.count}\n{header}")
     return 0
 
 

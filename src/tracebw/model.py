@@ -2,9 +2,11 @@
 
 Everything in this module is an immutable value type: construction
 validates the type's invariants, and instances are safe to share between
-threads. There is no I/O here. Missing data is a distinct absent state
-(``None``), never a sentinel number; the ``-1`` sentinel exists only at
-the file-format boundary (see :mod:`tracebw.parsing`).
+threads. A count that follows from other fields (``ParseReport.malformed``)
+is derived at construction, never passed in. There is no I/O here.
+Missing data is a distinct absent state (``None``), never a sentinel
+number; the ``-1`` sentinel exists only at the file-format boundary (see
+:mod:`tracebw.parsing`).
 
 Timestamps are integer milliseconds since the Unix epoch, interpreted as
 UTC (source logs do not state a timezone; UTC is the documented
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import inf
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 MS_PER_S = 1000
 
@@ -36,20 +39,16 @@ class Timestamp:
         if not isinstance(self.epoch_ms, int):
             raise ValueError(f"epoch_ms must be an integer, got {type(self.epoch_ms).__name__}")
 
-    @property
-    def second_aligned(self) -> bool:
-        return self.epoch_ms % MS_PER_S == 0
-
 
 _RESOURCE_FIELDS = ("req_procs", "used_procs", "req_cpu_s", "used_cpu_s",
                     "req_mem_kb", "used_mem_kb")
 
 
 def _raise_first_negative(values: tuple) -> None:
-    """Raise the ValueError that names the first resource field below zero."""
+    """Raise the ValueError that names the first resource field below zero or not finite."""
     for name, value in zip(_RESOURCE_FIELDS, values):
         # None is "absent" and always fine; NaN fails the comparison and is rejected too.
-        if value is not None and not value >= 0:
+        if value is not None and not 0 <= value < inf:
             raise ValueError(f"{name} must be >= 0 when present, got {value!r}")
 
 
@@ -61,7 +60,8 @@ class JobRecord:
     timestamps, processor counts, CPU seconds, memory in Kbytes, then the
     opaque descriptive fields. ``start_time`` and ``end_time`` are
     independently optional and ``end < start`` is representable; negative
-    durations are data at this layer, not errors.
+    durations are data at this layer, not errors. Processor, CPU-second
+    and memory values must be finite and >= 0 when present.
     """
 
     job_id: str
@@ -82,13 +82,13 @@ class JobRecord:
     exit_code: int | None = None
 
     def __post_init__(self):
-        # The parsers refuse negative cells first, with the negative-value
-        # reason and its column; this guards the public constructor in one
-        # scan, and names a field only once a value fails.
+        # The parsers refuse negative and infinite cells first, with their
+        # reason and column; this guards the public constructor in one scan,
+        # and names a field only once a value fails.
         values = (self.req_procs, self.used_procs, self.req_cpu_s, self.used_cpu_s,
                   self.req_mem_kb, self.used_mem_kb)
         for value in values:
-            if value is not None and not value >= 0:
+            if value is not None and not 0 <= value < inf:
                 _raise_first_negative(values)
 
 
@@ -140,6 +140,13 @@ class RateSample:
             object.__setattr__(self, "flags", frozenset(flags))
 
 
+def _require_counts(counts: Iterable[tuple[str, object]]) -> None:
+    """Raise the ValueError that names the first count not an integer >= 0."""
+    for name, value in counts:
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ParseReport:
     """Line accounting for one parse session.
@@ -147,26 +154,25 @@ class ParseReport:
     ``total_lines`` counts every physical line seen; ``parsed`` and
     ``malformed`` partition the record lines, and whatever remains is
     comment/blank lines (derived, never negative). ``reasons`` buckets
-    malformed lines by reason code. A parsed record may still lack the
+    malformed lines by reason code, and ``malformed`` is their sum, so it
+    is not a constructor argument. A parsed record may still lack the
     data an estimate needs; that partition happens downstream in
     :mod:`tracebw.bandwidth`.
     """
 
     total_lines: int = 0
     parsed: int = 0
-    malformed: int = 0
+    malformed: int = field(init=False)
     reasons: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("total_lines", "parsed", "malformed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        reasons = dict(self.reasons)
+        _require_counts([("total_lines", self.total_lines), ("parsed", self.parsed),
+                         *((f"reasons[{code!r}]", n) for code, n in reasons.items())])
+        object.__setattr__(self, "malformed", sum(reasons.values()))
+        object.__setattr__(self, "reasons", MappingProxyType(reasons))
         if self.comment_blank_lines < 0:
             raise ValueError("counted record lines exceed total_lines")
-        if any(count < 0 for count in self.reasons.values()):
-            raise ValueError("reason counts must be non-negative")
-        object.__setattr__(self, "reasons", MappingProxyType(dict(self.reasons)))
 
     @property
     def record_lines(self) -> int:
@@ -176,9 +182,6 @@ class ParseReport:
     @property
     def comment_blank_lines(self) -> int:
         return self.total_lines - self.record_lines
-
-
-_STAT_FIELDS = ("min", "max", "mean", "median", "p95")
 
 
 @dataclass(frozen=True)
@@ -201,13 +204,11 @@ class TraceSummary:
     p95: float | None = None
 
     def __post_init__(self):
-        for name in ("n_rates", "n_negative", "n_undefined"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        _require_counts([("n_rates", self.n_rates), ("n_negative", self.n_negative),
+                         ("n_undefined", self.n_undefined)])
         if self.n_negative > self.n_rates:
             raise ValueError("n_negative cannot exceed n_rates")
-        stats = [getattr(self, name) for name in _STAT_FIELDS]
+        stats = (self.min, self.max, self.mean, self.median, self.p95)
         if self.n_rates == 0:
             if any(s is not None for s in stats):
                 raise ValueError("statistics must be absent when there are no rates")

@@ -30,7 +30,8 @@ ARCHIVE18
     ARCHIVE18 writer.
 
 Each format is one column table: a tuple of (field name, converter,
-reason code) entries in column order, run by one loop per line. A
+reason code) entries in column order, run by one loop per line; the
+format's field count is the table's length plus the verbatim job id. A
 converter turns a cell into a value; when it raises ValueError the line
 is malformed with the entry's reason code and the detail
 ``name='cell'``, and when it finds a value below zero in a non-negative
@@ -45,7 +46,8 @@ moved it there.
 
 Malformed lines are counted and skipped, never fatal; only a failure of
 the underlying stream aborts a session (:class:`IoFailure`, carrying the
-partial report).
+partial report). A session's format is a :class:`TraceFormat` or its
+value (``"lanl"``, ``"archive"``); anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class TraceFormat(Enum):
     LANL16 = "lanl"
     ARCHIVE18 = "archive"
 
-
-LANL_FIELD_COUNT = 16
-ARCHIVE_FIELD_COUNT = 18
 
 _MISSING_TOKENS = ("", "-1")
 
@@ -157,6 +156,7 @@ _LANL_COLUMNS = (
     ("executable", str, ""),
     ("exit_code", int, "bad-int"),
 )
+LANL_FIELD_COUNT = 1 + len(_LANL_COLUMNS)
 
 
 def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
@@ -241,6 +241,7 @@ _ARCHIVE_COLUMNS = (
     ("preceding_job", _swf_int, "bad-int"),
     ("think_time", _swf_int, "bad-int"),
 )
+ARCHIVE_FIELD_COUNT = 1 + len(_ARCHIVE_COLUMNS)
 
 
 # The end of the timestamp span before rounding half to even: the last
@@ -316,9 +317,9 @@ class TraceStream:
     consumer; distinct sessions are fully independent.
     """
 
-    def __init__(self, source: Iterable[str] | IO[str], format: TraceFormat, *,
+    def __init__(self, source: Iterable[str] | IO[str], format: TraceFormat | str, *,
                  scale_per_proc_memory: bool = True):
-        self.format = format
+        self.format = format = TraceFormat(format)
         self._total = 0
         self._parsed = 0
         self._reasons: Counter[str] = Counter()
@@ -341,12 +342,7 @@ class TraceStream:
 
     @property
     def report(self) -> ParseReport:
-        return ParseReport(
-            total_lines=self._total,
-            parsed=self._parsed,
-            malformed=sum(self._reasons.values()),
-            reasons=dict(self._reasons),
-        )
+        return ParseReport(total_lines=self._total, parsed=self._parsed, reasons=self._reasons)
 
     def _run(self, lines: Iterator[str],
              parse_line: Callable[[str, int], JobRecord]) -> Iterator[JobRecord]:
@@ -370,9 +366,13 @@ class TraceStream:
             raise IoFailure(exc, partial_report=self.report) from exc
 
 
-def parse_trace(source: Iterable[str] | IO[str], format: TraceFormat, *,
+def parse_trace(source: Iterable[str] | IO[str], format: TraceFormat | str, *,
                 scale_per_proc_memory: bool = True) -> TraceStream:
-    """Stream a log into JobRecords, accumulating a ParseReport."""
+    """Stream a log into JobRecords, accumulating a ParseReport.
+
+    ``format`` is a TraceFormat or its value (``"lanl"``, ``"archive"``);
+    anything else raises ValueError.
+    """
     return TraceStream(source, format, scale_per_proc_memory=scale_per_proc_memory)
 
 

@@ -12,7 +12,9 @@ code under test.
 :func:`iter_jobs` yields the jobs one at a time as they are drawn, so a
 consumer such as ``tracebw gen`` writes any number of them in constant
 memory. :func:`generate` collects the same jobs into a list and a
-:class:`GroundTruth` with the valid/omitted counts.
+:class:`GroundTruth`, whose valid count is the number of its rates. A
+spec file's keys are :class:`GenSpec`'s fields, each read as the type of
+its default.
 
 Determinism contract: the output is a pure function of the GenSpec. All
 randomness comes from CPython's ``random.Random`` (MT19937) seeded with
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import IO, Iterable, Iterator
 
@@ -85,12 +87,16 @@ class GroundTruth:
     """Expected pipeline results for a generated trace.
 
     ``rates`` pairs each valid job's id with its exact rate in bytes per
-    second, in trace order.
+    second, in trace order. ``expected_valid`` is the number of rates, so
+    it is not a constructor argument.
     """
 
-    expected_valid: int
+    expected_valid: int = field(init=False)
     expected_omitted: int
     rates: tuple[tuple[str, Fraction], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "expected_valid", len(self.rates))
 
 
 class _Draws:
@@ -168,12 +174,7 @@ def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:
         records.append(record)
         if rate is not None:
             rates.append((record.job_id, rate))
-    truth = GroundTruth(
-        expected_valid=len(rates),
-        expected_omitted=spec.count - len(rates),
-        rates=tuple(rates),
-    )
-    return records, truth
+    return records, GroundTruth(expected_omitted=spec.count - len(rates), rates=tuple(rates))
 
 
 def format_sidecar_header(expected_valid: int, expected_omitted: int) -> str:
@@ -212,9 +213,10 @@ def read_sidecar(source: Iterable[str]) -> GroundTruth:
     """Parse a ground-truth sidecar written by write_sidecar.
 
     Raises MalformedSidecar, with the line number, for a missing or
-    malformed header line and for a rate line that is not
+    malformed header line, for a rate line that is not
     ``job_id numerator/denominator`` with integers and a nonzero
-    denominator. Blank rate lines are skipped.
+    denominator, and (naming line 1) for an ``expected_valid`` that is not
+    the number of rate lines. Blank rate lines are skipped.
     """
     lines = [line.rstrip("\n") for line in source]
     expected_valid = _header_count(lines, 1, "expected_valid")
@@ -230,22 +232,21 @@ def read_sidecar(source: Iterable[str]) -> GroundTruth:
         except (ValueError, ZeroDivisionError):
             raise MalformedSidecar(
                 line_no, f"expected 'job_id numerator/denominator', got {line!r}") from None
-    return GroundTruth(expected_valid, expected_omitted, tuple(rates))
-
-
-_INT_KEYS = ("seed", "count", "runtime_min_ms", "runtime_max_ms")
-_FLOAT_KEYS = ("inter_arrival_mean_ms", "missing_start_frac",
-               "missing_end_frac", "missing_mem_frac")
-_LIST_KEYS = ("mem_kb_choices", "procs_choices")
+    if expected_valid != len(rates):
+        raise MalformedSidecar(
+            1, f"expected_valid={expected_valid}, but the rate line count is {len(rates)}")
+    return GroundTruth(expected_omitted, tuple(rates))
 
 
 def load_genspec(source: Iterable[str]) -> GenSpec:
     """Read a GenSpec from key=value lines.
 
-    Unset keys keep their defaults; ``#`` starts a comment. List values
-    are comma-separated integers. Anything unrecognized or unparseable
-    raises InvalidSpec.
+    The keys are GenSpec's fields, each read as the type of its default:
+    an integer, a real, or a list of comma-separated integers. Unset keys
+    keep their defaults; ``#`` starts a comment. Anything unrecognized or
+    unparseable raises InvalidSpec.
     """
+    kinds = {f.name: type(f.default) for f in fields(GenSpec)}
     overrides: dict = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -255,15 +256,14 @@ def load_genspec(source: Iterable[str]) -> GenSpec:
         key, value = key.strip(), value.strip()
         if not sep:
             raise InvalidSpec(f"line {line_no}: expected key=value, got {raw!r}")
+        kind = kinds.get(key)
+        if kind is None:
+            raise InvalidSpec(f"line {line_no}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key in _LIST_KEYS:
+            if kind is tuple:
                 overrides[key] = tuple(int(item) for item in value.split(","))
             else:
-                raise InvalidSpec(f"line {line_no}: unknown key {key!r}")
+                overrides[key] = kind(value)
         except ValueError as exc:
             raise InvalidSpec(f"line {line_no}: bad value for {key}: {value!r}") from exc
     return GenSpec(**overrides)

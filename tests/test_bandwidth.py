@@ -195,6 +195,23 @@ class TestPartition:
         assert merged == records
 
 
+class TestMemorySourceArgument:
+    RECORDS = [record(start=0, end=1000, req_mem_kb=1, used_mem_kb=2)]
+
+    @pytest.mark.parametrize("source", [MemorySource.REQUESTED, "requested"])
+    def test_member_or_value_selects_the_field(self, source):
+        (sample,) = compute_rates(self.RECORDS, source)
+        assert sample.n_bytes == 1024
+        assert partition_jobs([record(start=0, end=1, used_mem_kb=2)], source)[0] == []
+
+    @pytest.mark.parametrize("source", ["REQUESTED", "req", None])
+    def test_unknown_source_is_refused(self, source):
+        with pytest.raises(ValueError):
+            list(iter_rates(self.RECORDS, source))
+        with pytest.raises(ValueError):
+            partition_jobs(self.RECORDS, source)
+
+
 class TestComputeRates:
     def test_single_record_pipeline(self):
         # 1000 * 33554432 / 32000 is exactly 1048576

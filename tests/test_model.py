@@ -22,10 +22,8 @@ class TestTimestamp:
         assert Timestamp(True).epoch_ms == 1
         assert Timestamp(Millis(5)).epoch_ms == 5
 
-    def test_ordering_and_alignment(self):
+    def test_ordering(self):
         assert Timestamp(1000) < Timestamp(1001)
-        assert Timestamp(2000).second_aligned
-        assert not Timestamp(2001).second_aligned
 
     def test_wide_range_representable(self):
         # At least 1990..2100 must fit; Python ints go well past that.
@@ -50,8 +48,10 @@ class TestJobRecord:
 
     def test_rejects_nan_cpu_seconds(self):
         for field in ("req_cpu_s", "used_cpu_s"):
-            with pytest.raises(ValueError, match=f"^{field} must be >= 0 when present, got nan$"):
-                JobRecord(job_id="j", **{field: float("nan")})
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError,
+                                   match=f"^{field} must be >= 0 when present, got {value}$"):
+                    JobRecord(job_id="j", **{field: float(value)})
 
     def test_negative_duration_is_representable(self):
         # end < start is data at this layer, never an error
@@ -129,8 +129,9 @@ class TestRateSample:
 
 class TestParseReport:
     def test_conservation_is_derived(self):
-        report = ParseReport(total_lines=10, parsed=6, malformed=3,
-                             reasons={"column-count": 3})
+        report = ParseReport(total_lines=10, parsed=6,
+                             reasons={"column-count": 2, "bad-int": 1})
+        assert report.malformed == 3
         assert report.record_lines == 9
         assert report.comment_blank_lines == 1
         assert report.parsed + report.malformed \
@@ -145,9 +146,19 @@ class TestParseReport:
             ParseReport(total_lines=-1)
         with pytest.raises(ValueError):
             ParseReport(total_lines=1, reasons={"x": -1})
+        with pytest.raises(ValueError, match=r"^reasons\['x'\] must be a non-negative integer"):
+            ParseReport(total_lines=5, reasons={"x": 1.5})
+
+    def test_malformed_is_never_an_argument(self):
+        with pytest.raises(TypeError):
+            ParseReport(total_lines=5, malformed=2, reasons={"bad-int": 1})
+        report = ParseReport(total_lines=5, reasons={"bad-int": 1})
+        with pytest.raises(ValueError):
+            dataclasses.replace(report, malformed=2)
+        assert report.malformed == 1
 
     def test_reasons_mapping_is_read_only(self):
-        report = ParseReport(total_lines=1, malformed=1, reasons={"bad-int": 1})
+        report = ParseReport(total_lines=1, reasons={"bad-int": 1})
         with pytest.raises(TypeError):
             report.reasons["bad-int"] = 2
 

@@ -95,6 +95,7 @@ class TestParseLanlLine:
 
     @pytest.mark.parametrize("column,token,reason", [
         (1, "yesterday", "bad-timestamp"),
+        (1, "Jan 01 -5", "bad-timestamp"),  # a signed year token is not pivoted
         (4, "many", "bad-int"),
         (4, "-2", "negative-value"),
         (6, "fast", "bad-real"),
@@ -446,6 +447,17 @@ class TestParseTrace:
             next(stream)
         assert pulled == 5
 
+    @pytest.mark.parametrize("format", [TraceFormat.LANL16, "lanl"])
+    def test_format_is_a_member_or_its_value(self, format):
+        stream = parse_trace([LANL_LINE], format)
+        assert stream.format is TraceFormat.LANL16
+        assert [r.job_id for r in stream] == ["j1"]
+
+    @pytest.mark.parametrize("format", ["LANL16", "csv", None])
+    def test_unknown_format_is_refused(self, format):
+        with pytest.raises(ValueError):
+            parse_trace([LANL_LINE], format)
+
     def test_report_snapshot_mid_stream(self):
         stream = parse_trace([LANL_LINE] * 4, TraceFormat.LANL16)
         next(stream)
@@ -497,3 +509,15 @@ class TestFormatLanlLine:
         sink = io.StringIO()
         assert write_lanl_trace(records, sink) == 1000
         assert sink.getvalue().count("\n") == 1000
+
+    def test_write_lanl_trace_wraps_sink_failure(self):
+        class FailingSink(io.StringIO):
+            def write(self, text):
+                if self.getvalue().count("\n") == 2:
+                    raise OSError("disk full")
+                return super().write(text)
+
+        with pytest.raises(IoFailure) as info:
+            write_lanl_trace([JobRecord(job_id="abc")] * 5, FailingSink())
+        assert info.value.rows_written == 2
+        assert isinstance(info.value.__cause__, OSError)

@@ -1,5 +1,6 @@
 """Deterministic generation, ground truth, sidecars, and spec files."""
 
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from tracebw import (
     GenSpec,
+    GroundTruth,
     InvalidSpec,
     MalformedSidecar,
     MemorySource,
@@ -148,6 +150,23 @@ class TestSidecar:
             read_sidecar(io.StringIO("j1 1/2\n"))
         assert info.value.line_no == 1
 
+    @pytest.mark.parametrize("text", [
+        "expected_valid=5\nexpected_omitted=0\nj1 1/2\n",
+        "expected_valid=0\nexpected_omitted=0\nj1 1/2\n",
+        "expected_valid=1\nexpected_omitted=0\n",
+    ])
+    def test_rejects_header_count_that_disagrees_with_rate_lines(self, text):
+        with pytest.raises(MalformedSidecar) as info:
+            read_sidecar(io.StringIO(text))
+        assert info.value.line_no == 1
+        assert "rate line count" in str(info.value)
+
+    def test_expected_valid_is_the_number_of_rates(self):
+        truth = GroundTruth(expected_omitted=2, rates=(("j1", Fraction(1, 2)),))
+        assert truth.expected_valid == 1
+        with pytest.raises(TypeError):
+            GroundTruth(5, 2, ())
+
     @pytest.mark.parametrize("text,line_no", [
         ("", 1),
         ("expected_valid=1\n", 2),
@@ -183,8 +202,15 @@ class TestLoadGenSpec:
                                missing_end_frac=0.1, mem_kb_choices=(1024, 2048))
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(InvalidSpec):
-            load_genspec(["speed=42"])
+        with pytest.raises(InvalidSpec, match="^line 2: unknown key 'speed'$"):
+            load_genspec(["seed=1", "speed=42"])
+
+    @pytest.mark.parametrize("field", dataclasses.fields(GenSpec), ids=lambda f: f.name)
+    def test_every_field_is_a_key_read_as_its_default_type(self, field):
+        default = field.default
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        value = getattr(load_genspec([f"{field.name}={text}"]), field.name)
+        assert value == default and type(value) is type(default)
 
     def test_bad_value_rejected(self):
         with pytest.raises(InvalidSpec):
