@@ -61,8 +61,18 @@ _FLAGS = (
 
 
 def select_bytes(record: JobRecord, source: MemorySource) -> int | None:
-    """Byte count for a record, or None when the selected field is absent."""
-    kb = record.req_mem_kb if source is MemorySource.REQUESTED else record.used_mem_kb
+    """Byte count for a record, or None when the selected field is absent.
+
+    ``source`` must be a MemorySource member; its value (``"requested"``)
+    or anything else raises ValueError. It runs once per record, so it
+    converts nothing: the callers that take a value convert it once.
+    """
+    if source is MemorySource.REQUESTED:
+        kb = record.req_mem_kb
+    elif source is MemorySource.USED:
+        kb = record.used_mem_kb
+    else:
+        raise ValueError(f"source must be a MemorySource member, got {source!r}")
     return None if kb is None else kb * BYTES_PER_KB
 
 

@@ -31,13 +31,15 @@ def format_sig(value: float) -> str:
     return f"{value:.7g}"
 
 
-def summarize(samples: Iterable[RateSample], base: MbBase) -> TraceSummary:
+def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary:
     """Aggregate statistics over the defined rates, in the output unit.
 
     Median is the lower of the two middles for even counts; p95 is the
     nearest-rank percentile. Undefined (zero-duration) samples only bump
-    ``n_undefined``. Order of the input never matters.
+    ``n_undefined``. Order of the input never matters. ``base`` is an
+    MbBase or its divisor; anything else raises ValueError.
     """
+    base = MbBase(base)
     defined: list[float] = []
     n_undefined = 0
     n_negative = 0
@@ -70,13 +72,15 @@ def _kbytes_cell(n_bytes: int) -> str:
     return str(whole) if remainder == 0 else format_sig(n_bytes / BYTES_PER_KB)
 
 
-def write_worksheet(samples: Iterable[RateSample], base: MbBase, sink: IO[str]) -> int:
+def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) -> int:
     """Write the worksheet; returns the number of data rows.
 
     One row per sample, in order. Undefined rates leave the Mbytes cell
     empty so a spreadsheet cannot silently aggregate them; negative rates
-    are printed as-is.
+    are printed as-is. ``base`` is an MbBase or its divisor; anything else
+    raises ValueError before the header is written.
     """
+    base = MbBase(base)
     writer = csv.writer(sink, lineterminator="\n")
     rows = 0
     try:
@@ -98,13 +102,16 @@ def write_worksheet(samples: Iterable[RateSample], base: MbBase, sink: IO[str]) 
     return rows
 
 
-def write_csv(samples: Iterable[RateSample], base: MbBase, sink: IO[str]) -> int:
+def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) -> int:
     """Write the full-fidelity CSV; returns the number of data rows.
 
     Fields containing a comma, quote, or newline are double-quoted with
     embedded quotes doubled (the usual CSV rule). Numeric fields use
-    repr, so re-parsing recovers them bit-exactly.
+    repr, so re-parsing recovers them bit-exactly. ``base`` is an MbBase
+    or its divisor; anything else raises ValueError before the header is
+    written.
     """
+    base = MbBase(base)
     writer = csv.writer(sink, lineterminator="\n")
     flag_cells: dict[frozenset, str] = {}  # samples share a few flag sets
     rows = 0

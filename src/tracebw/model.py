@@ -8,6 +8,15 @@ Missing data is a distinct absent state (``None``), never a sentinel
 number; the ``-1`` sentinel exists only at the file-format boundary (see
 :mod:`tracebw.parsing`).
 
+``Timestamp``, ``JobRecord`` and ``RateSample`` are built once per job on
+the read path, so each has one hand-written ``__init__`` in place of the
+dataclass's generated one plus ``__post_init__``: it checks its arguments,
+then stores each field through the slot descriptor's ``__set__`` (bound
+once at import), which a frozen instance's ``__setattr__`` would refuse.
+The dataclass still generates equality, hashing, ordering, ``repr`` and
+``__match_args__``. There is no unchecked constructor: every instance,
+the parsers' and ``iter_rates``' included, passes the same checks.
+
 Timestamps are integer milliseconds since the Unix epoch, interpreted as
 UTC (source logs do not state a timezone; UTC is the documented
 assumption). Source logs carry second- or day-granularity values; those
@@ -29,15 +38,24 @@ MS_PER_S = 1000
 RECONSTRUCTION_RTOL = 1e-12
 
 
-@dataclass(frozen=True, order=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each slot descriptor of ``cls``, in field order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Timestamp:
     """A point in time: integer milliseconds since the Unix epoch, UTC."""
 
     epoch_ms: int
 
-    def __post_init__(self):
-        if not isinstance(self.epoch_ms, int):
-            raise ValueError(f"epoch_ms must be an integer, got {type(self.epoch_ms).__name__}")
+    def __init__(self, epoch_ms: int):
+        if not isinstance(epoch_ms, int):
+            raise ValueError(f"epoch_ms must be an integer, got {type(epoch_ms).__name__}")
+        _set_timestamp_epoch_ms(self, epoch_ms)
+
+
+(_set_timestamp_epoch_ms,) = _slot_setters(Timestamp)
 
 
 _RESOURCE_FIELDS = ("req_procs", "used_procs", "req_cpu_s", "used_cpu_s",
@@ -52,7 +70,7 @@ def _raise_first_negative(values: tuple) -> None:
             raise ValueError(f"{name} must be >= 0 when present, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class JobRecord:
     """One job from an accounting log.
 
@@ -81,15 +99,44 @@ class JobRecord:
     executable: str | None = None
     exit_code: int | None = None
 
-    def __post_init__(self):
+    def __init__(self, job_id: str, submit_time: Timestamp | None = None,
+                 start_time: Timestamp | None = None, end_time: Timestamp | None = None,
+                 req_procs: int | None = None, used_procs: int | None = None,
+                 req_cpu_s: float | None = None, used_cpu_s: float | None = None,
+                 req_mem_kb: int | None = None, used_mem_kb: int | None = None,
+                 queue: str | None = None, dedicated: bool | None = None,
+                 user: str | None = None, project: str | None = None,
+                 executable: str | None = None, exit_code: int | None = None):
         # The parsers refuse negative and infinite cells first, with their
         # reason and column; this guards the public constructor in one scan,
         # and names a field only once a value fails.
-        values = (self.req_procs, self.used_procs, self.req_cpu_s, self.used_cpu_s,
-                  self.req_mem_kb, self.used_mem_kb)
+        values = (req_procs, used_procs, req_cpu_s, used_cpu_s, req_mem_kb, used_mem_kb)
         for value in values:
             if value is not None and not 0 <= value < inf:
                 _raise_first_negative(values)
+        _set_record_job_id(self, job_id)
+        _set_record_submit_time(self, submit_time)
+        _set_record_start_time(self, start_time)
+        _set_record_end_time(self, end_time)
+        _set_record_req_procs(self, req_procs)
+        _set_record_used_procs(self, used_procs)
+        _set_record_req_cpu_s(self, req_cpu_s)
+        _set_record_used_cpu_s(self, used_cpu_s)
+        _set_record_req_mem_kb(self, req_mem_kb)
+        _set_record_used_mem_kb(self, used_mem_kb)
+        _set_record_queue(self, queue)
+        _set_record_dedicated(self, dedicated)
+        _set_record_user(self, user)
+        _set_record_project(self, project)
+        _set_record_executable(self, executable)
+        _set_record_exit_code(self, exit_code)
+
+
+(_set_record_job_id, _set_record_submit_time, _set_record_start_time, _set_record_end_time,
+ _set_record_req_procs, _set_record_used_procs, _set_record_req_cpu_s, _set_record_used_cpu_s,
+ _set_record_req_mem_kb, _set_record_used_mem_kb, _set_record_queue, _set_record_dedicated,
+ _set_record_user, _set_record_project, _set_record_executable,
+ _set_record_exit_code) = _slot_setters(JobRecord)
 
 
 class RateFlag(Enum):
@@ -99,7 +146,7 @@ class RateFlag(Enum):
     CARRIED_FORWARD_START = "CARRIED_FORWARD_START"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RateSample:
     """One job's bandwidth result.
 
@@ -117,27 +164,39 @@ class RateSample:
     rate_bytes_per_s: float | None
     flags: frozenset = frozenset()
 
-    def __post_init__(self):
-        if self.n_bytes < 0:
-            raise ValueError(f"n_bytes must be >= 0, got {self.n_bytes}")
-        if self.duration_ms != self.end.epoch_ms - self.start.epoch_ms:
+    def __init__(self, job_id: str, start: Timestamp, end: Timestamp, n_bytes: int,
+                 duration_ms: int, rate_bytes_per_s: float | None, flags: frozenset = frozenset()):
+        if n_bytes < 0:
+            raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
+        if duration_ms != end.epoch_ms - start.epoch_ms:
             raise ValueError("duration_ms must equal end - start in milliseconds")
-        if (self.rate_bytes_per_s is None) != (self.duration_ms == 0):
+        if (rate_bytes_per_s is None) != (duration_ms == 0):
             raise ValueError("rate must be present exactly when duration_ms != 0")
-        flags = self.flags
         # Enum hashing runs in Python, so an empty set skips the lookup.
-        if (RateFlag.NEGATIVE_DURATION in flags if flags else False) != (self.duration_ms < 0):
+        if (RateFlag.NEGATIVE_DURATION in flags if flags else False) != (duration_ms < 0):
             raise ValueError("NEGATIVE_DURATION flag must match the sign of duration_ms")
-        if self.rate_bytes_per_s is not None:
-            lhs = self.rate_bytes_per_s * self.duration_ms
-            rhs = MS_PER_S * self.n_bytes
+        if rate_bytes_per_s is not None:
+            lhs = rate_bytes_per_s * duration_ms
+            rhs = MS_PER_S * n_bytes
             if abs(lhs - rhs) > RECONSTRUCTION_RTOL * max(abs(lhs), abs(rhs)):
                 raise ValueError(
-                    f"inconsistent sample: {self.rate_bytes_per_s} B/s * {self.duration_ms} ms "
-                    f"!= 1000 * {self.n_bytes} B"
+                    f"inconsistent sample: {rate_bytes_per_s} B/s * {duration_ms} ms "
+                    f"!= 1000 * {n_bytes} B"
                 )
         if type(flags) is not frozenset:
-            object.__setattr__(self, "flags", frozenset(flags))
+            flags = frozenset(flags)
+        _set_sample_job_id(self, job_id)
+        _set_sample_start(self, start)
+        _set_sample_end(self, end)
+        _set_sample_n_bytes(self, n_bytes)
+        _set_sample_duration_ms(self, duration_ms)
+        _set_sample_rate_bytes_per_s(self, rate_bytes_per_s)
+        _set_sample_flags(self, flags)
+
+
+(_set_sample_job_id, _set_sample_start, _set_sample_end, _set_sample_n_bytes,
+ _set_sample_duration_ms, _set_sample_rate_bytes_per_s,
+ _set_sample_flags) = _slot_setters(RateSample)
 
 
 def _require_counts(counts: Iterable[tuple[str, object]]) -> None:

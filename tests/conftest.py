@@ -55,25 +55,27 @@ def optional(strategy: st.SearchStrategy) -> st.SearchStrategy:
     return st.none() | strategy
 
 
-job_records = st.builds(
-    JobRecord,
-    job_id=tokens(),
-    submit_time=optional(timestamps),
-    start_time=optional(timestamps),
-    end_time=optional(timestamps),
-    req_procs=optional(st.integers(0, 2**20)),
-    used_procs=optional(st.integers(0, 2**20)),
-    req_cpu_s=optional(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
-    used_cpu_s=optional(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
-    req_mem_kb=optional(st.integers(0, 2**32)),
-    used_mem_kb=optional(st.integers(0, 2**32)),
-    queue=optional(tokens()),
-    dedicated=optional(st.booleans()),
-    user=optional(tokens()),
-    project=optional(tokens()),
-    executable=optional(tokens()),
-    exit_code=optional(st.integers(-255, 255).filter(lambda v: v != -1)),
-)
+#: Keyword arguments of a valid JobRecord.
+job_record_args = st.fixed_dictionaries({
+    "job_id": tokens(),
+    "submit_time": optional(timestamps),
+    "start_time": optional(timestamps),
+    "end_time": optional(timestamps),
+    "req_procs": optional(st.integers(0, 2**20)),
+    "used_procs": optional(st.integers(0, 2**20)),
+    "req_cpu_s": optional(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
+    "used_cpu_s": optional(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
+    "req_mem_kb": optional(st.integers(0, 2**32)),
+    "used_mem_kb": optional(st.integers(0, 2**32)),
+    "queue": optional(tokens()),
+    "dedicated": optional(st.booleans()),
+    "user": optional(tokens()),
+    "project": optional(tokens()),
+    "executable": optional(tokens()),
+    "exit_code": optional(st.integers(-255, 255).filter(lambda v: v != -1)),
+})
+
+job_records = job_record_args.map(lambda args: JobRecord(**args))
 
 
 # --- seeded (non-hypothesis) record maker ----------------------------------

@@ -52,6 +52,18 @@ class TestSelectBytes:
     def test_used_kbytes_to_bytes(self):
         assert select_bytes(record(used_mem_kb=1), MemorySource.USED) == 1024
 
+    @pytest.mark.parametrize("source,n_bytes", [(MemorySource.REQUESTED, 1024),
+                                                (MemorySource.USED, 2048)])
+    def test_each_member_selects_its_field(self, source, n_bytes):
+        assert select_bytes(record(req_mem_kb=1, used_mem_kb=2), source) == n_bytes
+
+    @pytest.mark.parametrize("source", ["requested", "used", "garbage", None])
+    def test_only_a_member_is_accepted(self, source):
+        # It runs per record, so it converts no value: a value string once
+        # silently selected used memory.
+        with pytest.raises(ValueError, match="^source must be a MemorySource member"):
+            select_bytes(record(req_mem_kb=1, used_mem_kb=2), source)
+
 
 class TestDuration:
     def test_subtraction(self):

@@ -228,6 +228,29 @@ class TestFullCsv:
         assert row[5] == "" and row[6] == ""
 
 
+class TestMbBaseArgument:
+    @pytest.mark.parametrize("base", [MbBase.BINARY, 1048576])
+    def test_member_or_divisor_is_accepted(self, base):
+        samples = mb_samples(1.0, 2.0)
+        assert summarize(samples, base).mean == 1.5
+        sink = io.StringIO()
+        assert write_worksheet(samples, base, sink) == 2
+        assert sink.getvalue().splitlines()[1].split(",")[2] == "1"
+        sink = io.StringIO()
+        assert write_csv(samples, base, sink) == 2
+        assert sink.getvalue().splitlines()[1].split(",")[6] == "1.0"
+
+    @pytest.mark.parametrize("base", ["binary", "BINARY", 1000, None])
+    def test_anything_else_is_refused_before_writing(self, base):
+        with pytest.raises(ValueError):
+            summarize([], base)
+        for write in (write_worksheet, write_csv):
+            sink = io.StringIO()
+            with pytest.raises(ValueError):
+                write(mb_samples(1.0), base, sink)
+            assert sink.getvalue() == ""
+
+
 class ExplodingSink:
     """Accepts a fixed number of writes, then fails like a full disk."""
 

@@ -20,8 +20,9 @@ import sys
 
 import pytest
 
-from tracebw import (GenSpec, MbBase, MemorySource, TraceFormat, generate,
-                     iter_rates, parse_trace, summarize, write_csv, write_worksheet)
+from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateSample, Timestamp,
+                     TraceFormat, generate, iter_rates, parse_trace, summarize, write_csv,
+                     write_worksheet)
 from tracebw.cli import main
 from tracebw.parsing import format_lanl_line
 
@@ -115,17 +116,28 @@ def calls_per_line(run, lines: list[str]) -> float:
 
 
 # Bounds: the count measured with this test's inputs plus one. Measured
-# per line, parent of the read-path rework -> after it (CPython 3.11):
-# civil 49.28 -> 34.73, epoch 46.43 -> 31.48, archive 56.81 -> 46.39.
+# per line, before the value types' one-call constructors -> after them
+# (CPython 3.11): civil 34.73 -> 29.91, epoch 31.48 -> 26.60,
+# archive 46.39 -> 41.71.
 @pytest.mark.parametrize("make_lines,run,bound", [
-    (civil_lines, civil_worksheet, 34.73 + 1),
-    (epoch_lines, epoch_csv, 31.48 + 1),
-    (archive_lines, archive_summary, 46.39 + 1),
+    (civil_lines, civil_worksheet, 29.91 + 1),
+    (epoch_lines, epoch_csv, 26.60 + 1),
+    (archive_lines, archive_summary, 41.71 + 1),
 ], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
 def test_python_calls_per_line(make_lines, run, bound):
     lines = make_lines()
     assert len(lines) == 1000
     assert calls_per_line(run, lines) <= bound
+
+
+def test_each_value_type_is_built_in_one_python_call():
+    # Timestamp (three per line), JobRecord and RateSample check and store in
+    # their own __init__; a __post_init__ or a helper would add a call per object.
+    start, end = Timestamp(0), Timestamp(32000)
+    assert count_calls(Timestamp, 0) == 1
+    assert count_calls(JobRecord, "j", start, start, end, 1, 2, 3.0, 4.0, 5, 6,
+                       "q", True, "u", "p", "x", 0) == 1
+    assert count_calls(RateSample, "j", start, end, 33554432, 32000, 1048576.0) == 1
 
 
 def marginal_calls_per_line(run, small, large, lines: int) -> float:

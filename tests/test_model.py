@@ -1,13 +1,67 @@
 """Construction-time invariants of the domain types."""
 
+import copy
 import dataclasses
+import inspect
+import pickle
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from tracebw import JobRecord, ParseReport, RateFlag, RateSample, Timestamp, TraceSummary
+from tracebw import (JobRecord, ParseReport, RateFlag, RateSample, Timestamp, TraceSummary,
+                     rate)
 
-from .conftest import job_records
+from .conftest import job_record_args, job_records, timestamps, tokens
+
+
+@st.composite
+def rate_sample_args(draw):
+    """Keyword arguments of a valid RateSample, zero and negative durations included."""
+    start = draw(timestamps)
+    end = draw(st.just(start) | timestamps)
+    n_bytes = draw(st.integers(0, 2**42))
+    duration = end.epoch_ms - start.epoch_ms
+    flags = {RateFlag.CARRIED_FORWARD_START} if draw(st.booleans()) else set()
+    if duration < 0:
+        flags.add(RateFlag.NEGATIVE_DURATION)
+    return {"job_id": draw(tokens()), "start": start, "end": end, "n_bytes": n_bytes,
+            "duration_ms": duration, "rate_bytes_per_s": rate(n_bytes, duration),
+            "flags": frozenset(flags)}
+
+
+VALUE_TYPES = [
+    (Timestamp, st.fixed_dictionaries({"epoch_ms": st.integers()})),
+    (JobRecord, job_record_args),
+    (RateSample, rate_sample_args()),
+]
+
+
+class TestValueTypeConstruction:
+    """Each value type's hand-written ``__init__`` against its dataclass fields."""
+
+    @pytest.mark.parametrize("cls", [cls for cls, _ in VALUE_TYPES],
+                             ids=[cls.__name__ for cls, _ in VALUE_TYPES])
+    def test_signature_lists_the_fields_in_order(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(params)
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)]
+
+    @pytest.mark.parametrize("cls,args", VALUE_TYPES, ids=[cls.__name__ for cls, _ in VALUE_TYPES])
+    @given(data=st.data())
+    def test_each_field_reads_back_the_object_passed(self, cls, args, data):
+        # Building the expected value with the same constructor would hide two
+        # swapped slot setters, so each field is held to the very object passed.
+        args = data.draw(args)
+        names = [f.name for f in dataclasses.fields(cls)]
+        for obj in (cls(*(args[name] for name in names)), cls(**args)):
+            for name in names:
+                assert getattr(obj, name) is args[name], name
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+                         dataclasses.replace(obj)):
+                assert twin == obj and hash(twin) == hash(obj)
 
 
 class TestTimestamp:
