@@ -47,7 +47,7 @@ class MbBase(Enum):
     DECIMAL = 1000000
 
     def __init__(self, divisor: int):
-        # A plain attribute: it is read once per output row.
+        # A plain attribute: to_output_unit reads it on every call.
         self.divisor = divisor
 
 

@@ -15,7 +15,7 @@ import csv
 import math
 from typing import IO, Iterable
 
-from .bandwidth import BYTES_PER_KB, MbBase, to_output_unit
+from .bandwidth import BYTES_PER_KB, MbBase
 from .errors import IoFailure
 from .model import RateFlag, RateSample, TraceSummary
 from .timefmt import format_day
@@ -39,7 +39,7 @@ def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary
     ``n_undefined``. Order of the input never matters. ``base`` is an
     MbBase or its divisor; anything else raises ValueError.
     """
-    base = MbBase(base)
+    divisor = MbBase(base).divisor
     defined: list[float] = []
     n_undefined = 0
     n_negative = 0
@@ -47,7 +47,7 @@ def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary
         if sample.rate_bytes_per_s is None:
             n_undefined += 1
             continue
-        value = to_output_unit(sample.rate_bytes_per_s, base)
+        value = sample.rate_bytes_per_s / divisor
         defined.append(value)
         if value < 0:
             n_negative += 1
@@ -80,7 +80,7 @@ def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[
     are printed as-is. ``base`` is an MbBase or its divisor; anything else
     raises ValueError before the header is written.
     """
-    base = MbBase(base)
+    divisor = MbBase(base).divisor
     writer = csv.writer(sink, lineterminator="\n")
     rows = 0
     try:
@@ -89,7 +89,7 @@ def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[
             if sample.rate_bytes_per_s is None:
                 mbytes = ""
             else:
-                mbytes = format_sig(to_output_unit(sample.rate_bytes_per_s, base))
+                mbytes = format_sig(sample.rate_bytes_per_s / divisor)
             writer.writerow([
                 format_day(sample.start),
                 format_day(sample.end),
@@ -111,7 +111,7 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
     or its divisor; anything else raises ValueError before the header is
     written.
     """
-    base = MbBase(base)
+    divisor = MbBase(base).divisor
     writer = csv.writer(sink, lineterminator="\n")
     flag_cells: dict[frozenset, str] = {}  # samples share a few flag sets
     rows = 0
@@ -131,7 +131,7 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
                 sample.duration_ms,
                 sample.n_bytes,
                 "" if rate_bps is None else repr(rate_bps),
-                "" if rate_bps is None else repr(to_output_unit(rate_bps, base)),
+                "" if rate_bps is None else repr(rate_bps / divisor),
                 flag_cell,
             ])
             rows += 1

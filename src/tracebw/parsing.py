@@ -26,16 +26,22 @@ ARCHIVE18
     is derived as submit + wait and end time as start + runtime; a
     missing addend makes the derived value missing too. Per-processor
     memory is multiplied by the allocated processor count to give a
-    whole-job figure unless ``scale_per_proc_memory=False``. There is no
-    ARCHIVE18 writer.
+    whole-job figure unless ``scale_per_proc_memory=False``. A line in
+    the plain form, where each field is ``-1`` or 1-15 ASCII digits (a
+    decimal fraction allowed in the five seconds fields) and runs of
+    spaces or tabs separate them, is checked by one compiled pattern and
+    converted directly; any other line takes the column table below, and
+    both give the same record. There is no ARCHIVE18 writer.
 
 Each format is one column table: a tuple of (field name, converter,
-reason code) entries in column order, run by one loop per line; the
-format's field count is the table's length plus the verbatim job id. A
-converter turns a cell into a value; when it raises ValueError the line
-is malformed with the entry's reason code and the detail
-``name='cell'``, and when it finds a value below zero in a non-negative
-column the reason is ``negative-value`` with the detail ``name=value``.
+reason code) entries in column order, run by one loop per line (for
+ARCHIVE18, per line not in the plain form, whose pattern is built from
+the same table); the format's field count is the table's length plus the
+verbatim job id. A converter turns a cell into a value; when it raises
+ValueError the line is malformed with the entry's reason code and the
+detail ``name='cell'``, and when it finds a value below zero in a
+non-negative column the reason is ``negative-value`` with the detail
+``name=value``.
 The first failing column, in column order, names the line's reason.
 LANL16 cells that are empty or ``-1`` are absent and skip the converter;
 ARCHIVE18 converters read ``-1`` as absent themselves, since ``-1.0`` is
@@ -52,6 +58,7 @@ value (``"lanl"``, ``"archive"``); anything else raises ValueError.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from enum import Enum
 from functools import partial
@@ -243,6 +250,34 @@ _ARCHIVE_COLUMNS = (
 )
 ARCHIVE_FIELD_COUNT = 1 + len(_ARCHIVE_COLUMNS)
 
+# The plain form of a line: each field is -1 or 1-15 ASCII digits, and a
+# seconds field may add a decimal fraction; runs of spaces or tabs separate the
+# fields, as in aligned columns. The table reads every field but the five
+# seconds ones as an integer with -1 absent, and the benchmark generator writes
+# every valid line in this form. Such a token is far below _MAX_COUNT and its
+# only negative is -1, so on such a line each converter returns what its first
+# float or int call gives, with -1 absent. The pattern is built from the table.
+_INT_TOKEN = r"(?:-1|\d{1,15})"
+_PLAIN_TOKEN = {
+    _swf_seconds: r"(?:-1|\d{1,15}(?:\.\d*)?)",
+    _swf_amount: _INT_TOKEN,
+    _swf_int: _INT_TOKEN,
+    _swf_label: _INT_TOKEN,
+}
+_PLAIN_ARCHIVE_PATTERN = (r"[ \t]*\S+"
+                          + "".join(r"[ \t]+" + _PLAIN_TOKEN[convert]
+                                    for _, convert, _ in _ARCHIVE_COLUMNS)
+                          + r"[ \t]*")
+
+
+def _plain_archive_line(line: str) -> re.Match | None:
+    # Compiling the pattern takes over a millisecond, so it waits for the first
+    # ARCHIVE18 line. This name is then rebound to the compiled fullmatch, so
+    # the check makes no Python call on later lines.
+    global _plain_archive_line
+    _plain_archive_line = re.compile(_PLAIN_ARCHIVE_PATTERN, re.ASCII).fullmatch
+    return _plain_archive_line(line)
+
 
 # The end of the timestamp span before rounding half to even: the last
 # millisecond is odd, so its +0.5 rounds out of the span. An ARCHIVE18 time
@@ -271,16 +306,36 @@ def parse_archive_line(line: str, line_no: int = 0, *,
     if len(cells) != ARCHIVE_FIELD_COUNT:
         raise MalformedLine(line_no, "column-count",
                             f"expected {ARCHIVE_FIELD_COUNT} fields, got {len(cells)}")
-    values = []
-    append = values.append
-    try:
-        for (_, convert, _), cell in zip(_ARCHIVE_COLUMNS, cells[1:]):
-            append(convert(cell))
-    except (ValueError, _NegativeValue) as exc:
-        failed = len(values)
-        raise _malformed(line_no, _ARCHIVE_COLUMNS[failed], cells[failed + 1], exc) from exc
-    (submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
-     req_time_s, req_mem_pp, exit_code, user, group, executable, queue) = values[:14]
+    if _plain_archive_line(line):
+        # What the table's converters would return, computed inline: a Python
+        # call per cell would cost more than the rest of the line.
+        (_, submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
+         req_time_s, req_mem_pp, exit_code, user, group, executable, queue, *_) = cells
+        submit_s = None if submit_s == "-1" else float(submit_s)
+        wait_s = None if wait_s == "-1" else float(wait_s)
+        runtime_s = None if runtime_s == "-1" else float(runtime_s)
+        alloc_procs = None if alloc_procs == "-1" else int(alloc_procs)
+        used_cpu_s = None if used_cpu_s == "-1" else float(used_cpu_s)
+        used_mem_pp = None if used_mem_pp == "-1" else int(used_mem_pp)
+        req_procs = None if req_procs == "-1" else int(req_procs)
+        req_time_s = None if req_time_s == "-1" else float(req_time_s)
+        req_mem_pp = None if req_mem_pp == "-1" else int(req_mem_pp)
+        exit_code = None if exit_code == "-1" else int(exit_code)
+        user = None if user == "-1" else user
+        group = None if group == "-1" else group
+        executable = None if executable == "-1" else executable
+        queue = None if queue == "-1" else queue
+    else:
+        values = []
+        append = values.append
+        try:
+            for (_, convert, _), cell in zip(_ARCHIVE_COLUMNS, cells[1:]):
+                append(convert(cell))
+        except (ValueError, _NegativeValue) as exc:
+            failed = len(values)
+            raise _malformed(line_no, _ARCHIVE_COLUMNS[failed], cells[failed + 1], exc) from exc
+        (submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
+         req_time_s, req_mem_pp, exit_code, user, group, executable, queue) = values[:14]
 
     start_s = None if submit_s is None or wait_s is None else submit_s + wait_s
     end_s = None if start_s is None or runtime_s is None else start_s + runtime_s

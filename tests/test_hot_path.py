@@ -24,7 +24,7 @@ from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateSample, Times
                      TraceFormat, generate, iter_rates, parse_trace, summarize, write_csv,
                      write_worksheet)
 from tracebw.cli import main
-from tracebw.parsing import format_lanl_line
+from tracebw.parsing import format_lanl_line, parse_archive_line
 
 from .swf import format_swf_line
 
@@ -116,13 +116,13 @@ def calls_per_line(run, lines: list[str]) -> float:
 
 
 # Bounds: the count measured with this test's inputs plus one. Measured
-# per line, before the value types' one-call constructors -> after them
-# (CPython 3.11): civil 34.73 -> 29.91, epoch 31.48 -> 26.60,
-# archive 46.39 -> 41.71.
+# per line, before the ARCHIVE18 plain-token check and the writers' inline
+# Mbyte division -> after them (CPython 3.11): civil 29.91 -> 29.00,
+# epoch 26.60 -> 25.65, archive 41.71 -> 16.32.
 @pytest.mark.parametrize("make_lines,run,bound", [
-    (civil_lines, civil_worksheet, 29.91 + 1),
-    (epoch_lines, epoch_csv, 26.60 + 1),
-    (archive_lines, archive_summary, 41.71 + 1),
+    (civil_lines, civil_worksheet, 29.00 + 1),
+    (epoch_lines, epoch_csv, 25.65 + 1),
+    (archive_lines, archive_summary, 16.32 + 1),
 ], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
 def test_python_calls_per_line(make_lines, run, bound):
     lines = make_lines()
@@ -138,6 +138,29 @@ def test_each_value_type_is_built_in_one_python_call():
     assert count_calls(JobRecord, "j", start, start, end, 1, 2, 3.0, 4.0, 5, 6,
                        "q", True, "u", "p", "x", 0) == 1
     assert count_calls(RateSample, "j", start, end, 33554432, 32000, 1048576.0) == 1
+
+
+# A plain ARCHIVE18 line calls no converter: parse_archive_line itself, _ms
+# and Timestamp for each of the three times, _whole_job twice and JobRecord.
+PLAIN_ARCHIVE_CALLS = 10
+
+
+@pytest.mark.parametrize("line", [
+    "3 768528030 56 3246 32 3246 1024 32 3246 1024 1 3 3 3 1 1 -1 -1",
+    "1 768528008 -1 2750 128 2750 1600 128 2750 1600 1 1 1 1 1 1 -1 -1",
+    "    17  820454400    120   3600     32  3599.50   2048     32   3600   2048"
+    "   1   5   3   7   1   1  -1  -1",
+], ids=["benchmark", "benchmark-missing-wait", "aligned"])
+def test_plain_archive_line_skips_the_column_table(line):
+    parse_archive_line(line)  # warm-up: the first ARCHIVE18 line compiles the pattern
+    assert count_calls(parse_archive_line, line) <= PLAIN_ARCHIVE_CALLS
+
+
+def test_integral_float_in_an_integer_column_takes_the_column_table():
+    plain = "17 820454400 120 3600 32 3599.5 2048 32 3600 2048 1 5 3 7 1 1 -1 -1"
+    line = plain.replace(" 32 ", " 32.0 ", 1)
+    assert parse_archive_line(line) == parse_archive_line(plain)
+    assert count_calls(parse_archive_line, line) >= PLAIN_ARCHIVE_CALLS + 17
 
 
 def marginal_calls_per_line(run, small, large, lines: int) -> float:

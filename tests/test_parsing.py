@@ -19,6 +19,7 @@ from tracebw import (
     parse_archive_line,
     parse_lanl_line,
     parse_trace,
+    parsing,
     write_lanl_trace,
 )
 
@@ -369,6 +370,85 @@ class TestArchiveProperties:
             parse_archive_line(_corrupted(job, name, token), 9)
         assert info.value.reason == "negative-value"
         assert str(info.value) == f"line 9: negative-value: {name}={value}"
+
+
+# --- ARCHIVE18 plain-token check against the column table ----------------------
+
+# Tokens that int() or float() accept in some column but that are not in the
+# plain form, or only just are (15 digits), or are plain only as seconds.
+_ODD_TOKENS = ["1_0", "4.0", "5.", ".5", "-1.0", "-0", "-01", "-5", "+5", "1e3",
+               "nan", "inf", "\u0663", "\u0661\u0662", "\uff11\uff12",
+               str(2**53 + 1), str(2**63 - 1), str(2**63), "9" * 15, "9" * 16]
+_ODD_JOB_IDS = st.builds("{}{}{}".format, st.sampled_from(["", "a", "7"]),
+                         st.sampled_from(["\x1c", "\xa0", "\u3000"]),
+                         st.sampled_from(["", "b", "8"]))
+_PLAIN_SEPARATORS = [" ", "\t", "   ", " \t "]
+
+
+def _plain_token(name: str) -> st.SearchStrategy[str]:
+    whole = st.just("-1") | st.integers(0, 10**15 - 1).map(str)
+    if name in _REAL_FIELDS:
+        return whole | st.builds("{}.{}".format, st.integers(0, 10**9),
+                                 st.text(alphabet="0123456789", max_size=4))
+    return whole
+
+
+@st.composite
+def _mixed_archive_lines(draw) -> str:
+    """A plain line with one odd token, job id, separator or edge swapped in."""
+    cells = [draw(st.text(alphabet="abc0123456789_.", min_size=1, max_size=6))]
+    cells += [draw(_plain_token(name)) for name in SWF_FIELDS[1:]]
+    separators = [draw(st.sampled_from(_PLAIN_SEPARATORS))] * 17
+    edges = [draw(st.sampled_from(["", " ", "\t", "  \t"])) for _ in range(2)]
+    odd = draw(st.sampled_from(["token", "token", "job id", "separator", "edge"]))
+    if odd == "token":
+        cells[draw(st.sampled_from(range(1, 18)))] = draw(
+            st.sampled_from(_ODD_TOKENS) | st.integers(10**14, 10**19).map(str))
+    elif odd == "job id":
+        cells[0] = draw(_ODD_JOB_IDS)
+        if draw(st.booleans()):
+            # Keep the split count at 18 when the id splits in two.
+            cells.pop()
+            separators.pop()
+    elif odd == "separator":
+        separators[draw(st.sampled_from(range(17)))] = draw(
+            st.sampled_from(["\v", " \v ", "\t\v", "\x1c", "\xa0", "\u3000"]))
+    else:
+        edges[draw(st.sampled_from([0, 1]))] = draw(
+            st.sampled_from(["\v", " \v", "\v\t", "\n", "\r\n", " \n", "\x1c", "\xa0\n"]))
+    return (edges[0] + cells[0] + "".join(map("".join, zip(separators, cells[1:])))
+            + edges[1])
+
+
+def _parsed(line: str, scale: bool) -> str:
+    """What parse_archive_line gives: the record's repr, which tells -0.0 from
+    0.0 and 4 from 4.0, or the MalformedLine text."""
+    try:
+        return repr(parse_archive_line(line, 7, scale_per_proc_memory=scale))
+    except MalformedLine as exc:
+        return f"MalformedLine: {exc}"
+
+
+def _parsed_by_the_table(line: str, scale: bool) -> str:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parsing, "_plain_archive_line", lambda line: None)
+        return _parsed(line, scale)
+
+
+@given(st.one_of(_mixed_archive_lines(),
+                 st.builds(format_swf_line, swf_jobs, st.sampled_from(_PLAIN_SEPARATORS))),
+       st.booleans())
+def test_plain_token_check_agrees_with_the_column_table(line, scale):
+    assert _parsed(line, scale) == _parsed_by_the_table(line, scale)
+
+
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+def test_odd_token_in_any_field_agrees_with_the_column_table(token):
+    # Every field of an aligned plain line in turn, as a draw might miss one.
+    cells = "17 820454400 120 3600 32 3599.50 2048 32 3600 2048 1 5 3 7 1 1 -1 -1".split()
+    for field in range(1, 18):
+        line = "   ".join(cells[:field] + [token] + cells[field + 1:])
+        assert _parsed(line, True) == _parsed_by_the_table(line, True), SWF_FIELDS[field]
 
 
 class TestParseTrace:
