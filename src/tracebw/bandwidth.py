@@ -47,7 +47,7 @@ class MbBase(Enum):
     DECIMAL = 1000000
 
     def __init__(self, divisor: int):
-        # A plain attribute: to_output_unit reads it on every call.
+        # The value under the name callers read; a plain attribute, so reading it calls nothing.
         self.divisor = divisor
 
 
@@ -96,9 +96,9 @@ def rate(n_bytes: int, duration: int) -> float | None:
     return MS_PER_S * n_bytes / duration
 
 
-def to_output_unit(rate_bps: float, base: MbBase) -> float:
-    """Convert bytes/second to Mbytes/second under the chosen Mbyte."""
-    return rate_bps / base.divisor
+def to_output_unit(rate_bps: float, base: MbBase | int) -> float:
+    """Convert bytes/second to Mbytes/second; ``base`` is an MbBase or its divisor."""
+    return rate_bps / MbBase(base).divisor
 
 
 def _ready(start: Timestamp | None, end: Timestamp | None, n_bytes: int | None) -> bool:

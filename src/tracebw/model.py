@@ -17,22 +17,31 @@ The dataclass still generates equality, hashing, ordering, ``repr`` and
 ``__match_args__``. There is no unchecked constructor: every instance,
 the parsers' and ``iter_rates``' included, passes the same checks.
 
-Timestamps are integer milliseconds since the Unix epoch, interpreted as
-UTC (source logs do not state a timezone; UTC is the documented
-assumption). Source logs carry second- or day-granularity values; those
-are widened to milliseconds on ingest so that duration arithmetic has a
-single resolution throughout.
+Timestamps are integer milliseconds since the Unix epoch, UTC (source
+logs state no timezone; UTC is the documented assumption), widened on
+ingest from the logs' seconds or days so that durations have a single
+resolution. ``Timestamp`` alone checks its invariant, the span a civil
+cell can name: 0001-01-01 00:00:00.000 .. 9999-12-31 23:59:59.999 UTC,
+so every instance can be written (see :mod:`tracebw.timefmt`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import date
 from enum import Enum
 from math import inf
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 MS_PER_S = 1000
+_MS_PER_DAY = 86_400_000
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+# The span of a timestamp, in epoch milliseconds: the first and the last
+# millisecond of the days a date can hold.
+_FIRST_MS = (date.min.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
+_LAST_MS = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * _MS_PER_DAY - 1
 
 #: Relative tolerance for the rate * duration == 1000 * n_bytes identity.
 RECONSTRUCTION_RTOL = 1e-12
@@ -52,6 +61,8 @@ class Timestamp:
     def __init__(self, epoch_ms: int):
         if not isinstance(epoch_ms, int):
             raise ValueError(f"epoch_ms must be an integer, got {type(epoch_ms).__name__}")
+        if not _FIRST_MS <= epoch_ms <= _LAST_MS:
+            raise ValueError(f"epoch_ms {epoch_ms} is outside 0001-01-01 .. 9999-12-31 UTC")
         _set_timestamp_epoch_ms(self, epoch_ms)
 
 

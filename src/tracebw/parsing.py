@@ -67,7 +67,7 @@ from typing import IO, Callable, Iterable, Iterator
 
 from .errors import IoFailure, MalformedLine
 from .model import MS_PER_S, JobRecord, ParseReport, Timestamp
-from .timefmt import _LAST_MS, format_timestamp, parse_timestamp
+from .timefmt import format_timestamp, parse_timestamp
 
 
 class TraceFormat(Enum):
@@ -279,19 +279,8 @@ def _plain_archive_line(line: str) -> re.Match | None:
     return _plain_archive_line(line)
 
 
-# The end of the timestamp span before rounding half to even: the last
-# millisecond is odd, so its +0.5 rounds out of the span. An ARCHIVE18 time
-# is never negative, so it cannot fall before the span's start.
-_PAST_SPAN_MS = _LAST_MS + 0.5
-
-
 def _ms(value_s: float | None) -> Timestamp | None:
-    if value_s is None:
-        return None
-    ms = value_s * MS_PER_S
-    if ms >= _PAST_SPAN_MS:
-        raise ValueError(value_s)
-    return Timestamp(round(ms))
+    return None if value_s is None else Timestamp(round(value_s * MS_PER_S))
 
 
 def _whole_job(mem_per_proc: int | None, procs: int | None) -> int | None:
@@ -344,7 +333,7 @@ def parse_archive_line(line: str, line_no: int = 0, *,
         submit = _ms(submit_s)
         start = _ms(start_s)
         end = _ms(end_s)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         # The cell that moved the time out of the span: submit, wait or runtime.
         failed = (submit is not None) + (start is not None)
         raise _malformed(line_no, _ARCHIVE_COLUMNS[failed], cells[failed + 1], exc) from exc

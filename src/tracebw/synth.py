@@ -65,8 +65,8 @@ class GenSpec:
             raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
         if self.count < 0:
             raise InvalidSpec(f"count must be >= 0, got {self.count}")
-        if not self.inter_arrival_mean_ms > 0:
-            raise InvalidSpec("inter_arrival_mean_ms must be positive")
+        if not 0 < self.inter_arrival_mean_ms < math.inf:
+            raise InvalidSpec("inter_arrival_mean_ms must be positive and finite")
         if not 0 < self.runtime_min_ms <= self.runtime_max_ms:
             raise InvalidSpec(
                 f"need 0 < runtime_min_ms <= runtime_max_ms, "
@@ -125,41 +125,45 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
     each. A job is valid when none of its start, end, and memory fields
     were knocked out; its rate is then ``1000 * mem_kb * 1024 /
     runtime_ms`` in bytes per second as a Fraction, and None otherwise.
-    Nothing is kept between jobs, so memory stays flat however many jobs
-    the spec asks for.
+    Nothing is kept between jobs, so memory stays flat at any count. A
+    job that cannot be built, such as one drawn outside the timestamp
+    span, raises InvalidSpec naming it.
     """
     draws = _Draws(spec.seed)
     submit_ms = BASE_EPOCH_MS
     for i in range(spec.count):
-        submit_ms += int(round(draws.exponential(spec.inter_arrival_mean_ms)))
-        wait_ms = draws.int_between(0, _MAX_WAIT_MS)
-        runtime_ms = draws.int_between(spec.runtime_min_ms, spec.runtime_max_ms)
-        mem_kb = draws.pick(spec.mem_kb_choices)
-        procs = draws.pick(spec.procs_choices)
-        drop_start = draws.coin(spec.missing_start_frac)
-        drop_end = draws.coin(spec.missing_end_frac)
-        drop_mem = draws.coin(spec.missing_mem_frac)
+        try:
+            submit_ms += int(round(draws.exponential(spec.inter_arrival_mean_ms)))
+            wait_ms = draws.int_between(0, _MAX_WAIT_MS)
+            runtime_ms = draws.int_between(spec.runtime_min_ms, spec.runtime_max_ms)
+            mem_kb = draws.pick(spec.mem_kb_choices)
+            procs = draws.pick(spec.procs_choices)
+            drop_start = draws.coin(spec.missing_start_frac)
+            drop_end = draws.coin(spec.missing_end_frac)
+            drop_mem = draws.coin(spec.missing_mem_frac)
 
-        start_ms = submit_ms + wait_ms
-        cpu_s = procs * (runtime_ms / MS_PER_S)
-        record = JobRecord(
-            job_id=f"j{i + 1:06d}",
-            submit_time=Timestamp(submit_ms),
-            start_time=None if drop_start else Timestamp(start_ms),
-            end_time=None if drop_end else Timestamp(start_ms + runtime_ms),
-            req_procs=procs,
-            used_procs=procs,
-            req_cpu_s=cpu_s,
-            used_cpu_s=cpu_s,
-            req_mem_kb=None if drop_mem else mem_kb,
-            used_mem_kb=None if drop_mem else mem_kb,
-            queue=f"q{procs}",
-            dedicated=False,
-            user=f"u{i % 23 + 1:03d}",
-            project=f"p{i % 7 + 1:02d}",
-            executable=f"app{i % 11 + 1}",
-            exit_code=0,
-        )
+            start_ms = submit_ms + wait_ms
+            cpu_s = procs * (runtime_ms / MS_PER_S)
+            record = JobRecord(
+                job_id=f"j{i + 1:06d}",
+                submit_time=Timestamp(submit_ms),
+                start_time=None if drop_start else Timestamp(start_ms),
+                end_time=None if drop_end else Timestamp(start_ms + runtime_ms),
+                req_procs=procs,
+                used_procs=procs,
+                req_cpu_s=cpu_s,
+                used_cpu_s=cpu_s,
+                req_mem_kb=None if drop_mem else mem_kb,
+                used_mem_kb=None if drop_mem else mem_kb,
+                queue=f"q{procs}",
+                dedicated=False,
+                user=f"u{i % 23 + 1:03d}",
+                project=f"p{i % 7 + 1:02d}",
+                executable=f"app{i % 11 + 1}",
+                exit_code=0,
+            )
+        except (ValueError, OverflowError) as exc:
+            raise InvalidSpec(f"job {i + 1} leaves the timestamp span: {exc}") from exc
         if drop_start or drop_end or drop_mem:
             yield record, None
         else:

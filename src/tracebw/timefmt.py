@@ -18,9 +18,9 @@ civil
     ``int()`` fields in 0-23, 0-59 and 0-59, and ``.f`` is 1 to 3 digits
     of milliseconds (an empty fraction after the dot reads as 0).
 
-Every timestamp lies in 0001-01-01 00:00:00.000 .. 9999-12-31
-23:59:59.999 UTC, the span a civil cell can name and that
-:func:`format_timestamp` and :func:`format_day` can write.
+Every timestamp lies in the span :class:`~tracebw.model.Timestamp` holds
+as its invariant, the span a civil cell can name, so
+:func:`format_timestamp` and :func:`format_day` write every timestamp.
 
 Rejected with ValueError: any other part count, an unknown month, a day
 that does not exist in its month and year (``May 32 94``, ``Feb 29 95``),
@@ -50,14 +50,10 @@ back as 2005), so every timestamp in the span parses back to itself.
 from __future__ import annotations
 
 import re
-from datetime import date, timedelta
+from datetime import date
 from functools import lru_cache
 
-from .model import MS_PER_S, Timestamp
-
-_EPOCH_DATE = date(1970, 1, 1)
-_EPOCH_ORDINAL = _EPOCH_DATE.toordinal()
-_MS_PER_DAY = 86_400_000
+from .model import _EPOCH_ORDINAL, _MS_PER_DAY, MS_PER_S, Timestamp
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -65,10 +61,6 @@ _MONTH_INDEX = {name.lower(): i + 1 for i, name in enumerate(MONTHS)}
 _CIVIL_INITIALS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 _PIVOT_LOW, _PIVOT_HIGH = 1970, 2069
-
-# The span of a timestamp, in epoch milliseconds.
-_FIRST_MS = (date.min.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
-_LAST_MS = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * _MS_PER_DAY - 1
 
 # Distinct days in a trace span its calendar; a few thousand covers a decade.
 _DAY_CACHE_SIZE = 4096
@@ -128,8 +120,6 @@ def parse_timestamp(token: str) -> Timestamp:
             epoch_ms = int(token) * MS_PER_S
         except ValueError:
             raise ValueError(f"bad timestamp {token!r}") from None
-        if not _FIRST_MS <= epoch_ms <= _LAST_MS:
-            raise ValueError(f"timestamp out of range {token!r}")
         return Timestamp(epoch_ms)
     canonical = _canonical_civil(token)
     if canonical is not None:
@@ -167,7 +157,7 @@ def format_timestamp(ts: Timestamp) -> str:
 @lru_cache(maxsize=_DAY_CACHE_SIZE)
 def _civil_day(epoch_day: int) -> str:
     """``Mon DD YY[YY] `` of a day, trailing space included, as format_timestamp writes it."""
-    day = _EPOCH_DATE + timedelta(days=epoch_day)
+    day = date.fromordinal(_EPOCH_ORDINAL + epoch_day)
     return f"{MONTHS[day.month - 1]} {day.day:02d} {_format_year(day.year)} "
 
 
@@ -178,7 +168,7 @@ def format_day(ts: Timestamp) -> str:
 
 @lru_cache(maxsize=_DAY_CACHE_SIZE)
 def _day_label(epoch_day: int) -> str:
-    day = _EPOCH_DATE + timedelta(days=epoch_day)
+    day = date.fromordinal(_EPOCH_ORDINAL + epoch_day)
     return f"{MONTHS[day.month - 1]} {day.day:02d} {day.year % 100:02d}"
 
 

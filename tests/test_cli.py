@@ -641,6 +641,21 @@ class TestExitCodes:
         bad.write_text("count=many\n")
         assert main(["gen", str(bad), "--out", str(tmp_path / "t.trace")]) == 2
 
+    @pytest.mark.parametrize("spec_text,error", [
+        ("count=5\ninter_arrival_mean_ms=inf\n",
+         "inter_arrival_mean_ms must be positive and finite"),
+        ("count=5\nruntime_max_ms=300000000000000000\n",
+         "job 1 leaves the timestamp span: epoch_ms 126172242777411186 is outside "
+         "0001-01-01 .. 9999-12-31 UTC"),
+    ])
+    def test_gen_spec_outside_the_span_is_usage_error(self, tmp_path, capsys, spec_text,
+                                                      error):
+        (tmp_path / "s.genspec").write_text(spec_text)
+        assert main(["gen", str(tmp_path / "s.genspec"),
+                     "--out", str(tmp_path / "t.trace")]) == 2
+        assert out_err(capsys) == ("", f"tracebw: error: {error}\n")
+        assert os.listdir(tmp_path) == ["s.genspec"]
+
     def test_unknown_flag_exits_two(self, small_trace):
         with pytest.raises(SystemExit) as info:
             main(["inspect", "--frmt", "lanl", str(small_trace)])

@@ -21,9 +21,11 @@ from tracebw import (
     format_sig,
     rate,
     summarize,
+    to_output_unit,
     write_csv,
     write_worksheet,
 )
+from tracebw.model import _FIRST_MS, _LAST_MS
 
 from .conftest import rational_rate
 
@@ -156,6 +158,14 @@ class TestWorksheet:
         _, text = self.run([sample_of(33554432, 0)])
         assert text.splitlines()[1] == "May 10 94,May 10 94,,32768"
 
+    def test_span_ends_are_written(self):
+        span = _LAST_MS - _FIRST_MS
+        rows, text = self.run([sample_of(2**30, span, start_ms=_FIRST_MS),
+                               sample_of(2**30, -span, start_ms=_LAST_MS)])
+        assert rows == 2
+        assert text.splitlines()[1].startswith("Jan 01 01,Dec 31 99,")
+        assert text.splitlines()[2].startswith("Dec 31 99,Jan 01 01,-")
+
     def test_row_count_matches_samples(self, thousand_jobs):
         records, truth = thousand_jobs
         samples = compute_rates(records, MemorySource.REQUESTED)
@@ -222,6 +232,15 @@ class TestFullCsv:
             assert float(row[5]) == sample.rate_bytes_per_s
             assert float(row[6]) == sample.rate_bytes_per_s / MbBase.BINARY.divisor
 
+    def test_span_ends_are_written(self):
+        span = _LAST_MS - _FIRST_MS
+        rows, text = self.run([sample_of(1024, span, start_ms=_FIRST_MS),
+                               sample_of(1024, 0, start_ms=_LAST_MS)])
+        assert rows == 2
+        first, last = list(csv.reader(io.StringIO(text)))[1:]
+        assert first[1:4] == [str(_FIRST_MS), str(_LAST_MS), str(span)]
+        assert last[1:4] == [str(_LAST_MS), str(_LAST_MS), "0"]
+
     def test_undefined_rate_cells_empty(self):
         _, text = self.run([sample_of(1024, 0)])
         row = text.splitlines()[1].split(",")
@@ -231,6 +250,7 @@ class TestFullCsv:
 class TestMbBaseArgument:
     @pytest.mark.parametrize("base", [MbBase.BINARY, 1048576])
     def test_member_or_divisor_is_accepted(self, base):
+        assert to_output_unit(2097152.0, base) == 2.0
         samples = mb_samples(1.0, 2.0)
         assert summarize(samples, base).mean == 1.5
         sink = io.StringIO()
@@ -242,6 +262,8 @@ class TestMbBaseArgument:
 
     @pytest.mark.parametrize("base", ["binary", "BINARY", 1000, None])
     def test_anything_else_is_refused_before_writing(self, base):
+        with pytest.raises(ValueError):
+            to_output_unit(1.0, base)
         with pytest.raises(ValueError):
             summarize([], base)
         for write in (write_worksheet, write_csv):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tracebw import (JobRecord, ParseReport, RateFlag, RateSample, Timestamp, TraceSummary,
                      rate)
+from tracebw.model import _FIRST_MS, _LAST_MS
 
 from .conftest import job_record_args, job_records, timestamps, tokens
 
@@ -31,7 +32,8 @@ def rate_sample_args(draw):
 
 
 VALUE_TYPES = [
-    (Timestamp, st.fixed_dictionaries({"epoch_ms": st.integers()})),
+    (Timestamp, st.fixed_dictionaries(
+        {"epoch_ms": st.integers(min_value=_FIRST_MS, max_value=_LAST_MS)})),
     (JobRecord, job_record_args),
     (RateSample, rate_sample_args()),
 ]
@@ -80,9 +82,19 @@ class TestTimestamp:
         assert Timestamp(1000) < Timestamp(1001)
 
     def test_wide_range_representable(self):
-        # At least 1990..2100 must fit; Python ints go well past that.
+        # At least 1990..2100 must fit; the span goes well past that.
         Timestamp(631_152_000_000)
         Timestamp(4_102_444_800_000)
+
+    def test_span_is_0001_to_9999(self):
+        assert Timestamp(_FIRST_MS).epoch_ms == -62_135_596_800_000  # 0001-01-01 00:00:00.000
+        assert Timestamp(_LAST_MS).epoch_ms == 253_402_300_799_999  # 9999-12-31 23:59:59.999
+
+    @pytest.mark.parametrize("epoch_ms", [_FIRST_MS - 1, _LAST_MS + 1, 10**20, -10**20])
+    def test_rejects_values_outside_the_span(self, epoch_ms):
+        with pytest.raises(ValueError, match=f"^epoch_ms {epoch_ms} is outside "
+                                             "0001-01-01 .. 9999-12-31 UTC$"):
+            Timestamp(epoch_ms)
 
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -22,6 +22,7 @@ from tracebw import (
     parsing,
     write_lanl_trace,
 )
+from tracebw.model import _FIRST_MS, _LAST_MS
 
 from .conftest import job_records, optional
 from .swf import SWF_FIELDS, format_swf_line, swf_cell
@@ -583,6 +584,16 @@ class TestFormatLanlLine:
     @given(job_records)
     def test_round_trip_reconstructs_exactly(self, rec):
         assert parse_lanl_line(format_lanl_line(rec), 1) == rec
+
+    def test_span_ends_survive_write_lanl_trace(self):
+        # Epoch seconds at the first millisecond, civil cells in years 0001 and 9999.
+        rec = JobRecord("j", Timestamp(_FIRST_MS), Timestamp(_FIRST_MS + 1),
+                        Timestamp(_LAST_MS), req_mem_kb=4, used_mem_kb=4)
+        sink = io.StringIO()
+        assert write_lanl_trace([rec], sink) == 1
+        stream = parse_trace(io.StringIO(sink.getvalue()), TraceFormat.LANL16)
+        assert list(stream) == [rec]
+        assert stream.report.malformed == 0
 
     def test_write_lanl_trace_counts_lines(self, thousand_jobs):
         records, _ = thousand_jobs

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from tracebw import (
     write_lanl_trace,
     write_sidecar,
 )
+from tracebw.synth import iter_jobs
 
 from .conftest import assert_rate_close
 
@@ -31,6 +33,8 @@ class TestGenSpec:
     @pytest.mark.parametrize("kwargs", [
         {"count": -1},
         {"inter_arrival_mean_ms": 0.0},
+        {"inter_arrival_mean_ms": math.inf},
+        {"inter_arrival_mean_ms": math.nan},
         {"runtime_min_ms": 0},
         {"runtime_min_ms": 10, "runtime_max_ms": 9},
         {"mem_kb_choices": ()},
@@ -51,6 +55,18 @@ class TestGenSpec:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("kwargs,job", [
+        ({"runtime_max_ms": 300_000_000_000_000_000}, 1),  # an end in the year ~4 million
+        ({"inter_arrival_mean_ms": 1e14}, 3),  # two jobs fit before year 9999 runs out
+        ({"inter_arrival_mean_ms": 1.7e308}, 1),  # the first gap overflows to infinity
+    ])
+    def test_a_job_outside_the_span_is_a_spec_error(self, kwargs, job):
+        jobs = iter_jobs(GenSpec(count=10, **kwargs))
+        for _ in range(job - 1):
+            next(jobs)
+        with pytest.raises(InvalidSpec, match=f"^job {job} leaves the timestamp span: "):
+            next(jobs)
+
     def test_empty_run(self):
         records, truth = generate(GenSpec(count=0))
         assert records == []

@@ -91,11 +91,27 @@ def test_format_day_matches_worksheet_style():
                  st.integers(min_value=_MIN_MS, max_value=_ms_of(1000, 1, 1))))
 @example(_ms_of(5, 3, 1, 0, 0, 0, 1000))
 @example(_ms_of(99, 12, 31, 23, 59, 59, 999000))
+@example(_MIN_MS)
 @example(_MIN_MS + 1)
 @example(_MAX_MS)
 def test_render_parse_round_trip(epoch_ms):
     ts = Timestamp(epoch_ms)
     assert parse_timestamp(format_timestamp(ts)) == ts
+
+
+@given(st.integers())
+@example(_MIN_MS - 1)
+@example(_MAX_MS + 1)
+@example(10**20)
+def test_every_timestamp_writes(epoch_ms):
+    # The writers are total because Timestamp holds nothing they cannot write.
+    try:
+        ts = Timestamp(epoch_ms)
+    except ValueError:
+        assert not _MIN_MS <= epoch_ms <= _MAX_MS
+        return
+    assert parse_timestamp(format_timestamp(ts)) == ts
+    assert format_day(ts) == reference_format_day(epoch_ms)
 
 
 # --- differential test against the datetime-based reference ----------------
@@ -239,6 +255,8 @@ def test_parse_timestamp_matches_reference(token):
 @example(0)
 @example(86_399_999)
 @example(86_400_000)
+@example(_MIN_MS)
+@example(_MAX_MS)
 def test_format_day_matches_reference(epoch_ms):
     assert format_day(Timestamp(epoch_ms)) == reference_format_day(epoch_ms)
 
@@ -257,6 +275,7 @@ _PIVOT_EDGES_MS = [(datetime(year, 1, 1, tzinfo=timezone.utc) - EPOCH) // _MS
 @example(-1000)
 @example(-1)
 @example(0)
+@example(_MIN_MS)
 @example(_MIN_MS + 1)
 @example(_MAX_MS)
 @example(_ms_of(5, 3, 1, 0, 0, 0, 1000))
