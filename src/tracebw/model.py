@@ -43,6 +43,10 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _FIRST_MS = (date.min.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
 _LAST_MS = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * _MS_PER_DAY - 1
 
+# A signed 64-bit field, the widest an accounting system stores; it keeps
+# every rate finite, even after per-processor memory scaling.
+_MAX_COUNT = 2**63 - 1
+
 #: Relative tolerance for the rate * duration == 1000 * n_bytes identity.
 RECONSTRUCTION_RTOL = 1e-12
 

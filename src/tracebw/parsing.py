@@ -66,7 +66,7 @@ from math import isfinite
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import IoFailure, MalformedLine
-from .model import MS_PER_S, JobRecord, ParseReport, Timestamp
+from .model import _MAX_COUNT, MS_PER_S, JobRecord, ParseReport, Timestamp
 from .timefmt import format_timestamp, parse_timestamp
 
 
@@ -102,11 +102,6 @@ def _timestamp(cell: str) -> Timestamp:
     # parse_timestamp is looked up per call so that a wrapper installed on
     # this module's attribute (as a tracer does) sees every cell.
     return parse_timestamp(cell)
-
-
-# A signed 64-bit field, the widest an accounting system stores; it keeps
-# every rate finite, even after per-processor memory scaling.
-_MAX_COUNT = 2**63 - 1
 
 
 def _count(cell: str) -> int:

@@ -36,7 +36,7 @@ from typing import IO, Iterable, Iterator
 
 from .bandwidth import BYTES_PER_KB
 from .errors import InvalidSpec, MalformedSidecar
-from .model import MS_PER_S, JobRecord, Timestamp
+from .model import _MAX_COUNT, MS_PER_S, JobRecord, Timestamp, _require_counts
 
 # 1994-05-10 00:00:00 UTC; generated traces start on this day.
 BASE_EPOCH_MS = 768_528_000_000
@@ -61,8 +61,10 @@ class GenSpec:
     missing_mem_frac: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
+        for name in ("seed", "count", "runtime_min_ms", "runtime_max_ms"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
         if self.count < 0:
             raise InvalidSpec(f"count must be >= 0, got {self.count}")
         if not 0 < self.inter_arrival_mean_ms < math.inf:
@@ -72,10 +74,12 @@ class GenSpec:
                 f"need 0 < runtime_min_ms <= runtime_max_ms, "
                 f"got {self.runtime_min_ms}..{self.runtime_max_ms}")
         for name in ("mem_kb_choices", "procs_choices"):
-            choices = getattr(self, name)
-            if not choices or any(c <= 0 for c in choices):
-                raise InvalidSpec(f"{name} must be a non-empty list of positive integers")
-            object.__setattr__(self, name, tuple(choices))
+            choices = tuple(getattr(self, name))
+            if not choices or not all(isinstance(c, int) and 0 < c <= _MAX_COUNT
+                                      for c in choices):
+                raise InvalidSpec(
+                    f"{name} must be a non-empty list of integers from 1 to 2**63 - 1")
+            object.__setattr__(self, name, choices)
         for name in ("missing_start_frac", "missing_end_frac", "missing_mem_frac"):
             frac = getattr(self, name)
             if not 0.0 <= frac <= 1.0:
@@ -88,7 +92,8 @@ class GroundTruth:
 
     ``rates`` pairs each valid job's id with its exact rate in bytes per
     second, in trace order. ``expected_valid`` is the number of rates, so
-    it is not a constructor argument.
+    it is not a constructor argument; ``expected_omitted`` must be an
+    integer >= 0.
     """
 
     expected_valid: int = field(init=False)
@@ -96,26 +101,8 @@ class GroundTruth:
     rates: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
+        _require_counts([("expected_omitted", self.expected_omitted)])
         object.__setattr__(self, "expected_valid", len(self.rates))
-
-
-class _Draws:
-    """All randomness, derived from Random.random() alone."""
-
-    def __init__(self, seed: int):
-        self._random = random.Random(seed).random
-
-    def exponential(self, mean: float) -> float:
-        return -mean * math.log(1.0 - self._random())
-
-    def int_between(self, lo: int, hi: int) -> int:
-        return lo + int(self._random() * (hi - lo + 1))
-
-    def pick(self, choices: tuple[int, ...]) -> int:
-        return choices[int(self._random() * len(choices))]
-
-    def coin(self, probability: float) -> bool:
-        return self._random() < probability
 
 
 def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
@@ -128,40 +115,46 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
     Nothing is kept between jobs, so memory stays flat at any count. A
     job that cannot be built, such as one drawn outside the timestamp
     span, raises InvalidSpec naming it.
+
+    All randomness comes from ``Random(spec.seed).random()`` alone, the
+    one method whose stream CPython keeps stable across versions. Each
+    job's eight draws are written out below in the module's fixed order;
+    another method, order or float expression would change every fixture.
     """
-    draws = _Draws(spec.seed)
+    draw = random.Random(spec.seed).random
+    log = math.log
+    mean_gap = spec.inter_arrival_mean_ms
+    wait_span = _MAX_WAIT_MS + 1
+    runtime_min = spec.runtime_min_ms
+    runtime_span = spec.runtime_max_ms - runtime_min + 1
+    mem_choices = spec.mem_kb_choices
+    n_mem = len(mem_choices)
+    procs_choices = spec.procs_choices
+    n_procs = len(procs_choices)
+    start_frac = spec.missing_start_frac
+    end_frac = spec.missing_end_frac
+    mem_frac = spec.missing_mem_frac
     submit_ms = BASE_EPOCH_MS
     for i in range(spec.count):
         try:
-            submit_ms += int(round(draws.exponential(spec.inter_arrival_mean_ms)))
-            wait_ms = draws.int_between(0, _MAX_WAIT_MS)
-            runtime_ms = draws.int_between(spec.runtime_min_ms, spec.runtime_max_ms)
-            mem_kb = draws.pick(spec.mem_kb_choices)
-            procs = draws.pick(spec.procs_choices)
-            drop_start = draws.coin(spec.missing_start_frac)
-            drop_end = draws.coin(spec.missing_end_frac)
-            drop_mem = draws.coin(spec.missing_mem_frac)
+            submit_ms += round(-mean_gap * log(1.0 - draw()))
+            wait_ms = int(draw() * wait_span)
+            runtime_ms = runtime_min + int(draw() * runtime_span)
+            mem_kb = mem_choices[int(draw() * n_mem)]
+            procs = procs_choices[int(draw() * n_procs)]
+            drop_start = draw() < start_frac
+            drop_end = draw() < end_frac
+            drop_mem = draw() < mem_frac
 
             start_ms = submit_ms + wait_ms
             cpu_s = procs * (runtime_ms / MS_PER_S)
+            mem = None if drop_mem else mem_kb
             record = JobRecord(
-                job_id=f"j{i + 1:06d}",
-                submit_time=Timestamp(submit_ms),
-                start_time=None if drop_start else Timestamp(start_ms),
-                end_time=None if drop_end else Timestamp(start_ms + runtime_ms),
-                req_procs=procs,
-                used_procs=procs,
-                req_cpu_s=cpu_s,
-                used_cpu_s=cpu_s,
-                req_mem_kb=None if drop_mem else mem_kb,
-                used_mem_kb=None if drop_mem else mem_kb,
-                queue=f"q{procs}",
-                dedicated=False,
-                user=f"u{i % 23 + 1:03d}",
-                project=f"p{i % 7 + 1:02d}",
-                executable=f"app{i % 11 + 1}",
-                exit_code=0,
-            )
+                f"j{i + 1:06d}", Timestamp(submit_ms),
+                None if drop_start else Timestamp(start_ms),
+                None if drop_end else Timestamp(start_ms + runtime_ms),
+                procs, procs, cpu_s, cpu_s, mem, mem, f"q{procs}", False,
+                f"u{i % 23 + 1:03d}", f"p{i % 7 + 1:02d}", f"app{i % 11 + 1}", 0)
         except (ValueError, OverflowError) as exc:
             raise InvalidSpec(f"job {i + 1} leaves the timestamp span: {exc}") from exc
         if drop_start or drop_end or drop_mem:
@@ -217,10 +210,10 @@ def read_sidecar(source: Iterable[str]) -> GroundTruth:
     """Parse a ground-truth sidecar written by write_sidecar.
 
     Raises MalformedSidecar, with the line number, for a missing or
-    malformed header line, for a rate line that is not
-    ``job_id numerator/denominator`` with integers and a nonzero
-    denominator, and (naming line 1) for an ``expected_valid`` that is not
-    the number of rate lines. Blank rate lines are skipped.
+    malformed header line (each holds an integer >= 0), for a rate line
+    that is not ``job_id numerator/denominator`` with integers and a
+    nonzero denominator, and (naming line 1) for an ``expected_valid``
+    that is not the number of rate lines. Blank rate lines are skipped.
     """
     lines = [line.rstrip("\n") for line in source]
     expected_valid = _header_count(lines, 1, "expected_valid")
@@ -239,7 +232,11 @@ def read_sidecar(source: Iterable[str]) -> GroundTruth:
     if expected_valid != len(rates):
         raise MalformedSidecar(
             1, f"expected_valid={expected_valid}, but the rate line count is {len(rates)}")
-    return GroundTruth(expected_omitted, tuple(rates))
+    try:
+        return GroundTruth(expected_omitted, tuple(rates))
+    except ValueError:
+        raise MalformedSidecar(
+            2, f"expected expected_omitted=<count>, got {lines[1]!r}") from None
 
 
 def load_genspec(source: Iterable[str]) -> GenSpec:

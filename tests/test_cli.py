@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import io
 import os
 import random
@@ -282,6 +283,21 @@ class TestGen:
         assert (tmp_path / "a.trace").read_bytes() == (tmp_path / "b.trace").read_bytes()
         assert (tmp_path / "a.trace.truth").read_bytes() \
             == (tmp_path / "b.trace.truth").read_bytes()
+
+    def test_gen_bytes_are_pinned(self, tmp_path, capsys):
+        # gen's bytes for this spec, fixed across commits: a change to a draw,
+        # the draw order or a written cell shows here.
+        spec = self.write_spec(tmp_path, "seed=11\ncount=1000\nmissing_start_frac=0.05\n"
+                                         "missing_end_frac=0.02\nmissing_mem_frac=0.02\n")
+        out_path = tmp_path / "fix.trace"
+        assert main(["gen", str(spec), "--out", str(out_path)]) == 0
+        assert out_err(capsys) == ("", "count=1000\nexpected_valid=907\nexpected_omitted=93\n")
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out_path, tmp_path / "fix.trace.truth")]
+        assert digests == [
+            "d6e37720bcd0da062ffa05f80f44443703b63e1d9086844ae48e504c22564623",
+            "1cbfbdb9bd07f3bbb29201eb73b8d000dc69c819d56f52c32928121d2dca6ba4",
+        ]
 
     def test_gen_then_summary_matches_sidecar(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
@@ -647,6 +663,8 @@ class TestExitCodes:
         ("count=5\nruntime_max_ms=300000000000000000\n",
          "job 1 leaves the timestamp span: epoch_ms 126172242777411186 is outside "
          "0001-01-01 .. 9999-12-31 UTC"),
+        ("count=5\nmem_kb_choices=1024,9223372036854775808\n",
+         "mem_kb_choices must be a non-empty list of integers from 1 to 2**63 - 1"),
     ])
     def test_gen_spec_outside_the_span_is_usage_error(self, tmp_path, capsys, spec_text,
                                                       error):

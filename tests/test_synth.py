@@ -43,10 +43,27 @@ class TestGenSpec:
         {"missing_start_frac": 1.5},
         {"missing_end_frac": -0.1},
         {"seed": "42"},
+        # Choices above the parsers' 2**63 - 1 count cap; integer fields given a non-integer.
+        {"mem_kb_choices": (2**63,)},
+        {"procs_choices": (10**309,)},
+        {"mem_kb_choices": (1.5,)},
+        {"runtime_min_ms": 1.5},
+        {"runtime_max_ms": 3.6e6},
+        {"count": 2.5},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(InvalidSpec):
             GenSpec(**kwargs)
+
+    def test_widest_count_the_parsers_read_is_a_valid_choice(self):
+        spec = GenSpec(count=3, mem_kb_choices=(2**63 - 1,), procs_choices=(2**63 - 1,))
+        records, truth = generate(spec)
+        sink = io.StringIO()
+        write_lanl_trace(records, sink)
+        stream = parse_trace(io.StringIO(sink.getvalue()), TraceFormat.LANL16)
+        assert list(stream) == records
+        assert stream.report.malformed == 0
+        assert truth.expected_valid == 3
 
     def test_choice_lists_become_tuples(self):
         spec = GenSpec(mem_kb_choices=[1, 2], procs_choices=[3])
@@ -183,6 +200,11 @@ class TestSidecar:
         with pytest.raises(TypeError):
             GroundTruth(5, 2, ())
 
+    @pytest.mark.parametrize("omitted", [-5, 2.5, "2"])
+    def test_omitted_count_is_a_count(self, omitted):
+        with pytest.raises(ValueError, match="^expected_omitted must be a non-negative integer"):
+            GroundTruth(expected_omitted=omitted, rates=())
+
     @pytest.mark.parametrize("text,line_no", [
         ("", 1),
         ("expected_valid=1\n", 2),
@@ -192,6 +214,8 @@ class TestSidecar:
         ("expected_valid=1\nexpected_omitted=0\nj1\n", 3),
         ("expected_valid=2\nexpected_omitted=0\nj1 1/2\n\nj2 3\n", 5),
         ("expected_valid=1\nexpected_omitted=0\nj1 a/2\n", 3),
+        ("expected_valid=0\nexpected_omitted=-5\n", 2),
+        ("expected_valid=1\nexpected_omitted=-1\nj1 1/2\n", 2),
     ])
     def test_malformed_lines_name_their_line(self, text, line_no):
         with pytest.raises(MalformedSidecar) as info:
