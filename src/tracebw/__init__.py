@@ -46,7 +46,19 @@ from .parsing import (
     parse_trace,
     write_lanl_trace,
 )
-from .synth import GenSpec, GroundTruth, generate, load_genspec, read_sidecar, write_sidecar
+
+# The generator's names load synth (and with it fractions and decimal) on
+# first use, so the read path never pays for them (PEP 562).
+_SYNTH_NAMES = frozenset(
+    ("GenSpec", "GroundTruth", "generate", "load_genspec", "read_sidecar", "write_sidecar"))
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -34,7 +34,6 @@ from .errors import InvalidSpec, IoFailure
 from .export import summarize, write_csv, write_worksheet
 from .model import JobRecord, ParseReport, RateFlag, RateSample, TraceSummary
 from .parsing import TraceFormat, parse_trace, write_lanl_trace
-from .synth import format_sidecar_header, format_sidecar_line, iter_jobs, load_genspec
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -195,6 +194,9 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
+    # Only gen loads the generator, and with it fractions and decimal.
+    from .synth import format_sidecar_header, format_sidecar_line, iter_jobs, load_genspec
+
     with open(args.genspec, encoding="utf-8") as handle:
         spec = load_genspec(handle)
     valid = 0

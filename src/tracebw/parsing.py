@@ -13,7 +13,16 @@ LANL16
     integer epoch seconds or ``Mon DD YY[ HH:MM:SS[.mmm]]``. Columns are
     tab-separated; cells may contain spaces (the civil timestamp form
     does). Lines without any tab fall back to whitespace-run splitting,
-    in which case timestamps must use the epoch-seconds form.
+    in which case timestamps must use the epoch-seconds form. A line in
+    the plain form, as ``tracebw gen`` writes it, where single tabs
+    separate a non-empty job id and 15 cells that neither start nor end
+    with a space, and each count, seconds, flag and exit-code cell is
+    ``-1`` or 1-15 ASCII digits (a decimal fraction allowed in the two
+    seconds cells), is checked by one compiled pattern and converted
+    directly. Its timestamp cells go to
+    :func:`~tracebw.timefmt.parse_timestamp` as on any other line, and
+    one that it refuses sends the line to the column table, which names
+    the reason.
 
 ARCHIVE18
     The public archive's 18-field layout: one line of whitespace-separated
@@ -34,10 +43,11 @@ ARCHIVE18
     both give the same record. There is no ARCHIVE18 writer.
 
 Each format is one column table: a tuple of (field name, converter,
-reason code) entries in column order, run by one loop per line (for
-ARCHIVE18, per line not in the plain form, whose pattern is built from
-the same table); the format's field count is the table's length plus the
-verbatim job id. A converter turns a cell into a value; when it raises
+reason code) entries in column order, run by one loop per line not in the
+plain form; the format's field count is the table's length plus the
+verbatim job id. Both formats' plain-form patterns are built from their
+tables and one token grammar per converter, so a token rule is written
+once for both. A converter turns a cell into a value; when it raises
 ValueError the line is malformed with the entry's reason code and the
 detail ``name='cell'``, and when it finds a value below zero in a
 non-negative column the reason is ``negative-value`` with the detail
@@ -161,28 +171,6 @@ _LANL_COLUMNS = (
 LANL_FIELD_COUNT = 1 + len(_LANL_COLUMNS)
 
 
-def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
-    """Parse one 16-column record line into a JobRecord.
-
-    Raises MalformedLine when the column count is wrong or a cell fails
-    to parse; the caller decides whether that ends the session (the
-    streaming parser just counts it).
-    """
-    cells = _split_lanl(line)
-    if len(cells) != LANL_FIELD_COUNT:
-        raise MalformedLine(line_no, "column-count",
-                            f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")
-    values = [cells[0]]
-    append = values.append
-    try:
-        for (_, convert, _), cell in zip(_LANL_COLUMNS, cells[1:]):
-            append(None if cell in _MISSING_TOKENS else convert(cell))
-    except (ValueError, _NegativeValue) as exc:
-        failed = len(values)
-        raise _malformed(line_no, _LANL_COLUMNS[failed - 1], cells[failed], exc) from exc
-    return JobRecord(*values)
-
-
 def _swf_int(cell: str) -> int | None:
     # Integral floats such as "4.0" are accepted; -1 is absent.
     try:
@@ -245,33 +233,107 @@ _ARCHIVE_COLUMNS = (
 )
 ARCHIVE_FIELD_COUNT = 1 + len(_ARCHIVE_COLUMNS)
 
-# The plain form of a line: each field is -1 or 1-15 ASCII digits, and a
-# seconds field may add a decimal fraction; runs of spaces or tabs separate the
-# fields, as in aligned columns. The table reads every field but the five
-# seconds ones as an integer with -1 absent, and the benchmark generator writes
-# every valid line in this form. Such a token is far below _MAX_COUNT and its
-# only negative is -1, so on such a line each converter returns what its first
-# float or int call gives, with -1 absent. The pattern is built from the table.
+# The plain form of a cell, by converter: a count, flag or exit code is -1 or
+# 1-15 ASCII digits, and a seconds cell may add a decimal fraction. Such a
+# token is far below _MAX_COUNT and its only negative is -1, so each converter
+# returns what its first int or float call gives, with -1 absent. A text or
+# timestamp cell, and a LANL16 job id, is any run without a tab that neither
+# starts nor ends with a space: so it is not empty, and the LANL16 split strips
+# nothing from it. parse_timestamp is a timestamp cell's grammar on both routes.
 _INT_TOKEN = r"(?:-1|\d{1,15})"
+_REAL_TOKEN = r"(?:-1|\d{1,15}(?:\.\d*)?)"
+_TEXT_TOKEN = r"(?:[^\t ](?:[^\t]*[^\t ])?)"
 _PLAIN_TOKEN = {
-    _swf_seconds: r"(?:-1|\d{1,15}(?:\.\d*)?)",
+    _count: _INT_TOKEN,
+    _flag: _INT_TOKEN,
+    int: _INT_TOKEN,
     _swf_amount: _INT_TOKEN,
     _swf_int: _INT_TOKEN,
     _swf_label: _INT_TOKEN,
+    _seconds: _REAL_TOKEN,
+    _swf_seconds: _REAL_TOKEN,
+    str: _TEXT_TOKEN,
+    _timestamp: _TEXT_TOKEN,
 }
+
+# A plain LANL16 line: single tabs between the job id and the 15 cells, as
+# format_lanl_line writes them.
+_PLAIN_LANL_PATTERN = _TEXT_TOKEN + "".join("\t" + _PLAIN_TOKEN[convert]
+                                            for _, convert, _ in _LANL_COLUMNS)
+
+# A plain ARCHIVE18 line: runs of spaces or tabs separate the fields, as in
+# aligned columns. The benchmark generator writes every valid line this way.
 _PLAIN_ARCHIVE_PATTERN = (r"[ \t]*\S+"
                           + "".join(r"[ \t]+" + _PLAIN_TOKEN[convert]
                                     for _, convert, _ in _ARCHIVE_COLUMNS)
                           + r"[ \t]*")
 
 
+def _plain_lanl_line(line: str) -> re.Match | None:
+    # Compiling the pattern takes about a millisecond, so it waits for the first
+    # LANL16 line. This name is then rebound to the compiled fullmatch, so the
+    # check makes no Python call on later lines.
+    global _plain_lanl_line
+    _plain_lanl_line = re.compile(_PLAIN_LANL_PATTERN, re.ASCII).fullmatch
+    return _plain_lanl_line(line)
+
+
 def _plain_archive_line(line: str) -> re.Match | None:
-    # Compiling the pattern takes over a millisecond, so it waits for the first
-    # ARCHIVE18 line. This name is then rebound to the compiled fullmatch, so
-    # the check makes no Python call on later lines.
+    # As _plain_lanl_line, on the first ARCHIVE18 line.
     global _plain_archive_line
     _plain_archive_line = re.compile(_PLAIN_ARCHIVE_PATTERN, re.ASCII).fullmatch
     return _plain_archive_line(line)
+
+
+def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
+    """Parse one 16-column record line into a JobRecord.
+
+    Raises MalformedLine when the column count is wrong or a cell fails
+    to parse; the caller decides whether that ends the session (the
+    streaming parser just counts it).
+    """
+    if _plain_lanl_line(line):
+        # What the table's converters would return, computed inline, as for
+        # ARCHIVE18. Only a timestamp cell can fail here, and then the table
+        # below names the reason.
+        (job_id, submit, start, end, req_procs, used_procs, req_cpu_s, used_cpu_s,
+         req_mem_kb, used_mem_kb, queue, dedicated, user, project, executable,
+         exit_code) = line.split("\t")
+        try:
+            # parse_timestamp is looked up per cell so that a wrapper installed
+            # on this module's attribute (as a tracer does) sees every cell.
+            submit = None if submit == "-1" else parse_timestamp(submit)
+            start = None if start == "-1" else parse_timestamp(start)
+            end = None if end == "-1" else parse_timestamp(end)
+        except ValueError:
+            pass
+        else:
+            return JobRecord(job_id, submit, start, end,
+                             None if req_procs == "-1" else int(req_procs),
+                             None if used_procs == "-1" else int(used_procs),
+                             None if req_cpu_s == "-1" else float(req_cpu_s),
+                             None if used_cpu_s == "-1" else float(used_cpu_s),
+                             None if req_mem_kb == "-1" else int(req_mem_kb),
+                             None if used_mem_kb == "-1" else int(used_mem_kb),
+                             None if queue == "-1" else queue,
+                             None if dedicated == "-1" else int(dedicated) != 0,
+                             None if user == "-1" else user,
+                             None if project == "-1" else project,
+                             None if executable == "-1" else executable,
+                             None if exit_code == "-1" else int(exit_code))
+    cells = _split_lanl(line)
+    if len(cells) != LANL_FIELD_COUNT:
+        raise MalformedLine(line_no, "column-count",
+                            f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")
+    values = [cells[0]]
+    append = values.append
+    try:
+        for (_, convert, _), cell in zip(_LANL_COLUMNS, cells[1:]):
+            append(None if cell in _MISSING_TOKENS else convert(cell))
+    except (ValueError, _NegativeValue) as exc:
+        failed = len(values)
+        raise _malformed(line_no, _LANL_COLUMNS[failed - 1], cells[failed], exc) from exc
+    return JobRecord(*values)
 
 
 def _ms(value_s: float | None) -> Timestamp | None:

@@ -36,12 +36,16 @@ from typing import IO, Iterable, Iterator
 
 from .bandwidth import BYTES_PER_KB
 from .errors import InvalidSpec, MalformedSidecar
-from .model import _MAX_COUNT, MS_PER_S, JobRecord, Timestamp, _require_counts
+from .model import _FIRST_MS, _LAST_MS, _MAX_COUNT, MS_PER_S, JobRecord, Timestamp, _require_counts
 
 # 1994-05-10 00:00:00 UTC; generated traces start on this day.
 BASE_EPOCH_MS = 768_528_000_000
 
 _MAX_WAIT_MS = 60_000
+
+# No job outlasts the timestamp span; a longer runtime could only be refused
+# later, as whatever its arithmetic overflows first.
+_MAX_RUNTIME_MS = _LAST_MS - _FIRST_MS
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,10 @@ class GenSpec:
             raise InvalidSpec(f"count must be >= 0, got {self.count}")
         if not 0 < self.inter_arrival_mean_ms < math.inf:
             raise InvalidSpec("inter_arrival_mean_ms must be positive and finite")
-        if not 0 < self.runtime_min_ms <= self.runtime_max_ms:
+        if not 0 < self.runtime_min_ms <= self.runtime_max_ms <= _MAX_RUNTIME_MS:
             raise InvalidSpec(
-                f"need 0 < runtime_min_ms <= runtime_max_ms, "
-                f"got {self.runtime_min_ms}..{self.runtime_max_ms}")
+                f"need 0 < runtime_min_ms <= runtime_max_ms <= {_MAX_RUNTIME_MS} "
+                f"(the timestamp span), got {self.runtime_min_ms}..{self.runtime_max_ms}")
         for name in ("mem_kb_choices", "procs_choices"):
             choices = tuple(getattr(self, name))
             if not choices or not all(isinstance(c, int) and 0 < c <= _MAX_COUNT

@@ -660,9 +660,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("spec_text,error", [
         ("count=5\ninter_arrival_mean_ms=inf\n",
          "inter_arrival_mean_ms must be positive and finite"),
-        ("count=5\nruntime_max_ms=300000000000000000\n",
-         "job 1 leaves the timestamp span: epoch_ms 126172242777411186 is outside "
+        ("count=5\nruntime_min_ms=315537897599999\nruntime_max_ms=315537897599999\n",
+         "job 1 leaves the timestamp span: epoch_ms 316306425757113 is outside "
          "0001-01-01 .. 9999-12-31 UTC"),
+        ("count=5\nruntime_max_ms=300000000000000000\n",
+         "need 0 < runtime_min_ms <= runtime_max_ms <= 315537897599999 "
+         "(the timestamp span), got 1000..300000000000000000"),
+        ("count=1\nmissing_end_frac=1\nruntime_min_ms=1" + "0" * 400
+         + "\nruntime_max_ms=1" + "0" * 400 + "\n",
+         f"need 0 < runtime_min_ms <= runtime_max_ms <= 315537897599999 "
+         f"(the timestamp span), got 1{'0' * 400}..1{'0' * 400}"),
         ("count=5\nmem_kb_choices=1024,9223372036854775808\n",
          "mem_kb_choices must be a non-empty list of integers from 1 to 2**63 - 1"),
     ])
@@ -721,6 +728,18 @@ def test_streams_separate_in_subprocess(small_trace):
     assert result.stdout.splitlines()[0] == "Start date,End date,Mbytes,Bytes"
     assert "parsed=3" in result.stderr
     assert "Start date" not in result.stderr
+
+
+def test_only_gen_loads_the_generator_in_subprocess():
+    # The read commands start without synth and the fractions and decimal it
+    # imports; the package still serves the generator's names on first use.
+    code = ("import sys, tracebw.cli\n"
+            "print(sorted({'tracebw.synth', 'fractions', 'decimal'} & set(sys.modules)))\n"
+            "from tracebw import GenSpec, generate\n"
+            "print(generate(GenSpec(count=1))[1].expected_valid, 'tracebw.synth' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n1 True\n"
 
 
 def test_reader_closing_early_in_subprocess(tmp_path):

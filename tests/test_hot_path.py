@@ -23,10 +23,10 @@ from operator import itemgetter
 import pytest
 
 from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateSample, Timestamp,
-                     TraceFormat, generate, iter_rates, parse_trace, summarize, write_csv,
-                     write_worksheet)
+                     TraceFormat, generate, iter_rates, parse_trace, parsing, summarize,
+                     write_csv, write_worksheet)
 from tracebw.cli import main
-from tracebw.parsing import format_lanl_line, parse_archive_line, write_lanl_trace
+from tracebw.parsing import format_lanl_line, parse_archive_line, parse_lanl_line, write_lanl_trace
 from tracebw.synth import iter_jobs
 
 from .swf import format_swf_line
@@ -121,10 +121,11 @@ def calls_per_line(run, lines: list[str]) -> float:
 # Bounds: the count measured with this test's inputs plus one. Measured
 # per line, before the ARCHIVE18 plain-token check and the writers' inline
 # Mbyte division -> after them (CPython 3.11): civil 29.91 -> 29.00,
-# epoch 26.60 -> 25.65, archive 41.71 -> 16.32.
+# epoch 26.60 -> 25.65, archive 41.71 -> 16.32; then before the LANL16
+# plain-line check -> after it: civil 29.00 -> 18.11, epoch 25.65 -> 14.75.
 @pytest.mark.parametrize("make_lines,run,bound", [
-    (civil_lines, civil_worksheet, 29.00 + 1),
-    (epoch_lines, epoch_csv, 25.65 + 1),
+    (civil_lines, civil_worksheet, 18.11 + 1),
+    (epoch_lines, epoch_csv, 14.75 + 1),
     (archive_lines, archive_summary, 16.32 + 1),
 ], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
 def test_python_calls_per_line(make_lines, run, bound):
@@ -177,6 +178,56 @@ def test_integral_float_in_an_integer_column_takes_the_column_table():
     line = plain.replace(" 32 ", " 32.0 ", 1)
     assert parse_archive_line(line) == parse_archive_line(plain)
     assert count_calls(parse_archive_line, line) >= PLAIN_ARCHIVE_CALLS + 17
+
+
+# A plain LANL16 line calls no converter: parse_lanl_line itself, then
+# parse_timestamp and Timestamp for each of the three times, and JobRecord.
+PLAIN_LANL_CALLS = 8
+
+PLAIN_CIVIL_LINE = ("j000001\tMay 10 94 00:00:36.130\tMay 10 94 00:01:09.716"
+                    "\tMay 10 94 00:56:36.950\t256\t256\t851771.904\t851771.904"
+                    "\t307200\t307200\tq256\t0\tu001\tp01\tapp1\t0")
+
+
+@pytest.mark.parametrize("line", [
+    PLAIN_CIVIL_LINE,
+    PLAIN_CIVIL_LINE.replace("May 10 94 00:01:09.716", "-1"),
+    PLAIN_CIVIL_LINE.replace("May 10 94 00:00:36.130", "768528036"),
+], ids=["benchmark", "benchmark-missing-start", "epoch-submit"])
+def test_plain_lanl_line_skips_the_column_table(line):
+    parse_lanl_line(line)  # warm-up: the first LANL16 line compiles the pattern
+    assert count_calls(parse_lanl_line, line) <= PLAIN_LANL_CALLS
+
+
+def test_space_padded_cell_takes_the_column_table():
+    line = PLAIN_CIVIL_LINE.replace("\tq256", "\t q256", 1)
+    assert parse_lanl_line(line) == parse_lanl_line(PLAIN_CIVIL_LINE)
+    # The split, then a converter for each of the ten non-text columns.
+    assert count_calls(parse_lanl_line, line) >= PLAIN_LANL_CALLS + 11
+
+
+def test_every_timestamp_cell_reaches_the_module_attribute(monkeypatch):
+    # A tracer counts timestamp cells and records by wrapping these two names
+    # in tracebw.parsing, so neither route may bypass them.
+    calls = {"parse_timestamp": 0, "JobRecord": 0}
+
+    def counted(name):
+        target = getattr(parsing, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return target(*args)
+        return wrapper
+
+    for lines in (civil_lines(), epoch_lines()):
+        cells = sum(cell != "-1" for line in lines for cell in line.split("\t")[1:4])
+        calls.update(parse_timestamp=0, JobRecord=0)
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(parsing, name, counted(name))
+            records = list(parse_trace(lines, TraceFormat.LANL16))
+        assert len(records) == len(lines)
+        assert calls == {"parse_timestamp": cells, "JobRecord": len(records)}
 
 
 def marginal_calls_per_line(run, small, large, lines: int) -> float:

@@ -452,6 +452,81 @@ def test_odd_token_in_any_field_agrees_with_the_column_table(token):
         assert _parsed(line, True) == _parsed_by_the_table(line, True), SWF_FIELDS[field]
 
 
+# --- LANL16 plain-line check against the column table --------------------------
+
+# Tokens that the table reads in some column but that are not in the plain
+# form, or only just are, or are plain only as text or a timestamp.
+_ODD_LANL_TOKENS = [
+    "", " 5", "5 ", "\xa05",  # empty; a space beside a tab; a space the split keeps
+    "00", "-5", "+7", "1_0", "-0", "-2", "\u0663",
+    "4.0", ".5", ".", "1e3", "1.5e+20", "1e400", "nan", "inf", "9" * 16, str(2**63),
+    "1234567890123", "999999999999",  # a 13-digit epoch; 12 digits, past the span
+    "Feb 30 94 12:00:00.000", "May 10 94 25:00:00.000",
+    "-1",
+]
+_PLAIN_LANL_LINE = ("j1\tMay 10 94 00:00:36.130\t768453010\tMay 10 94 00:56:36.950"
+                    "\t32\t32\t100.5\t90\t32768\t30000\tq1\t1\tu1\tp1\ta.out\t0")
+
+
+@st.composite
+def _mixed_lanl_lines(draw) -> str:
+    """A written line, some epoch cells in it, with one odd token, separator
+    or edge swapped in, or no tab at all."""
+    cells = format_lanl_line(draw(job_records)).split("\t")
+    for column in draw(st.sets(st.sampled_from([1, 2, 3]))):
+        cells[column] = draw(st.integers(-10**13, 10**13).map(str))
+    separators = ["\t"] * 15
+    edges = ["", ""]
+    odd = draw(st.sampled_from(["none", "token", "token", "separator", "no tab", "edge"]))
+    if odd == "token":
+        cells[draw(st.sampled_from(range(16)))] = draw(
+            st.sampled_from(_ODD_LANL_TOKENS) | st.text(max_size=4))
+    elif odd == "separator":
+        separators[draw(st.sampled_from(range(15)))] = draw(
+            st.sampled_from([" \t", "\t ", "\t\t", " ", "\v"]))
+    elif odd == "no tab":
+        separators = [draw(st.sampled_from([" ", "   "]))] * 15
+    elif odd == "edge":
+        edges[draw(st.sampled_from([0, 1]))] = draw(
+            st.sampled_from([" ", "\t", "\n", "\r\n", "\xa0"]))
+    return (edges[0] + cells[0] + "".join(map("".join, zip(separators, cells[1:])))
+            + edges[1])
+
+
+def _parsed_lanl(line: str) -> str:
+    """What parse_lanl_line gives: the record's repr or the MalformedLine text."""
+    try:
+        return repr(parse_lanl_line(line, 7))
+    except MalformedLine as exc:
+        return f"MalformedLine: {exc}"
+
+
+def _parsed_lanl_by_the_table(line: str) -> str:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parsing, "_plain_lanl_line", lambda line: None)
+        return _parsed_lanl(line)
+
+
+@given(_mixed_lanl_lines())
+def test_plain_lanl_line_check_agrees_with_the_column_table(line):
+    assert _parsed_lanl(line) == _parsed_lanl_by_the_table(line)
+
+
+@pytest.mark.parametrize("token", _ODD_LANL_TOKENS)
+def test_odd_token_in_any_lanl_column_agrees_with_the_column_table(token):
+    assert parsing._plain_lanl_line(_PLAIN_LANL_LINE)
+    cells = _PLAIN_LANL_LINE.split("\t")
+    for column in range(16):
+        line = "\t".join(cells[:column] + [token] + cells[column + 1:])
+        assert _parsed_lanl(line) == _parsed_lanl_by_the_table(line), column
+
+
+def test_lanl_line_with_no_tab_agrees_with_the_column_table():
+    line = LANL_LINE.replace("\t", " ")
+    assert not parsing._plain_lanl_line(line)
+    assert _parsed_lanl(line) == _parsed_lanl_by_the_table(line)
+
+
 class TestParseTrace:
     def test_counts_valid_and_malformed(self):
         lines = [LANL_LINE, LANL_LINE, "short\tline", LANL_LINE]

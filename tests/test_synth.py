@@ -50,6 +50,9 @@ class TestGenSpec:
         {"runtime_min_ms": 1.5},
         {"runtime_max_ms": 3.6e6},
         {"count": 2.5},
+        # A runtime longer than the timestamp span, which no job can fit.
+        {"runtime_max_ms": 315_537_897_600_000},
+        {"runtime_max_ms": 300_000_000_000_000_000},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(InvalidSpec):
@@ -65,6 +68,14 @@ class TestGenSpec:
         assert stream.report.malformed == 0
         assert truth.expected_valid == 3
 
+    def test_runtime_past_the_span_names_the_runtime_bounds(self):
+        # The end is knocked out, so only the CPU seconds could overflow: the spec,
+        # not the span, is at fault.
+        with pytest.raises(InvalidSpec, match=r"^need 0 < runtime_min_ms <= runtime_max_ms "
+                                              r"<= 315537897599999 \(the timestamp span\)"):
+            GenSpec(count=1, runtime_min_ms=10**400, runtime_max_ms=10**400,
+                    missing_end_frac=1)
+
     def test_choice_lists_become_tuples(self):
         spec = GenSpec(mem_kb_choices=[1, 2], procs_choices=[3])
         assert spec.mem_kb_choices == (1, 2)
@@ -73,7 +84,8 @@ class TestGenSpec:
 
 class TestGenerate:
     @pytest.mark.parametrize("kwargs,job", [
-        ({"runtime_max_ms": 300_000_000_000_000_000}, 1),  # an end in the year ~4 million
+        # Every runtime is the whole span, so every end is past the year 9999.
+        ({"runtime_min_ms": 315_537_897_599_999, "runtime_max_ms": 315_537_897_599_999}, 1),
         ({"inter_arrival_mean_ms": 1e14}, 3),  # two jobs fit before year 9999 runs out
         ({"inter_arrival_mean_ms": 1.7e308}, 1),  # the first gap overflows to infinity
     ])
