@@ -477,29 +477,6 @@ def parse_trace(source: Iterable[str] | IO[str], format: TraceFormat | str, *,
     return TraceStream(source, format, scale_per_proc_memory=scale_per_proc_memory)
 
 
-# Cell writers for format_lanl_line: an absent value is written as "-1".
-
-def _opt_ts(ts: Timestamp | None) -> str:
-    # format_timestamp is looked up per call, as parse_timestamp is above.
-    return "-1" if ts is None else format_timestamp(ts)
-
-
-def _opt_int(value: int | None) -> str:
-    return "-1" if value is None else str(value)
-
-
-def _opt_real(value: float | None) -> str:
-    return "-1" if value is None else repr(float(value))
-
-
-def _opt_text(value: str | None) -> str:
-    return "-1" if value is None else value
-
-
-def _opt_flag(value: bool | None) -> str:
-    return "-1" if value is None else ("1" if value else "0")
-
-
 def format_lanl_line(record: JobRecord) -> str:
     """Render a JobRecord as one canonical tab-separated LANL16 line.
 
@@ -511,23 +488,26 @@ def format_lanl_line(record: JobRecord) -> str:
     exit code of exactly -1 cannot survive the trip and comes back as a
     different (or absent) value.
     """
+    # Each cell inline, as parse_lanl_line reads them: a Python call per cell
+    # would cost more than the line. format_timestamp is looked up per cell so
+    # that a wrapper installed on this module's attribute sees every one.
     return "\t".join((
         record.job_id,
-        _opt_ts(record.submit_time),
-        _opt_ts(record.start_time),
-        _opt_ts(record.end_time),
-        _opt_int(record.req_procs),
-        _opt_int(record.used_procs),
-        _opt_real(record.req_cpu_s),
-        _opt_real(record.used_cpu_s),
-        _opt_int(record.req_mem_kb),
-        _opt_int(record.used_mem_kb),
-        _opt_text(record.queue),
-        _opt_flag(record.dedicated),
-        _opt_text(record.user),
-        _opt_text(record.project),
-        _opt_text(record.executable),
-        _opt_int(record.exit_code),
+        "-1" if (ts := record.submit_time) is None else format_timestamp(ts),
+        "-1" if (ts := record.start_time) is None else format_timestamp(ts),
+        "-1" if (ts := record.end_time) is None else format_timestamp(ts),
+        "-1" if (v := record.req_procs) is None else str(v),
+        "-1" if (v := record.used_procs) is None else str(v),
+        "-1" if (v := record.req_cpu_s) is None else repr(float(v)),
+        "-1" if (v := record.used_cpu_s) is None else repr(float(v)),
+        "-1" if (v := record.req_mem_kb) is None else str(v),
+        "-1" if (v := record.used_mem_kb) is None else str(v),
+        "-1" if (v := record.queue) is None else v,
+        "-1" if (v := record.dedicated) is None else "1" if v else "0",
+        "-1" if (v := record.user) is None else v,
+        "-1" if (v := record.project) is None else v,
+        "-1" if (v := record.executable) is None else v,
+        "-1" if (v := record.exit_code) is None else str(v),
     ))
 
 

@@ -135,6 +135,11 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
     n_mem = len(mem_choices)
     procs_choices = spec.procs_choices
     n_procs = len(procs_choices)
+    # The labels repeat with the job number, so each is formatted once here.
+    queues = tuple("q" + str(procs) for procs in procs_choices)
+    users = tuple(f"u{k:03d}" for k in range(1, 24))
+    projects = tuple(f"p{k:02d}" for k in range(1, 8))
+    apps = tuple(f"app{k}" for k in range(1, 12))
     start_frac = spec.missing_start_frac
     end_frac = spec.missing_end_frac
     mem_frac = spec.missing_mem_frac
@@ -145,7 +150,8 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
             wait_ms = int(draw() * wait_span)
             runtime_ms = runtime_min + int(draw() * runtime_span)
             mem_kb = mem_choices[int(draw() * n_mem)]
-            procs = procs_choices[int(draw() * n_procs)]
+            pick = int(draw() * n_procs)
+            procs = procs_choices[pick]
             drop_start = draw() < start_frac
             drop_end = draw() < end_frac
             drop_mem = draw() < mem_frac
@@ -154,11 +160,11 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
             cpu_s = procs * (runtime_ms / MS_PER_S)
             mem = None if drop_mem else mem_kb
             record = JobRecord(
-                f"j{i + 1:06d}", Timestamp(submit_ms),
+                "j" + str(i + 1).zfill(6), Timestamp(submit_ms),
                 None if drop_start else Timestamp(start_ms),
                 None if drop_end else Timestamp(start_ms + runtime_ms),
-                procs, procs, cpu_s, cpu_s, mem, mem, f"q{procs}", False,
-                f"u{i % 23 + 1:03d}", f"p{i % 7 + 1:02d}", f"app{i % 11 + 1}", 0)
+                procs, procs, cpu_s, cpu_s, mem, mem, queues[pick], False,
+                users[i % 23], projects[i % 7], apps[i % 11], 0)
         except (ValueError, OverflowError) as exc:
             raise InvalidSpec(f"job {i + 1} leaves the timestamp span: {exc}") from exc
         if drop_start or drop_end or drop_mem:

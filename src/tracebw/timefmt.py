@@ -44,7 +44,12 @@ part of a written civil cell, are likewise cached per epoch day.
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
 written zero-padded to four digits (``0005``, not ``5``, which would read
-back as 2005), so every timestamp in the span parses back to itself.
+back as 2005), so every timestamp in the span parses back to itself. A
+civil cell is joined from four pieces of text and formats no number: its
+cached day part, then ``HH:MM:``, ``SS.`` and ``mmm`` looked up in tables
+by minute of the day, second and millisecond. The tables hold about 150 KB
+of strings, so they are built on the first civil write, not at import;
+commands that only read never build them.
 """
 
 from __future__ import annotations
@@ -82,7 +87,11 @@ def _day_ms(day_part: str) -> int:
     month = _MONTH_INDEX.get(month_token.lower())
     if month is None:
         raise ValueError(f"bad month in timestamp {day_part!r}")
-    day = date(_year_from_token(year_token), month, int(day_token))
+    try:
+        day = date(_year_from_token(year_token), month, int(day_token))
+    except OverflowError:
+        # A year or day too large for a C int, such as a 20-digit year.
+        raise ValueError(f"day out of range in timestamp {day_part!r}") from None
     return (day.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
 
 
@@ -138,6 +147,22 @@ def parse_timestamp(token: str) -> Timestamp:
     return Timestamp(_day_ms(token[:-len(clock)]) + _clock_ms(clock))
 
 
+# The civil clock's text by minute of the day, second and millisecond, empty
+# until _build_clock_tables runs on the first civil write.
+_MS_PER_MINUTE = 60 * MS_PER_S
+_HOUR_MINUTES: tuple[str, ...] = ()
+_SECONDS: tuple[str, ...] = ()
+_MILLIS: tuple[str, ...] = ()
+
+
+def _build_clock_tables() -> None:
+    global _HOUR_MINUTES, _SECONDS, _MILLIS
+    two_digits = [str(n).zfill(2) for n in range(60)]
+    _HOUR_MINUTES = tuple(hh + ":" + mm + ":" for hh in two_digits[:24] for mm in two_digits)
+    _SECONDS = tuple(ss + "." for ss in two_digits)
+    _MILLIS = tuple(str(n).zfill(3) for n in range(MS_PER_S))
+
+
 def format_timestamp(ts: Timestamp) -> str:
     """Canonical log cell: epoch seconds when second-aligned, civil form otherwise.
 
@@ -147,11 +172,12 @@ def format_timestamp(ts: Timestamp) -> str:
     epoch_ms = ts.epoch_ms
     if epoch_ms % MS_PER_S == 0 and epoch_ms != -MS_PER_S:
         return str(epoch_ms // MS_PER_S)
+    if not _MILLIS:
+        _build_clock_tables()
     epoch_day, ms_of_day = divmod(epoch_ms, _MS_PER_DAY)
-    seconds, ms = divmod(ms_of_day, MS_PER_S)
-    minutes, second = divmod(seconds, 60)
-    hour, minute = divmod(minutes, 60)
-    return f"{_civil_day(epoch_day)}{hour:02d}:{minute:02d}:{second:02d}.{ms:03d}"
+    minute_of_day, ms_of_minute = divmod(ms_of_day, _MS_PER_MINUTE)
+    return "".join((_civil_day(epoch_day), _HOUR_MINUTES[minute_of_day],
+                    _SECONDS[ms_of_minute // MS_PER_S], _MILLIS[ms_of_minute % MS_PER_S]))
 
 
 @lru_cache(maxsize=_DAY_CACHE_SIZE)

@@ -603,6 +603,10 @@ _UNREPRESENTABLE_LINES = {
     "lanl-year-10000": ("lanl", _with_cell(_with_cell(LANL_LINE, 2, "253402300800"),
                                            3, "253402300900"), "bad-timestamp"),
     "lanl-huge-memory": ("lanl", _with_cell(LANL_LINE, 8, str(10**400)), "bad-int"),
+    "lanl-civil-year-20-digits": ("lanl", _with_cell(LANL_LINE, 3, "Jan 01 99999999999999999999"),
+                                  "bad-timestamp"),
+    "lanl-civil-day-20-digits": ("lanl", _with_cell(LANL_LINE, 1, "Jan 99999999999999999999 94"),
+                                 "bad-timestamp"),
     "archive-infinite-submit": ("archive", "1 1e306 0 10 1 1 1 1 1 1 1 1 1 1 1 1 -1 -1",
                                 "bad-real"),
     "archive-submit-1e12": ("archive", archive_line(submit="1e12"), "bad-real"),
@@ -740,6 +744,23 @@ def test_only_gen_loads_the_generator_in_subprocess():
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n1 True\n"
+
+
+def test_read_command_builds_no_clock_table_in_subprocess(small_trace):
+    # The civil clock's tables wait for the first civil cell written; reading
+    # civil cells, as rates on a gen trace does, never builds them.
+    trace = small_trace.parent / "civil.trace"
+    trace.write_text(_with_cell(LANL_LINE, 2, "May 10 94 00:00:03.456") + "\n")
+    code = ("import sys, tracebw.cli\n"
+            "from tracebw import timefmt\n"
+            "for command in ('inspect', 'rates', 'summary'):\n"
+            "    assert tracebw.cli.main([command, sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(timefmt._MILLIS, timefmt._SECONDS, timefmt._HOUR_MINUTES)\n"
+            "timefmt.format_timestamp(timefmt.parse_timestamp('May 10 94 00:00:03.456'))\n"
+            "print(len(timefmt._MILLIS), len(timefmt._SECONDS), len(timefmt._HOUR_MINUTES))\n")
+    result = subprocess.run([sys.executable, "-c", code, str(trace), os.devnull],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "() () ()\n1000 60 1440\n"
 
 
 def test_reader_closing_early_in_subprocess(tmp_path):

@@ -16,6 +16,7 @@ most 0.1 call, so the CLI adds no per-line or per-sample work of its own.
 
 from __future__ import annotations
 
+import gc
 import io
 import sys
 from operator import itemgetter
@@ -104,6 +105,9 @@ def count_calls(run, *args) -> int:
         if event == "call":
             calls += 1
 
+    # Earlier garbage is collected first: a finalizer that a collection runs
+    # inside the count would show as calls of the code under test.
+    gc.collect()
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
@@ -141,10 +145,23 @@ def gen_trace(spec):
 
 # Bound: the count measured with SPEC plus one. Measured per job, with the
 # draws as _Draws method calls and a keyword JobRecord -> with the draws
-# inline and a positional JobRecord (CPython 3.11): 32.75 -> 24.75.
+# inline and a positional JobRecord (CPython 3.11): 32.75 -> 24.75; then with
+# format_lanl_line's cells written inline: 24.75 -> 9.80.
 def test_python_calls_per_job():
     gen_trace(SPEC)  # warm-up: fills the day caches
-    assert count_calls(gen_trace, SPEC) / SPEC.count <= 24.75 + 1
+    assert count_calls(gen_trace, SPEC) / SPEC.count <= 9.80 + 1
+
+
+@pytest.mark.parametrize("present", [3, 2, 0], ids=["full", "missing-end", "bare"])
+def test_format_lanl_line_calls(present):
+    # format_lanl_line itself and one format_timestamp per present timestamp:
+    # no call per cell, and none inside format_timestamp once its tables exist.
+    records, _ = generate(SPEC)
+    record = records[0]
+    if present < 3:
+        record = JobRecord(record.job_id, *[record.submit_time, record.start_time][:present])
+    format_lanl_line(record)  # warm-up: the first civil cell builds the clock tables
+    assert count_calls(format_lanl_line, record) <= 1 + present
 
 
 def test_each_value_type_is_built_in_one_python_call():
@@ -228,6 +245,29 @@ def test_every_timestamp_cell_reaches_the_module_attribute(monkeypatch):
             records = list(parse_trace(lines, TraceFormat.LANL16))
         assert len(records) == len(lines)
         assert calls == {"parse_timestamp": cells, "JobRecord": len(records)}
+
+
+def test_every_written_timestamp_reaches_the_module_attribute(monkeypatch):
+    # The writer's side of the tracer's hook: one call to parsing.format_timestamp
+    # per timestamp that is not None, on the same route that gen takes.
+    records, _ = generate(SPEC)
+    present = sum(ts is not None for r in records
+                  for ts in (r.submit_time, r.start_time, r.end_time))
+    assert present < 3 * len(records)  # the spec knocks some out
+    calls = 0
+    target = parsing.format_timestamp
+
+    def counted(ts):
+        nonlocal calls
+        calls += 1
+        return target(ts)
+
+    sink = io.StringIO()
+    monkeypatch.setattr(parsing, "format_timestamp", counted)
+    assert write_lanl_trace(records, sink) == len(records)
+    assert calls == present
+    monkeypatch.undo()
+    assert sink.getvalue() == "".join(format_lanl_line(r) + "\n" for r in records)
 
 
 def marginal_calls_per_line(run, small, large, lines: int) -> float:

@@ -4,7 +4,7 @@ import io
 from math import isfinite
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracebw import (
@@ -24,7 +24,7 @@ from tracebw import (
 )
 from tracebw.model import _FIRST_MS, _LAST_MS
 
-from .conftest import job_records, optional
+from .conftest import job_records, optional, tokens
 from .swf import SWF_FIELDS, format_swf_line, swf_cell
 
 LANL_LINE = ("j1\t768453000\t768453010\t768453020\t32\t32\t100\t90"
@@ -126,6 +126,22 @@ class TestParseLanlLine:
         with pytest.raises(MalformedLine) as info:
             parse_lanl_line("\t".join(cells), 3)
         assert info.value.reason == reason
+
+    @pytest.mark.parametrize("token", [
+        "Jan 01 99999999999999999999",
+        "Jan 99999999999999999999 94",
+        "Jan 01 99999999999999999999 00:00:00",
+        "Jan 01 99999999999999999999 00:00:00.000",
+    ])
+    @pytest.mark.parametrize("separator", ["\t", " \t"], ids=["plain", "padded"])
+    def test_year_or_day_too_large_for_a_date_is_bad_timestamp(self, token, separator):
+        # A plain line tries the inline conversion first; a padded one goes
+        # straight to the column table. Both name the timestamp column.
+        cells = LANL_LINE.split("\t")
+        cells[2] = token
+        with pytest.raises(MalformedLine) as info:
+            parse_lanl_line(separator.join(cells), 3)
+        assert str(info.value) == f"line 3: bad-timestamp: start_time={token!r}"
 
     def test_span_edges_are_accepted(self):
         cells = LANL_LINE.split("\t")
@@ -462,6 +478,7 @@ _ODD_LANL_TOKENS = [
     "4.0", ".5", ".", "1e3", "1.5e+20", "1e400", "nan", "inf", "9" * 16, str(2**63),
     "1234567890123", "999999999999",  # a 13-digit epoch; 12 digits, past the span
     "Feb 30 94 12:00:00.000", "May 10 94 25:00:00.000",
+    "Jan 01 99999999999999999999 00:00:00.000",  # a year too large for a date
     "-1",
 ]
 _PLAIN_LANL_LINE = ("j1\tMay 10 94 00:00:36.130\t768453010\tMay 10 94 00:56:36.950"
@@ -639,6 +656,51 @@ class TestParseTrace:
         assert sum(report.reasons.values()) == report.malformed
 
 
+def opt_cell_format_lanl_line(record: JobRecord) -> str:
+    """format_lanl_line as written before its cells were inline: one helper call per cell."""
+
+    def opt_ts(ts):
+        return "-1" if ts is None else parsing.format_timestamp(ts)
+
+    def opt_int(value):
+        return "-1" if value is None else str(value)
+
+    def opt_real(value):
+        return "-1" if value is None else repr(float(value))
+
+    def opt_text(value):
+        return "-1" if value is None else value
+
+    def opt_flag(value):
+        return "-1" if value is None else ("1" if value else "0")
+
+    return "\t".join((
+        record.job_id,
+        opt_ts(record.submit_time), opt_ts(record.start_time), opt_ts(record.end_time),
+        opt_int(record.req_procs), opt_int(record.used_procs),
+        opt_real(record.req_cpu_s), opt_real(record.used_cpu_s),
+        opt_int(record.req_mem_kb), opt_int(record.used_mem_kb),
+        opt_text(record.queue), opt_flag(record.dedicated), opt_text(record.user),
+        opt_text(record.project), opt_text(record.executable), opt_int(record.exit_code),
+    ))
+
+
+# Every optional field absent or present; timestamps over the whole span,
+# second-aligned ones (written as epoch seconds) drawn often; seconds as
+# integral or fractional floats or as ints.
+_any_timestamps = st.builds(Timestamp, st.integers(_FIRST_MS, _LAST_MS)
+                            | st.integers(_FIRST_MS // 1000, _LAST_MS // 1000).map(lambda s: s * 1000))
+_any_seconds = (st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+                | st.integers(0, 10**7).map(float) | st.integers(0, 10**7))
+_any_counts = st.integers(0, 2**63 - 1)
+_writer_records = st.builds(
+    JobRecord, tokens(), optional(_any_timestamps), optional(_any_timestamps),
+    optional(_any_timestamps), optional(_any_counts), optional(_any_counts),
+    optional(_any_seconds), optional(_any_seconds), optional(_any_counts), optional(_any_counts),
+    optional(tokens()), optional(st.booleans()), optional(tokens()), optional(tokens()),
+    optional(tokens()), optional(st.integers(-2**31, 2**31)))
+
+
 class TestFormatLanlLine:
     def test_round_trips_the_reference_record(self):
         rec = parse_lanl_line(LANL_LINE, 1)
@@ -659,6 +721,16 @@ class TestFormatLanlLine:
     @given(job_records)
     def test_round_trip_reconstructs_exactly(self, rec):
         assert parse_lanl_line(format_lanl_line(rec), 1) == rec
+
+    @settings(max_examples=500)
+    @given(_writer_records)
+    def test_matches_the_per_cell_helper_rendering(self, rec):
+        assert format_lanl_line(rec) == opt_cell_format_lanl_line(rec)
+
+    def test_flag_values_match_the_per_cell_helper_rendering(self):
+        for dedicated in (True, False, None):
+            rec = JobRecord("j", dedicated=dedicated, req_cpu_s=2.0, used_cpu_s=2.5)
+            assert format_lanl_line(rec) == opt_cell_format_lanl_line(rec)
 
     def test_span_ends_survive_write_lanl_trace(self):
         # Epoch seconds at the first millisecond, civil cells in years 0001 and 9999.

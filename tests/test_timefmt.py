@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracebw.model import Timestamp
+from tracebw import timefmt
+from tracebw.model import _FIRST_MS, _LAST_MS, _MS_PER_DAY, Timestamp
 from tracebw.timefmt import format_day, format_timestamp, parse_timestamp
 
 from .conftest import MS_1990, MS_2100
@@ -61,6 +62,21 @@ def test_century_pivot():
 def test_parse_rejects_garbage(token):
     with pytest.raises(ValueError):
         parse_timestamp(token)
+
+
+@pytest.mark.parametrize("token", [
+    "Jan 01 99999999999999999999",
+    "Jan 99999999999999999999 94",
+    "Jan 01 99999999999999999999 00:00:00",
+    "Jan 01 99999999999999999999 00:00:00.000",
+    "Jan 01 9999999999",
+])
+def test_year_or_day_too_large_for_a_date_is_a_value_error(token):
+    # datetime.date raises OverflowError for these; the cell is still just bad.
+    cached = timefmt._day_ms.cache_info().currsize
+    with pytest.raises(ValueError):
+        parse_timestamp(token)
+    assert timefmt._day_ms.cache_info().currsize == cached  # rejections are not cached
 
 
 def test_canonical_rendering():
@@ -281,3 +297,58 @@ _PIVOT_EDGES_MS = [(datetime(year, 1, 1, tzinfo=timezone.utc) - EPOCH) // _MS
 @example(_ms_of(5, 3, 1, 0, 0, 0, 1000))
 def test_format_timestamp_matches_reference(epoch_ms):
     assert format_timestamp(Timestamp(epoch_ms)) == reference_format_timestamp(epoch_ms)
+
+
+# --- the table-driven civil clock against the formula it replaced -----------
+
+def f_string_format_timestamp(epoch_ms: int) -> str:
+    """format_timestamp as written before the clock tables: divmod and format specs."""
+    if epoch_ms % 1000 == 0 and epoch_ms != -1000:
+        return str(epoch_ms // 1000)
+    epoch_day, ms_of_day = divmod(epoch_ms, _MS_PER_DAY)
+    seconds, ms = divmod(ms_of_day, 1000)
+    minutes, second = divmod(seconds, 60)
+    hour, minute = divmod(minutes, 60)
+    return f"{timefmt._civil_day(epoch_day)}{hour:02d}:{minute:02d}:{second:02d}.{ms:03d}"
+
+
+_EARLY_YEARS_MS = [_ms_of(year, 1, 1) for year in (1, 2, 50, 98, 99)]
+_PIVOT_YEARS_MS = [_ms_of(year, 1, 1) for year in (1969, 1970, 1971, 2069, 2070, 2071)]
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    st.integers(min_value=_FIRST_MS, max_value=_LAST_MS),
+    # Years 1-99, written with four digits so that they do not read back pivoted.
+    st.integers(min_value=_FIRST_MS, max_value=_ms_of(100, 1, 1)),
+    st.sampled_from(_EARLY_YEARS_MS + _PIVOT_YEARS_MS).flatmap(
+        lambda edge: st.integers(min_value=max(edge - _MS_PER_DAY, _FIRST_MS),
+                                max_value=edge + _MS_PER_DAY)),
+))
+@example(_FIRST_MS)
+@example(_FIRST_MS + 1)
+@example(_LAST_MS)
+@example(_LAST_MS - 999)
+@example(-1000)
+@example(-1)
+@example(0)
+@example(1)
+@example(_ms_of(99, 12, 31, 23, 59, 59, 999000))
+@example(_ms_of(1969, 12, 31, 23, 59, 59, 999000))
+@example(_ms_of(2069, 12, 31, 23, 59, 59, 999000))
+@example(_ms_of(2070, 1, 1, 0, 0, 0, 1000))
+def test_format_timestamp_matches_the_f_string_formula(epoch_ms):
+    ts = Timestamp(epoch_ms)
+    assert format_timestamp(ts) == f_string_format_timestamp(epoch_ms)
+    assert parse_timestamp(format_timestamp(ts)) == ts
+
+
+def test_every_clock_cell_matches_the_f_string_formula():
+    # Each entry of the three clock tables, on one day: every minute of the
+    # day, every second of a minute and every millisecond of a second.
+    day = _ms_of(1994, 5, 10)
+    points = ([day + minute * 60_000 + 1 for minute in range(1440)]
+              + [day + second * 1000 + 1 for second in range(60)]
+              + [day + 59_000 + ms for ms in range(1, 1000)])
+    for epoch_ms in points:
+        assert format_timestamp(Timestamp(epoch_ms)) == f_string_format_timestamp(epoch_ms)
