@@ -4,14 +4,16 @@ The worksheet mirrors the four-column layout such logs are usually eyed
 in: day-granularity start and end dates, the estimated rate in
 Mbytes/second, and the raw trace value the byte count came from. That
 last column keeps the trace's own Kbyte denomination (the byte count is
-Kbytes * 1024, so the cell is n_bytes / 1024). The full CSV is the
-engineering artifact: every field at full fidelity, floats in repr form
-so they re-parse bit-exactly.
+Kbytes * 1024, so the cell is n_bytes / 1024). No worksheet cell can
+hold a comma, a quote or a line break, so each row is written as one
+string with no CSV quoting. The full CSV is the engineering artifact:
+every field at full fidelity, floats in repr form so they re-parse
+bit-exactly. Its job ids are free text, so it goes through
+``csv.writer``, and ``csv`` is imported only when it is written.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import IO, Iterable
 
@@ -26,9 +28,9 @@ CSV_HEADER = "job_id,start_ms,end_ms,duration_ms,n_bytes,rate_bytes_per_s,rate_o
 _FLAG_ORDER = (RateFlag.NEGATIVE_DURATION, RateFlag.CARRIED_FORWARD_START)
 
 
-def format_sig(value: float) -> str:
-    """Shortest decimal rendering within 7 significant digits."""
-    return f"{value:.7g}"
+# format_sig(value): the shortest decimal rendering within 7 significant
+# digits. A bound str.format, so the worksheet pays no Python frame per cell.
+format_sig = "{:.7g}".format
 
 
 def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary:
@@ -67,11 +69,6 @@ def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary
     )
 
 
-def _kbytes_cell(n_bytes: int) -> str:
-    whole, remainder = divmod(n_bytes, BYTES_PER_KB)
-    return str(whole) if remainder == 0 else format_sig(n_bytes / BYTES_PER_KB)
-
-
 def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) -> int:
     """Write the worksheet; returns the number of data rows.
 
@@ -79,23 +76,24 @@ def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[
     empty so a spreadsheet cannot silently aggregate them; negative rates
     are printed as-is. ``base`` is an MbBase or its divisor; anything else
     raises ValueError before the header is written.
+
+    Each row is one ``sink.write`` of one string. No cell ever needs CSV
+    quoting: the dates are ``Mon DD YY``, and the numbers are integers or
+    :func:`format_sig` renderings (digits, ``-``, ``.``, ``e`` and ``+``),
+    so none holds a comma, a quote or a line break.
     """
     divisor = MbBase(base).divisor
-    writer = csv.writer(sink, lineterminator="\n")
+    write = sink.write
     rows = 0
     try:
-        writer.writerow(WORKSHEET_HEADER.split(","))
+        write(WORKSHEET_HEADER + "\n")
         for sample in samples:
-            if sample.rate_bytes_per_s is None:
-                mbytes = ""
-            else:
-                mbytes = format_sig(sample.rate_bytes_per_s / divisor)
-            writer.writerow([
-                format_day(sample.start),
-                format_day(sample.end),
-                mbytes,
-                _kbytes_cell(sample.n_bytes),
-            ])
+            rate_bps = sample.rate_bytes_per_s
+            mbytes = "" if rate_bps is None else format_sig(rate_bps / divisor)
+            n_bytes = sample.n_bytes
+            kbytes = (n_bytes // BYTES_PER_KB if n_bytes % BYTES_PER_KB == 0
+                      else format_sig(n_bytes / BYTES_PER_KB))
+            write(f"{format_day(sample.start)},{format_day(sample.end)},{mbytes},{kbytes}\n")
             rows += 1
     except OSError as exc:
         raise IoFailure(exc, rows_written=rows) from exc
@@ -111,6 +109,8 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
     or its divisor; anything else raises ValueError before the header is
     written.
     """
+    import csv  # only the full CSV can need quoting; the worksheet never does
+
     divisor = MbBase(base).divisor
     writer = csv.writer(sink, lineterminator="\n")
     flag_cells: dict[frozenset, str] = {}  # samples share a few flag sets

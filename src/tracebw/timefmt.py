@@ -32,14 +32,19 @@ any token that ``int()`` refuses where it is applied.
 A civil token in the canonical fixed-width form that
 :func:`format_timestamp` and ``tracebw gen`` write,
 ``Mon DD YY[YY] HH:MM:SS.mmm`` (single spaces, ASCII digits, a two- or
-four-digit year, exactly three fraction digits), is matched by
-one compiled pattern and converted directly. Everything else, and a
-canonical-shaped token whose clock is out of range, takes the general
-grammar above, so both routes accept the same tokens with the same
-values. The civil day part is converted once per distinct token (a
-bounded cache shared by both routes; rejections are never cached) and
-the clock is added with integer arithmetic. Worksheet dates, and the day
-part of a written civil cell, are likewise cached per epoch day.
+four-digit year, exactly three fraction digits, the hour, minute and
+second in range), is matched by one compiled pattern and read by table,
+converting no clock field but the milliseconds: the day part's
+milliseconds come from a bounded cache, and those of ``HH:MM:`` and
+``SS.`` from two dicts that invert the writer's clock tables below, plus
+``int()`` of ``mmm``. The dicts hold about 180 KB, so they are built on
+the first canonical read, not at import; epoch-only input never builds
+them. Everything else, a canonical-shaped token with an out-of-range
+clock included, takes the general grammar above, so both routes accept
+the same tokens with the same values. The day cache is shared by both
+routes and converts each distinct day part once (rejections are never
+cached). Worksheet dates, and the day part of a written civil cell, are
+likewise cached per epoch day.
 
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
@@ -112,10 +117,24 @@ def _clock_ms(clock: str) -> int:
 
 # The canonical civil form, as format_timestamp writes it: the day part with
 # its trailing space (the _day_ms key the general path uses too), then the
-# clock's four fields. ASCII only, so \d is 0-9 and nothing int() would
-# read differently.
+# clock as the writer's three pieces, ``HH:MM:``, ``SS.`` and ``mmm``. The
+# hour, minute and second are held to their ranges here, so an out-of-range
+# clock does not match and is refused by the general path. ASCII only, so
+# \d is 0-9 and nothing int() would read differently.
 _canonical_civil = re.compile(
-    r"([A-Za-z]{3} \d\d \d\d(?:\d\d)? )(\d\d):(\d\d):(\d\d)\.(\d\d\d)", re.ASCII).fullmatch
+    r"([A-Za-z]{3} \d\d \d\d(?:\d\d)? )((?:[01]\d|2[0-3]):[0-5]\d:)([0-5]\d\.)(\d\d\d)",
+    re.ASCII).fullmatch
+
+# The canonical clock's milliseconds by its ``HH:MM:`` and ``SS.`` text, the
+# inverse of the writer's tables below; filled on the first canonical read.
+_HOUR_MINUTE_MS: dict[str, int] = {}
+_SECOND_MS: dict[str, int] = {}
+
+
+def _build_clock_reads() -> None:
+    hour_minutes, seconds, _ = _clock_texts()
+    _HOUR_MINUTE_MS.update(zip(hour_minutes, range(0, _MS_PER_DAY, _MS_PER_MINUTE)))
+    _SECOND_MS.update(zip(seconds, range(0, _MS_PER_MINUTE, MS_PER_S)))
 
 
 def parse_timestamp(token: str) -> Timestamp:
@@ -132,12 +151,11 @@ def parse_timestamp(token: str) -> Timestamp:
         return Timestamp(epoch_ms)
     canonical = _canonical_civil(token)
     if canonical is not None:
-        day_part, hh, mm, ss, ms = canonical.groups()
-        hour, minute, second = int(hh), int(mm), int(ss)
-        if hour <= 23 and minute <= 59 and second <= 59:
-            return Timestamp(_day_ms(day_part)
-                             + ((hour * 60 + minute) * 60 + second) * MS_PER_S + int(ms))
-        # An out-of-range clock is refused by the general path below.
+        if not _SECOND_MS:
+            _build_clock_reads()
+        day_part, hour_minute, second, ms = canonical.groups()
+        return Timestamp(_day_ms(day_part) + _HOUR_MINUTE_MS[hour_minute]
+                         + _SECOND_MS[second] + int(ms))
     parts = token.split()
     if len(parts) == 3:
         return Timestamp(_day_ms(token))
@@ -155,12 +173,17 @@ _SECONDS: tuple[str, ...] = ()
 _MILLIS: tuple[str, ...] = ()
 
 
+def _clock_texts() -> tuple[list[str], list[str], list[str]]:
+    """``HH:MM:`` by minute of the day, ``SS.`` by second, ``mmm`` by millisecond."""
+    two_digits = [str(n).zfill(2) for n in range(60)]
+    return ([hh + ":" + mm + ":" for hh in two_digits[:24] for mm in two_digits],
+            [ss + "." for ss in two_digits],
+            [str(n).zfill(3) for n in range(MS_PER_S)])
+
+
 def _build_clock_tables() -> None:
     global _HOUR_MINUTES, _SECONDS, _MILLIS
-    two_digits = [str(n).zfill(2) for n in range(60)]
-    _HOUR_MINUTES = tuple(hh + ":" + mm + ":" for hh in two_digits[:24] for mm in two_digits)
-    _SECONDS = tuple(ss + "." for ss in two_digits)
-    _MILLIS = tuple(str(n).zfill(3) for n in range(MS_PER_S))
+    _HOUR_MINUTES, _SECONDS, _MILLIS = map(tuple, _clock_texts())
 
 
 def format_timestamp(ts: Timestamp) -> str:

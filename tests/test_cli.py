@@ -736,9 +736,11 @@ def test_streams_separate_in_subprocess(small_trace):
 
 def test_only_gen_loads_the_generator_in_subprocess():
     # The read commands start without synth and the fractions and decimal it
-    # imports; the package still serves the generator's names on first use.
+    # imports, and without csv, which only rates --full loads; the package
+    # still serves the generator's names on first use.
     code = ("import sys, tracebw.cli\n"
-            "print(sorted({'tracebw.synth', 'fractions', 'decimal'} & set(sys.modules)))\n"
+            "print(sorted({'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv'}\n"
+            "             & set(sys.modules)))\n"
             "from tracebw import GenSpec, generate\n"
             "print(generate(GenSpec(count=1))[1].expected_valid, 'tracebw.synth' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", code],
@@ -748,19 +750,22 @@ def test_only_gen_loads_the_generator_in_subprocess():
 
 def test_read_command_builds_no_clock_table_in_subprocess(small_trace):
     # The civil clock's tables wait for the first civil cell written; reading
-    # civil cells, as rates on a gen trace does, never builds them.
+    # civil cells, as rates on a gen trace does, never builds them. The read
+    # side's two tables wait for the first canonical civil cell read.
     trace = small_trace.parent / "civil.trace"
     trace.write_text(_with_cell(LANL_LINE, 2, "May 10 94 00:00:03.456") + "\n")
     code = ("import sys, tracebw.cli\n"
             "from tracebw import timefmt\n"
+            "print(len(timefmt._HOUR_MINUTE_MS), len(timefmt._SECOND_MS))\n"
             "for command in ('inspect', 'rates', 'summary'):\n"
             "    assert tracebw.cli.main([command, sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(len(timefmt._HOUR_MINUTE_MS), len(timefmt._SECOND_MS))\n"
             "print(timefmt._MILLIS, timefmt._SECONDS, timefmt._HOUR_MINUTES)\n"
             "timefmt.format_timestamp(timefmt.parse_timestamp('May 10 94 00:00:03.456'))\n"
             "print(len(timefmt._MILLIS), len(timefmt._SECONDS), len(timefmt._HOUR_MINUTES))\n")
     result = subprocess.run([sys.executable, "-c", code, str(trace), os.devnull],
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "() () ()\n1000 60 1440\n"
+    assert result.stdout == "0 0\n1440 60\n() () ()\n1000 60 1440\n"
 
 
 def test_reader_closing_early_in_subprocess(tmp_path):

@@ -5,7 +5,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracebw import (
@@ -28,6 +28,7 @@ from tracebw import (
 from tracebw.model import _FIRST_MS, _LAST_MS
 
 from .conftest import rational_rate
+from .reference_timefmt import reference_format_day
 
 MAY_10_94_MS = 768_528_000_000
 
@@ -187,6 +188,51 @@ class TestWorksheet:
             reconstructed = float(cell) * MbBase.BINARY.divisor
             assert abs(reconstructed - sample.rate_bytes_per_s) \
                 <= 1e-6 * abs(sample.rate_bytes_per_s)
+
+
+def csv_writer_worksheet(samples, base) -> str:
+    """The worksheet as csv.writer writes it, cell by cell, quoting whatever
+    needs quoting: the reference that one f-string per row must equal."""
+    divisor = MbBase(base).divisor
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(WORKSHEET_HEADER.split(","))
+    for sample in samples:
+        rate_bps = sample.rate_bytes_per_s
+        whole, remainder = divmod(sample.n_bytes, 1024)
+        writer.writerow([
+            reference_format_day(sample.start.epoch_ms),
+            reference_format_day(sample.end.epoch_ms),
+            "" if rate_bps is None else f"{rate_bps / divisor:.7g}",
+            str(whole) if remainder == 0 else f"{sample.n_bytes / 1024:.7g}",
+        ])
+    return sink.getvalue()
+
+
+_span_ms = st.integers(_FIRST_MS, _LAST_MS) | st.sampled_from([_FIRST_MS, _LAST_MS])
+
+
+@st.composite
+def worksheet_samples(draw):
+    """A sample anywhere in the span: short, zero, negative or span-long
+    durations, and byte counts from one byte to 2^63, whole Kbytes or not."""
+    start = draw(_span_ms)
+    end = draw(_span_ms | st.integers(max(_FIRST_MS, start - 2000), min(_LAST_MS, start + 2000)))
+    n_bytes = draw(st.integers(0, 2**63) | st.integers(0, 2**53).map(lambda k: k * 1024)
+                   | st.sampled_from([0, 1, 1023, 1025, 1536, 2**62, 2**63 - 1]))
+    return sample_of(n_bytes, end - start, start_ms=start)
+
+
+@given(st.lists(worksheet_samples(), max_size=8), st.sampled_from(list(MbBase)))
+@example([sample_of(1, 10_000)], MbBase.DECIMAL)                         # 1e-07
+@example([sample_of(1_234_567_800_000_000_000, 1000)], MbBase.DECIMAL)  # 1.234568e+12
+@example([sample_of(2**63 - 1, -1), sample_of(1536, 0), sample_of(1, 1)], MbBase.BINARY)
+@example([sample_of(2**30, _LAST_MS - _FIRST_MS, start_ms=_FIRST_MS),
+          sample_of(2**30, _FIRST_MS - _LAST_MS, start_ms=_LAST_MS)], MbBase.BINARY)
+def test_worksheet_matches_csv_writer(samples, base):
+    sink = io.StringIO()
+    assert write_worksheet(samples, base, sink) == len(samples)
+    assert sink.getvalue() == csv_writer_worksheet(samples, base)
 
 
 class TestFullCsv:

@@ -126,9 +126,11 @@ def calls_per_line(run, lines: list[str]) -> float:
 # per line, before the ARCHIVE18 plain-token check and the writers' inline
 # Mbyte division -> after them (CPython 3.11): civil 29.91 -> 29.00,
 # epoch 26.60 -> 25.65, archive 41.71 -> 16.32; then before the LANL16
-# plain-line check -> after it: civil 29.00 -> 18.11, epoch 25.65 -> 14.75.
+# plain-line check -> after it: civil 29.00 -> 18.11, epoch 25.65 -> 14.75;
+# then before the worksheet's one f-string per row -> after it: civil
+# 18.11 -> 16.30.
 @pytest.mark.parametrize("make_lines,run,bound", [
-    (civil_lines, civil_worksheet, 18.11 + 1),
+    (civil_lines, civil_worksheet, 16.30 + 1),
     (epoch_lines, epoch_csv, 14.75 + 1),
     (archive_lines, archive_summary, 16.32 + 1),
 ], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
@@ -136,6 +138,22 @@ def test_python_calls_per_line(make_lines, run, bound):
     lines = make_lines()
     assert len(lines) == 1000
     assert calls_per_line(run, lines) <= bound
+
+
+def test_worksheet_calls_per_row():
+    # write_worksheet's own frame and set-up, then two format_day calls per
+    # row and nothing per cell: format_sig is a C-level bound str.format, and
+    # the row is one f-string. Rows cover undefined rates and Kbyte counts
+    # that are not whole, so both format_sig cells and the empty one are met.
+    records, _ = generate(SPEC)
+    samples = list(iter_rates(records, MemorySource.REQUESTED))
+    start = samples[0].start
+    samples += [RateSample("odd", start, start, 1536, 0, None),
+                RateSample("tiny", start, Timestamp(start.epoch_ms + 7), 1, 7, 1000 / 7)]
+    write_worksheet(samples, MbBase.BINARY, io.StringIO())  # warm-up: fills the day caches
+    fixed = count_calls(write_worksheet, [], MbBase.BINARY, io.StringIO())
+    calls = count_calls(write_worksheet, samples, MbBase.BINARY, io.StringIO())
+    assert calls <= fixed + 2 * len(samples)
 
 
 def gen_trace(spec):

@@ -20,6 +20,7 @@ from tracebw import (
     parse_lanl_line,
     parse_trace,
     parsing,
+    timefmt,
     write_lanl_trace,
 )
 from tracebw.model import _FIRST_MS, _LAST_MS
@@ -527,6 +528,21 @@ def _parsed_lanl_by_the_table(line: str) -> str:
 @given(_mixed_lanl_lines())
 def test_plain_lanl_line_check_agrees_with_the_column_table(line):
     assert _parsed_lanl(line) == _parsed_lanl_by_the_table(line)
+
+
+def test_epoch_only_trace_builds_no_civil_read_table(monkeypatch):
+    # The canonical civil route's read tables wait for the first civil cell:
+    # an empty input and an epoch-only trace, on both routes, leave them empty.
+    monkeypatch.setattr(timefmt, "_HOUR_MINUTE_MS", {})
+    monkeypatch.setattr(timefmt, "_SECOND_MS", {})
+    padded = LANL_LINE.replace("\tq1", "\t q1")  # takes the column table
+    missing = LANL_LINE.replace("\t768453010\t", "\t-1\t")
+    assert list(parse_trace([], TraceFormat.LANL16)) == []
+    records = list(parse_trace([LANL_LINE, padded, missing, "\n"], TraceFormat.LANL16))
+    assert len(records) == 3
+    assert timefmt._HOUR_MINUTE_MS == {} and timefmt._SECOND_MS == {}
+    parse_lanl_line(_PLAIN_LANL_LINE)
+    assert len(timefmt._HOUR_MINUTE_MS) == 1440 and len(timefmt._SECOND_MS) == 60
 
 
 @pytest.mark.parametrize("token", _ODD_LANL_TOKENS)

@@ -257,6 +257,18 @@ def _outcome(parse, token):
 @example("Jan 01 0000 00:00:00.000")
 @example("Jan 01 0001 00:00:00.000")
 @example("Dec 31 9999 23:59:59.999")
+@example(" May 10 94 01:02:03.456")
+@example("May 10 94 01:02:03.456 ")
+@example("\tMay 10 94 01:02:03.456\t")
+@example(" \t May 10 1994 23:59:59.999 \t ")
+@example("May 10 94 00:00:00.000")
+@example("Jan 01 70 00:00:00.000")
+@example("May 10 1994 00:00:00.000")
+@example("May 10 1994 23:59:59.999")
+@example("Feb 29 2000 12:34:56.789")
+@example("Feb 29 1900 00:00:00.000")
+@example("Jan 01 0099 23:59:59.999")
+@example("May 10 1994 24:00:00.000")
 @example("-62135596800")
 @example("-62135596801")
 @example("253402300799")
@@ -352,3 +364,15 @@ def test_every_clock_cell_matches_the_f_string_formula():
               + [day + 59_000 + ms for ms in range(1, 1000)])
     for epoch_ms in points:
         assert format_timestamp(Timestamp(epoch_ms)) == f_string_format_timestamp(epoch_ms)
+
+
+def test_every_clock_read_matches_the_written_cell():
+    # Each entry of the canonical route's two read tables, on one day: every
+    # minute of the day and every second of a minute, read from the cell the
+    # f-string formula writes, with the millisecond field beside them.
+    day = _ms_of(1994, 5, 10)
+    points = ([day + minute * 60_000 + 999 for minute in range(1440)]
+              + [day + 23 * 3_600_000 + 59 * 60_000 + second * 1000 for second in range(60)])
+    for epoch_ms in points:
+        assert parse_timestamp(f_string_format_timestamp(epoch_ms)).epoch_ms == epoch_ms
+    assert len(timefmt._HOUR_MINUTE_MS) == 1440 and len(timefmt._SECOND_MS) == 60
