@@ -14,13 +14,16 @@ missing start time from the immediately preceding record's end time
 before the readiness test; it is off by default, matching the batch
 policy of simply omitting incomplete jobs.
 
-The readiness test is one private predicate that :func:`partition_jobs`
-and :func:`iter_rates` both call. Carry-forward lives only in
-:func:`iter_rates`, whose single loop per record resolves the start,
-tests readiness and builds the sample; :func:`partition_jobs` never
-carries forward. All operations are pure functions over immutable
-inputs. Without carry-forward the per-record computation is an
-order-preserving map; with it the loop is sequential by contract.
+The readiness test is one private predicate, which :func:`partition_jobs`
+calls. Carry-forward lives only in :func:`iter_rates`, whose single loop
+per record resolves the start, tests readiness and builds the sample;
+:func:`partition_jobs` never carries forward. That loop writes out
+:func:`select_bytes`, the readiness test, :func:`duration_ms` and
+:func:`rate`, so it calls nothing per record but the sample's
+constructor, and a test holds it to the four. All operations are pure
+functions over immutable inputs. Without carry-forward the per-record
+computation is an order-preserving map; with it the loop is sequential
+by contract.
 """
 
 from __future__ import annotations
@@ -102,7 +105,10 @@ def to_output_unit(rate_bps: float, base: MbBase | int) -> float:
 
 
 def _ready(start: Timestamp | None, end: Timestamp | None, n_bytes: int | None) -> bool:
-    """The readiness rule: a start, an end and a byte count are all present."""
+    """The readiness rule: a start, an end and a byte count are all present.
+
+    :func:`iter_rates` writes the same test out in its loop.
+    """
     return start is not None and end is not None and n_bytes is not None
 
 
@@ -135,8 +141,11 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource | str,
     ValueError when iteration starts.
     """
     source = MemorySource(source)
+    requested = source is MemorySource.REQUESTED
     carry_forward = bool(carry_forward)  # so that ``carried`` can index _FLAGS
     prev_end: Timestamp | None = None
+    # select_bytes, _ready, duration_ms and rate, written out: this loop calls
+    # nothing per record but RateSample.
     for record in records:
         start = record.start_time
         end = record.end_time
@@ -144,12 +153,18 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource | str,
         if carried:
             start = prev_end
         prev_end = end
-        n_bytes = select_bytes(record, source)
-        if not _ready(start, end, n_bytes):
+        kb = record.req_mem_kb if requested else record.used_mem_kb
+        if start is None or end is None or kb is None:  # _ready's rule
             continue
-        duration = duration_ms(start, end)
-        yield RateSample(record.job_id, start, end, n_bytes, duration,
-                         rate(n_bytes, duration), _FLAGS[carried][duration < 0])
+        n_bytes = kb * BYTES_PER_KB
+        duration = end.epoch_ms - start.epoch_ms
+        if duration:
+            # 0.0, never -0.0, for zero bytes over a negative duration.
+            rate_bps = MS_PER_S * n_bytes / duration if n_bytes else 0.0
+        else:
+            rate_bps = None
+        yield RateSample(record.job_id, start, end, n_bytes, duration, rate_bps,
+                         _FLAGS[carried][duration < 0])
 
 
 def compute_rates(records: Iterable[JobRecord], source: MemorySource | str,

@@ -8,8 +8,9 @@ Kbytes * 1024, so the cell is n_bytes / 1024). No worksheet cell can
 hold a comma, a quote or a line break, so each row is written as one
 string with no CSV quoting. The full CSV is the engineering artifact:
 every field at full fidelity, floats in repr form so they re-parse
-bit-exactly. Its job ids are free text, so it goes through
-``csv.writer``, and ``csv`` is imported only when it is written.
+bit-exactly. Each of its rows is one string too, except where a job id,
+its one free-text cell, may need quoting: that row goes through
+``csv.writer``, and ``csv`` is imported only then.
 """
 
 from __future__ import annotations
@@ -108,15 +109,23 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
     repr, so re-parsing recovers them bit-exactly. ``base`` is an MbBase
     or its divisor; anything else raises ValueError before the header is
     written.
-    """
-    import csv  # only the full CSV can need quoting; the worksheet never does
 
+    Each row is one ``sink.write`` of one string. The job id is the only
+    free-text cell: the others are integers, float reprs, empty or
+    ``|``-joined flag names, none of which needs quoting. A row whose job
+    id is a ``str`` holding none of ``,``, ``"``, ``\n`` and ``\r`` is
+    written as one f-string; any other row goes through ``csv.writer``,
+    which is made, and ``csv`` imported, at the first such row. That set
+    holds every character ``csv.writer`` quotes here, so a row that needs
+    quoting is always written by ``csv`` itself.
+    """
     divisor = MbBase(base).divisor
-    writer = csv.writer(sink, lineterminator="\n")
+    write = sink.write
+    writerow = None  # csv.writer(sink).writerow, made at the first row that may need quoting
     flag_cells: dict[frozenset, str] = {}  # samples share a few flag sets
     rows = 0
     try:
-        writer.writerow(CSV_HEADER.split(","))
+        write(CSV_HEADER + "\n")
         for sample in samples:
             rate_bps = sample.rate_bytes_per_s
             flags = sample.flags
@@ -124,16 +133,22 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
             if flag_cell is None:
                 flag_cell = flag_cells[flags] = "|".join(
                     flag.name for flag in _FLAG_ORDER if flag in flags)
-            writer.writerow([
-                sample.job_id,
-                sample.start.epoch_ms,
-                sample.end.epoch_ms,
-                sample.duration_ms,
-                sample.n_bytes,
-                "" if rate_bps is None else repr(rate_bps),
-                "" if rate_bps is None else repr(rate_bps / divisor),
-                flag_cell,
-            ])
+            if rate_bps is None:
+                rate_cell = out_cell = ""
+            else:
+                rate_cell = repr(rate_bps)
+                out_cell = repr(rate_bps / divisor)
+            job_id = sample.job_id
+            if (type(job_id) is str and "," not in job_id and '"' not in job_id
+                    and "\n" not in job_id and "\r" not in job_id):
+                write(f"{job_id},{sample.start.epoch_ms},{sample.end.epoch_ms},"
+                      f"{sample.duration_ms},{sample.n_bytes},{rate_cell},{out_cell},{flag_cell}\n")
+            else:
+                if writerow is None:
+                    import csv  # only a job id that may need quoting loads it
+                    writerow = csv.writer(sink, lineterminator="\n").writerow
+                writerow([job_id, sample.start.epoch_ms, sample.end.epoch_ms,
+                          sample.duration_ms, sample.n_bytes, rate_cell, out_cell, flag_cell])
             rows += 1
     except OSError as exc:
         raise IoFailure(exc, rows_written=rows) from exc

@@ -239,10 +239,12 @@ ARCHIVE_FIELD_COUNT = 1 + len(_ARCHIVE_COLUMNS)
 # returns what its first int or float call gives, with -1 absent. A text or
 # timestamp cell, and a LANL16 job id, is any run without a tab that neither
 # starts nor ends with a space: so it is not empty, and the LANL16 split strips
-# nothing from it. parse_timestamp is a timestamp cell's grammar on both routes.
+# nothing from it. Its last character is tested by a lookbehind once the run
+# has reached the tab, so a cell that passes is scanned once, with no backing
+# off. parse_timestamp is a timestamp cell's grammar on both routes.
 _INT_TOKEN = r"(?:-1|\d{1,15})"
 _REAL_TOKEN = r"(?:-1|\d{1,15}(?:\.\d*)?)"
-_TEXT_TOKEN = r"(?:[^\t ](?:[^\t]*[^\t ])?)"
+_TEXT_TOKEN = r"(?:[^\t ][^\t]*(?<! ))"
 _PLAIN_TOKEN = {
     _count: _INT_TOKEN,
     _flag: _INT_TOKEN,

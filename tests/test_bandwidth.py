@@ -1,6 +1,7 @@
 """Estimator operations: selection, partitioning, the rate formula, carry-forward."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from tracebw import (
     MbBase,
     MemorySource,
     RateFlag,
+    RateSample,
     Timestamp,
     TraceFormat,
     compute_rates,
@@ -23,6 +25,8 @@ from tracebw import (
     select_bytes,
     to_output_unit,
 )
+
+from tracebw.bandwidth import _ready
 
 from .conftest import assert_rate_close, job_records, rational_rate
 from .swf import format_swf_line
@@ -311,6 +315,75 @@ class TestComputeRates:
             if start is not None and rec.end_time is not None and rec.req_mem_kb is not None:
                 expected.append((rec.job_id, start))
         assert [(s.job_id, s.start) for s in samples] == expected
+
+
+def reference_iter_rates(records, source, carry_forward):
+    """iter_rates as the four helpers spell it, one call each per record: the
+    reference that the loop with the helpers written out must equal."""
+    source = MemorySource(source)
+    prev_end = None
+    for record in records:
+        start, end = record.start_time, record.end_time
+        carried = start is None and prev_end is not None and bool(carry_forward)
+        if carried:
+            start = prev_end
+        prev_end = end
+        n_bytes = select_bytes(record, source)
+        if not _ready(start, end, n_bytes):
+            continue
+        duration = duration_ms(start, end)
+        flags = set()
+        if carried:
+            flags.add(RateFlag.CARRIED_FORWARD_START)
+        if duration < 0:
+            flags.add(RateFlag.NEGATIVE_DURATION)
+        yield RateSample(record.job_id, start, end, n_bytes, duration,
+                         rate(n_bytes, duration), frozenset(flags))
+
+
+# A few seconds apart, so that equal, reversed and carried ends are common;
+# zero Kbytes too, so zero bytes meet negative durations.
+_near_times = st.none() | st.integers(0, 4).map(lambda s: s * 1000)
+_kbytes = st.none() | st.integers(0, 3) | st.integers(0, 2**40)
+
+
+@st.composite
+def differential_records(draw):
+    """Records with each of start, end and both memory fields present or
+    absent, their job ids their positions."""
+    return [record(f"j{i}", start=draw(_near_times), end=draw(_near_times),
+                   req_mem_kb=draw(_kbytes), used_mem_kb=draw(_kbytes))
+            for i in range(draw(st.integers(0, 12)))]
+
+
+def _exact(samples):
+    # RateSample equality takes 0.0 for -0.0; the rate's repr tells them apart.
+    return [(sample, repr(sample.rate_bytes_per_s)) for sample in samples]
+
+
+class TestInlineLoop:
+    """iter_rates writes out select_bytes, _ready, duration_ms and rate; these
+    pin that it still agrees with them."""
+
+    @given(differential_records(), st.sampled_from(MemorySource), st.booleans())
+    def test_matches_the_helpers(self, records, source, carry_forward):
+        assert (_exact(iter_rates(records, source, carry_forward))
+                == _exact(reference_iter_rates(records, source, carry_forward)))
+
+    @pytest.mark.parametrize("source", list(MemorySource))
+    def test_zero_bytes_over_a_negative_duration_is_plus_zero(self, source):
+        records = [record(start=5000, end=0, req_mem_kb=0, used_mem_kb=0),
+                   record(end=0, req_mem_kb=0, used_mem_kb=0)]
+        samples = list(iter_rates(records, source, carry_forward=True))
+        assert [s.duration_ms for s in samples] == [-5000, 0]
+        assert math.copysign(1.0, samples[0].rate_bytes_per_s) == 1.0
+        assert samples[1].rate_bytes_per_s is None
+        assert _exact(samples) == _exact(reference_iter_rates(records, source, True))
+
+    @given(differential_records(), st.sampled_from(MemorySource))
+    def test_partition_holds_exactly_the_records_with_samples(self, records, source):
+        valid, _ = partition_jobs(records, source)
+        assert valid == [records[int(s.job_id[1:])] for s in iter_rates(records, source)]
 
 
 # --- formula and pipeline properties ---------------------------------------

@@ -736,8 +736,9 @@ def test_streams_separate_in_subprocess(small_trace):
 
 def test_only_gen_loads_the_generator_in_subprocess():
     # The read commands start without synth and the fractions and decimal it
-    # imports, and without csv, which only rates --full loads; the package
-    # still serves the generator's names on first use.
+    # imports, and without csv, which only rates --full loads, for a job id
+    # that needs quoting; the package still serves the generator's names on
+    # first use.
     code = ("import sys, tracebw.cli\n"
             "print(sorted({'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv'}\n"
             "             & set(sys.modules)))\n"
@@ -746,6 +747,27 @@ def test_only_gen_loads_the_generator_in_subprocess():
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n1 True\n"
+
+
+@pytest.mark.parametrize("job_id,loaded,cell", [
+    ("j1", "[]", "j1"),
+    ("a,b", "['_csv', 'csv']", '"a,b"'),
+], ids=["plain-job-id", "comma-in-job-id"])
+def test_full_csv_loads_csv_only_to_quote_in_subprocess(tmp_path, job_id, loaded, cell):
+    # Every row of the full CSV is one string; csv.writer, and the csv and
+    # _csv modules with it, only come in for a job id that may need quoting.
+    trace = tmp_path / "ids.trace"
+    trace.write_text(LANL_LINE + "\n" + LANL_LINE.replace("j1", job_id, 1) + "\n")
+    out = tmp_path / "out.csv"
+    code = ("import sys, tracebw.cli\n"
+            "assert tracebw.cli.main(['rates', '--full', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted({'csv', '_csv'} & set(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-c", code, str(trace), str(out)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == loaded + "\n"
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1].startswith("j1,") and rows[2].startswith(cell + ",")
 
 
 def test_read_command_builds_no_clock_table_in_subprocess(small_trace):

@@ -293,6 +293,65 @@ class TestFullCsv:
         assert row[5] == "" and row[6] == ""
 
 
+def csv_writer_csv(samples, base) -> str:
+    """The full CSV as csv.writer writes it, every row cell by cell: the
+    reference that one f-string per plain row must equal."""
+    divisor = MbBase(base).divisor
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for sample in samples:
+        rate_bps = sample.rate_bytes_per_s
+        writer.writerow([
+            sample.job_id,
+            sample.start.epoch_ms,
+            sample.end.epoch_ms,
+            sample.duration_ms,
+            sample.n_bytes,
+            "" if rate_bps is None else repr(rate_bps),
+            "" if rate_bps is None else repr(rate_bps / divisor),
+            "|".join(flag.name for flag in (RateFlag.NEGATIVE_DURATION,
+                                            RateFlag.CARRIED_FORWARD_START)
+                     if flag in sample.flags),
+        ])
+    return sink.getvalue()
+
+
+# Job ids over full text, the characters that need quoting (and \r, which
+# csv.writer does not quote here) made likely, and an int, which csv.writer
+# writes as str(x).
+_job_ids = (st.text() | st.text(alphabet=st.sampled_from(',"\r\n a\u00e9\u4e2d'))
+            | st.sampled_from(["", " j1 ", "a,b", 'say "hi"', "x\r\ny", "\r", "\u00e9t\u00e9"])
+            | st.integers())
+
+
+@st.composite
+def csv_samples(draw):
+    """A sample with any job id, any duration sign, zero included, and
+    either carried flag: so every flag set and undefined rates occur."""
+    start = draw(st.integers(MAY_10_94_MS - 10**9, MAY_10_94_MS + 10**9))
+    duration = draw(st.integers(-2000, 2000) | st.sampled_from([0, -1, 1]))
+    n_bytes = draw(st.integers(0, 2**63) | st.sampled_from([0, 1024, 1536]))
+    flags = set()
+    if duration < 0:
+        flags.add(RateFlag.NEGATIVE_DURATION)
+    if draw(st.booleans()):
+        flags.add(RateFlag.CARRIED_FORWARD_START)
+    return RateSample(draw(_job_ids), Timestamp(start), Timestamp(start + duration),
+                      n_bytes, duration, rate(n_bytes, duration), frozenset(flags))
+
+
+@given(st.lists(csv_samples(), max_size=8), st.sampled_from(list(MbBase)))
+@example([sample_of(1024, 2000, job_id=job_id) for job_id in
+          ["plain", "a,b", "", 'q"q', "cr\rcr", "lf\nlf", " pad ", "\u00e9", 7]],
+         MbBase.BINARY)
+@example([sample_of(0, -5, job_id=1), sample_of(3, 0, job_id="j")], MbBase.DECIMAL)
+def test_csv_matches_csv_writer(samples, base):
+    sink = io.StringIO()
+    assert write_csv(samples, base, sink) == len(samples)
+    assert sink.getvalue() == csv_writer_csv(samples, base)
+
+
 class TestMbBaseArgument:
     @pytest.mark.parametrize("base", [MbBase.BINARY, 1048576])
     def test_member_or_divisor_is_accepted(self, base):
@@ -347,6 +406,16 @@ class TestSinkFailure:
         with pytest.raises(IoFailure) as info:
             write_csv(samples, MbBase.BINARY, sink)
         assert info.value.rows_written == 0
+
+    @pytest.mark.parametrize("failing", [2, 3], ids=["quoted-row", "plain-row-after-quoted"])
+    def test_csv_reports_rows_written_around_a_quoted_row(self, failing):
+        # The third row's job id needs quoting, so csv.writer writes it.
+        samples = mb_samples(1.0, 2.0, 3.0, 4.0)
+        samples[2] = sample_of(1024, 2000, job_id="a,b")
+        sink = ExplodingSink(allowed_writes=1 + failing)   # header + that many rows
+        with pytest.raises(IoFailure) as info:
+            write_csv(samples, MbBase.BINARY, sink)
+        assert info.value.rows_written == failing
 
 
 def test_rate_cells_agree_with_rational_oracle(thousand_jobs):

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import pytest
 
-from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateSample, Timestamp,
+from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateFlag, RateSample, Timestamp,
                      TraceFormat, generate, iter_rates, parse_trace, parsing, summarize,
                      write_csv, write_worksheet)
 from tracebw.cli import main
@@ -128,11 +128,13 @@ def calls_per_line(run, lines: list[str]) -> float:
 # epoch 26.60 -> 25.65, archive 41.71 -> 16.32; then before the LANL16
 # plain-line check -> after it: civil 29.00 -> 18.11, epoch 25.65 -> 14.75;
 # then before the worksheet's one f-string per row -> after it: civil
-# 18.11 -> 16.30.
+# 18.11 -> 16.30; then before iter_rates wrote out its four helpers and the
+# full CSV took one f-string per row -> after: civil 16.30 -> 12.49, epoch
+# 14.75 -> 10.84, archive 16.32 -> 12.58.
 @pytest.mark.parametrize("make_lines,run,bound", [
-    (civil_lines, civil_worksheet, 16.30 + 1),
-    (epoch_lines, epoch_csv, 14.75 + 1),
-    (archive_lines, archive_summary, 16.32 + 1),
+    (civil_lines, civil_worksheet, 12.49 + 1),
+    (epoch_lines, epoch_csv, 10.84 + 1),
+    (archive_lines, archive_summary, 12.58 + 1),
 ], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
 def test_python_calls_per_line(make_lines, run, bound):
     lines = make_lines()
@@ -154,6 +156,27 @@ def test_worksheet_calls_per_row():
     fixed = count_calls(write_worksheet, [], MbBase.BINARY, io.StringIO())
     calls = count_calls(write_worksheet, samples, MbBase.BINARY, io.StringIO())
     assert calls <= fixed + 2 * len(samples)
+
+
+def test_csv_calls_per_row():
+    # write_csv's own frame and set-up, and nothing per row when no job id
+    # needs quoting: the row is one f-string. A flag set's cell is joined at
+    # its first row only, at the cost of a generator expression and Enum's
+    # Python-level hash and name, so every later row costs no call at all.
+    # Carry-forward over used memory meets every flag set but the negative one
+    # alone, which a sample adds, and a zero duration leaves the rate cells empty.
+    records, _ = generate(SPEC)
+    samples = list(iter_rates(records, MemorySource.USED, carry_forward=True))
+    start = samples[0].start
+    samples += [RateSample("odd", start, start, 1536, 0, None),
+                RateSample("neg", Timestamp(start.epoch_ms + 7), start, 1024, -7, -1024000 / 7,
+                           frozenset({RateFlag.NEGATIVE_DURATION}))]
+    firsts = list({sample.flags: sample for sample in reversed(samples)}.values())
+    assert len(firsts) == 4
+    fixed = count_calls(write_csv, [], MbBase.BINARY, io.StringIO())
+    first_rows = count_calls(write_csv, firsts, MbBase.BINARY, io.StringIO())
+    assert first_rows > fixed
+    assert count_calls(write_csv, samples, MbBase.BINARY, io.StringIO()) == first_rows
 
 
 def gen_trace(spec):

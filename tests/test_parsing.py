@@ -1,6 +1,8 @@
 """Both line formats, the streaming session, and the LANL16 writer."""
 
 import io
+import itertools
+import re
 from math import isfinite
 
 import pytest
@@ -558,6 +560,29 @@ def test_lanl_line_with_no_tab_agrees_with_the_column_table():
     line = LANL_LINE.replace("\t", " ")
     assert not parsing._plain_lanl_line(line)
     assert _parsed_lanl(line) == _parsed_lanl_by_the_table(line)
+
+
+# The text token as it was written before the lookbehind: the same language,
+# matched by backing off one character from the tab.
+_BACKTRACKING_TEXT_TOKEN = r"(?:[^\t ](?:[^\t]*[^\t ])?)"
+
+
+@pytest.mark.parametrize("text,matches", [
+    ("a", True), (" a", False), ("a ", False), ("a a", True), ("  ", False),
+])
+def test_text_token_boundary_cases(text, matches):
+    assert bool(re.fullmatch(parsing._TEXT_TOKEN, text, re.ASCII)) is matches
+    assert bool(re.fullmatch(_BACKTRACKING_TEXT_TOKEN, text, re.ASCII)) is matches
+
+
+def test_text_token_matches_the_backtracking_token():
+    # Every string over a letter, a space and a tab up to length 6: 1,093 strings.
+    new = re.compile(parsing._TEXT_TOKEN, re.ASCII).fullmatch
+    old = re.compile(_BACKTRACKING_TEXT_TOKEN, re.ASCII).fullmatch
+    texts = ["".join(chars) for size in range(7)
+             for chars in itertools.product("a \t", repeat=size)]
+    assert len(texts) == 1093
+    assert [bool(new(text)) for text in texts] == [bool(old(text)) for text in texts]
 
 
 class TestParseTrace:
