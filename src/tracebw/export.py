@@ -104,7 +104,7 @@ def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[
 def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) -> int:
     """Write the full-fidelity CSV; returns the number of data rows.
 
-    Fields containing a comma, quote, or newline are double-quoted with
+    Fields containing a comma, quote, ``\n`` or ``\r`` are double-quoted with
     embedded quotes doubled (the usual CSV rule). Numeric fields use
     repr, so re-parsing recovers them bit-exactly. ``base`` is an MbBase
     or its divisor; anything else raises ValueError before the header is
@@ -113,11 +113,11 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
     Each row is one ``sink.write`` of one string. The job id is the only
     free-text cell: the others are integers, float reprs, empty or
     ``|``-joined flag names, none of which needs quoting. A row whose job
-    id is a ``str`` holding none of ``,``, ``"``, ``\n`` and ``\r`` is
-    written as one f-string; any other row goes through ``csv.writer``,
-    which is made, and ``csv`` imported, at the first such row. That set
-    holds every character ``csv.writer`` quotes here, so a row that needs
-    quoting is always written by ``csv`` itself.
+    id is a ``str`` holding none of ``,``, ``"`` and ``\n`` is written as
+    one f-string, the id quoted when it holds a ``\r``; any other row goes
+    through ``csv.writer``, which is made, and ``csv`` imported, at the
+    first such row. ``csv.writer`` quotes those three characters here, but
+    not a bare ``\r``, which ``csv.reader`` would read as the end of a row.
     """
     divisor = MbBase(base).divisor
     write = sink.write
@@ -140,7 +140,9 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
                 out_cell = repr(rate_bps / divisor)
             job_id = sample.job_id
             if (type(job_id) is str and "," not in job_id and '"' not in job_id
-                    and "\n" not in job_id and "\r" not in job_id):
+                    and "\n" not in job_id):
+                if "\r" in job_id:  # csv.writer leaves it bare; it holds no quote to double
+                    job_id = f'"{job_id}"'
                 write(f"{job_id},{sample.start.epoch_ms},{sample.end.epoch_ms},"
                       f"{sample.duration_ms},{sample.n_bytes},{rate_cell},{out_cell},{flag_cell}\n")
             else:

@@ -8,14 +8,14 @@ Missing data is a distinct absent state (``None``), never a sentinel
 number; the ``-1`` sentinel exists only at the file-format boundary (see
 :mod:`tracebw.parsing`).
 
-``Timestamp``, ``JobRecord`` and ``RateSample`` are built once per job on
-the read path, so each has one hand-written ``__init__`` in place of the
-dataclass's generated one plus ``__post_init__``: it checks its arguments,
-then stores each field through the slot descriptor's ``__set__`` (bound
-once at import), which a frozen instance's ``__setattr__`` would refuse.
-The dataclass still generates equality, hashing, ordering, ``repr`` and
-``__match_args__``. There is no unchecked constructor: every instance,
-the parsers' and ``iter_rates``' included, passes the same checks.
+``JobRecord`` and ``RateSample``, built once per job on the read path, are
+frozen dataclasses over a ``tuple`` of their fields in field order: a
+hand-written ``__new__`` checks its arguments and then makes the instance
+in one ``tuple.__new__`` call, and each field reads through a C getter of
+its item. Their base, ``_Fields``, keeps what a tuple would break: equality
+only within one class, no order, pickling through the checks. ``Timestamp``
+keeps one slot, set through its descriptor: one call is cheaper than
+``tuple.__new__``. Every instance, the parsers' included, passes the checks.
 
 Timestamps are integer milliseconds since the Unix epoch, UTC (source
 logs state no timezone; UTC is the documented assumption), widened on
@@ -27,7 +27,8 @@ so every instance can be written (see :mod:`tracebw.timefmt`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import _tuplegetter  # C, or property(itemgetter) where C is missing
+from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
 from math import inf
@@ -50,10 +51,37 @@ _MAX_COUNT = 2**63 - 1
 #: Relative tolerance for the rate * duration == 1000 * n_bytes identity.
 RECONSTRUCTION_RTOL = 1e-12
 
+_new_tuple = tuple.__new__
 
-def _slot_setters(cls) -> tuple:
-    """The ``__set__`` of each slot descriptor of ``cls``, in field order."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+class _Fields(tuple):
+    """Base of the value types stored as a tuple of their fields, in field order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):  # a dataclass's: only within one class
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's would compare items
+    __hash__ = tuple.__hash__  # the dataclass's hash of the fields' tuple
+
+    def __lt__(self, other):  # no order, not even a tuple's
+        raise TypeError(f"{type(self).__name__} has no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __getnewargs__(self):  # pickle and copy rebuild through the checked __new__
+        return tuple(self)
+
+
+def _tuple_dataclass(cls):
+    """A frozen dataclass over ``_Fields``, each field read by a getter of its item."""
+    cls = dataclass(frozen=True, init=False, eq=False)(cls)
+    for index, f in enumerate(fields(cls)):  # each getter replaces the field's default
+        setattr(cls, f.name, _tuplegetter(index, f"Field {index}: {f.name}"))
+    return cls
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -70,7 +98,7 @@ class Timestamp:
         _set_timestamp_epoch_ms(self, epoch_ms)
 
 
-(_set_timestamp_epoch_ms,) = _slot_setters(Timestamp)
+_set_timestamp_epoch_ms = Timestamp.__dict__["epoch_ms"].__set__
 
 
 _RESOURCE_FIELDS = ("req_procs", "used_procs", "req_cpu_s", "used_cpu_s",
@@ -85,8 +113,8 @@ def _raise_first_negative(values: tuple) -> None:
             raise ValueError(f"{name} must be >= 0 when present, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class JobRecord:
+@_tuple_dataclass
+class JobRecord(_Fields):
     """One job from an accounting log.
 
     Field order mirrors the 16-column log layout: identifier, the three
@@ -97,6 +125,7 @@ class JobRecord:
     and memory values must be finite and >= 0 when present.
     """
 
+    __slots__ = ()
     job_id: str
     submit_time: Timestamp | None = None
     start_time: Timestamp | None = None
@@ -114,14 +143,14 @@ class JobRecord:
     executable: str | None = None
     exit_code: int | None = None
 
-    def __init__(self, job_id: str, submit_time: Timestamp | None = None,
-                 start_time: Timestamp | None = None, end_time: Timestamp | None = None,
-                 req_procs: int | None = None, used_procs: int | None = None,
-                 req_cpu_s: float | None = None, used_cpu_s: float | None = None,
-                 req_mem_kb: int | None = None, used_mem_kb: int | None = None,
-                 queue: str | None = None, dedicated: bool | None = None,
-                 user: str | None = None, project: str | None = None,
-                 executable: str | None = None, exit_code: int | None = None):
+    def __new__(cls, job_id: str, submit_time: Timestamp | None = None,
+                start_time: Timestamp | None = None, end_time: Timestamp | None = None,
+                req_procs: int | None = None, used_procs: int | None = None,
+                req_cpu_s: float | None = None, used_cpu_s: float | None = None,
+                req_mem_kb: int | None = None, used_mem_kb: int | None = None,
+                queue: str | None = None, dedicated: bool | None = None,
+                user: str | None = None, project: str | None = None,
+                executable: str | None = None, exit_code: int | None = None):
         # The parsers refuse negative and infinite cells first, with their
         # reason and column; this guards the public constructor in one scan,
         # and names a field only once a value fails.
@@ -129,29 +158,9 @@ class JobRecord:
         for value in values:
             if value is not None and not 0 <= value < inf:
                 _raise_first_negative(values)
-        _set_record_job_id(self, job_id)
-        _set_record_submit_time(self, submit_time)
-        _set_record_start_time(self, start_time)
-        _set_record_end_time(self, end_time)
-        _set_record_req_procs(self, req_procs)
-        _set_record_used_procs(self, used_procs)
-        _set_record_req_cpu_s(self, req_cpu_s)
-        _set_record_used_cpu_s(self, used_cpu_s)
-        _set_record_req_mem_kb(self, req_mem_kb)
-        _set_record_used_mem_kb(self, used_mem_kb)
-        _set_record_queue(self, queue)
-        _set_record_dedicated(self, dedicated)
-        _set_record_user(self, user)
-        _set_record_project(self, project)
-        _set_record_executable(self, executable)
-        _set_record_exit_code(self, exit_code)
-
-
-(_set_record_job_id, _set_record_submit_time, _set_record_start_time, _set_record_end_time,
- _set_record_req_procs, _set_record_used_procs, _set_record_req_cpu_s, _set_record_used_cpu_s,
- _set_record_req_mem_kb, _set_record_used_mem_kb, _set_record_queue, _set_record_dedicated,
- _set_record_user, _set_record_project, _set_record_executable,
- _set_record_exit_code) = _slot_setters(JobRecord)
+        return _new_tuple(cls, (job_id, submit_time, start_time, end_time, req_procs,
+                                used_procs, req_cpu_s, used_cpu_s, req_mem_kb, used_mem_kb,
+                                queue, dedicated, user, project, executable, exit_code))
 
 
 class RateFlag(Enum):
@@ -161,8 +170,8 @@ class RateFlag(Enum):
     CARRIED_FORWARD_START = "CARRIED_FORWARD_START"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RateSample:
+@_tuple_dataclass
+class RateSample(_Fields):
     """One job's bandwidth result.
 
     ``rate_bytes_per_s`` is present exactly when ``duration_ms`` is
@@ -171,6 +180,7 @@ class RateSample:
     rejects anything else.
     """
 
+    __slots__ = ()
     job_id: str
     start: Timestamp
     end: Timestamp
@@ -179,8 +189,8 @@ class RateSample:
     rate_bytes_per_s: float | None
     flags: frozenset = frozenset()
 
-    def __init__(self, job_id: str, start: Timestamp, end: Timestamp, n_bytes: int,
-                 duration_ms: int, rate_bytes_per_s: float | None, flags: frozenset = frozenset()):
+    def __new__(cls, job_id: str, start: Timestamp, end: Timestamp, n_bytes: int,
+                duration_ms: int, rate_bytes_per_s: float | None, flags: frozenset = frozenset()):
         if n_bytes < 0:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
         if duration_ms != end.epoch_ms - start.epoch_ms:
@@ -200,18 +210,8 @@ class RateSample:
                 )
         if type(flags) is not frozenset:
             flags = frozenset(flags)
-        _set_sample_job_id(self, job_id)
-        _set_sample_start(self, start)
-        _set_sample_end(self, end)
-        _set_sample_n_bytes(self, n_bytes)
-        _set_sample_duration_ms(self, duration_ms)
-        _set_sample_rate_bytes_per_s(self, rate_bytes_per_s)
-        _set_sample_flags(self, flags)
-
-
-(_set_sample_job_id, _set_sample_start, _set_sample_end, _set_sample_n_bytes,
- _set_sample_duration_ms, _set_sample_rate_bytes_per_s,
- _set_sample_flags) = _slot_setters(RateSample)
+        return _new_tuple(cls, (job_id, start, end, n_bytes, duration_ms,
+                                rate_bytes_per_s, flags))
 
 
 def _require_counts(counts: Iterable[tuple[str, object]]) -> None:

@@ -251,11 +251,15 @@ class TestFullCsv:
         (record,) = list(csv.reader(io.StringIO(text)))[1:]
         assert len(record) == 8
 
-    def test_comma_in_job_id_is_quoted(self):
-        _, text = self.run([sample_of(1024, 2000, job_id="a,b")])
-        assert '"a,b"' in text
+    @pytest.mark.parametrize("job_id,cell", [
+        ("a,b", '"a,b"'), ('q"q', '"q""q"'), ("lf\nlf", '"lf\nlf"'), ("cr\rcr", '"cr\rcr"'),
+        ("\r", '"\r"'), ("x\r\ny", '"x\r\ny"'),
+    ], ids=["comma", "quote", "lf", "cr", "bare-cr", "crlf"])
+    def test_job_id_that_needs_quoting_is_quoted(self, job_id, cell):
+        _, text = self.run([sample_of(1024, 2000, job_id=job_id)])
+        assert text.split("\n", 1)[1].startswith(cell + ",")
         (record,) = list(csv.reader(io.StringIO(text)))[1:]
-        assert record[0] == "a,b"
+        assert record[0] == job_id
 
     def test_flags_cell(self):
         _, text = self.run([sample_of(1024, -2000)])
@@ -295,14 +299,24 @@ class TestFullCsv:
 
 def csv_writer_csv(samples, base) -> str:
     """The full CSV as csv.writer writes it, every row cell by cell: the
-    reference that one f-string per plain row must equal."""
+    reference that one f-string per plain row must equal. The writer ends
+    each row with ``\r\n``, so that it quotes a field holding a ``\r`` as
+    well as one holding a ``\n``; the row is then ended with ``\n``."""
     divisor = MbBase(base).divisor
     sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    row = io.StringIO()
+    writer = csv.writer(row, lineterminator="\r\n")
+
+    def writerow(cells):
+        row.seek(0)
+        row.truncate()
+        writer.writerow(cells)
+        sink.write(row.getvalue().removesuffix("\r\n") + "\n")
+
+    writerow(CSV_HEADER.split(","))
     for sample in samples:
         rate_bps = sample.rate_bytes_per_s
-        writer.writerow([
+        writerow([
             sample.job_id,
             sample.start.epoch_ms,
             sample.end.epoch_ms,
@@ -317,9 +331,9 @@ def csv_writer_csv(samples, base) -> str:
     return sink.getvalue()
 
 
-# Job ids over full text, the characters that need quoting (and \r, which
-# csv.writer does not quote here) made likely, and an int, which csv.writer
-# writes as str(x).
+# Job ids over full text, the characters that need quoting (\r among them,
+# which csv.writer with a "\n" terminator would leave bare) made likely, and
+# an int, which csv.writer writes as str(x).
 _job_ids = (st.text() | st.text(alphabet=st.sampled_from(',"\r\n a\u00e9\u4e2d'))
             | st.sampled_from(["", " j1 ", "a,b", 'say "hi"', "x\r\ny", "\r", "\u00e9t\u00e9"])
             | st.integers())

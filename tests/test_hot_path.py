@@ -16,10 +16,11 @@ most 0.1 call, so the CLI adds no per-line or per-sample work of its own.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import io
 import sys
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 
@@ -207,12 +208,24 @@ def test_format_lanl_line_calls(present):
 
 def test_each_value_type_is_built_in_one_python_call():
     # Timestamp (three per line), JobRecord and RateSample check and store in
-    # their own __init__; a __post_init__ or a helper would add a call per object.
+    # their own __init__ or __new__; a __post_init__ or a helper would add a
+    # call per object.
     start, end = Timestamp(0), Timestamp(32000)
     assert count_calls(Timestamp, 0) == 1
     assert count_calls(JobRecord, "j", start, start, end, 1, 2, 3.0, 4.0, 5, 6,
                        "q", True, "u", "p", "x", 0) == 1
     assert count_calls(RateSample, "j", start, end, 33554432, 32000, 1048576.0) == 1
+
+
+def test_field_reads_make_no_python_call():
+    # A slot or a tuple item's getter, both in C: format_lanl_line reads every
+    # field of each record gen writes, and the writers most fields of a sample.
+    start, end = Timestamp(0), Timestamp(32000)
+    for obj in (start, JobRecord("j", start, start, end, 1, 2, 3.0, 4.0, 5, 6,
+                                 "q", True, "u", "p", "x", 0),
+                RateSample("j", start, end, 33554432, 32000, 1048576.0)):
+        read_all = attrgetter(*(f.name for f in dataclasses.fields(obj)))
+        assert count_calls(read_all, obj) == 0, type(obj).__name__
 
 
 # A plain ARCHIVE18 line calls no converter: parse_archive_line itself, _ms
