@@ -8,9 +8,9 @@ Kbytes * 1024, so the cell is n_bytes / 1024). No worksheet cell can
 hold a comma, a quote or a line break, so each row is written as one
 string with no CSV quoting. The full CSV is the engineering artifact:
 every field at full fidelity, floats in repr form so they re-parse
-bit-exactly. Each of its rows is one string too, except where a job id,
-its one free-text cell, may need quoting: that row goes through
-``csv.writer``, and ``csv`` is imported only then.
+bit-exactly. Each of its rows is one string too; its one free-text cell,
+the job id, is quoted in place by the RFC 4180 rule, so ``csv`` is never
+loaded.
 """
 
 from __future__ import annotations
@@ -56,17 +56,17 @@ def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary
             n_negative += 1
     if not defined:
         return TraceSummary(n_rates=0, n_negative=0, n_undefined=n_undefined)
-    values = sorted(defined)
-    n = len(values)
+    defined.sort()
+    n = len(defined)
     return TraceSummary(
         n_rates=n,
         n_negative=n_negative,
         n_undefined=n_undefined,
-        min=values[0],
-        max=values[-1],
-        mean=math.fsum(values) / n,
-        median=values[(n - 1) // 2],
-        p95=values[(95 * n + 99) // 100 - 1],
+        min=defined[0],
+        max=defined[-1],
+        mean=math.fsum(defined) / n,
+        median=defined[(n - 1) // 2],
+        p95=defined[(95 * n + 99) // 100 - 1],
     )
 
 
@@ -104,24 +104,20 @@ def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[
 def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) -> int:
     """Write the full-fidelity CSV; returns the number of data rows.
 
-    Fields containing a comma, quote, ``\n`` or ``\r`` are double-quoted with
-    embedded quotes doubled (the usual CSV rule). Numeric fields use
-    repr, so re-parsing recovers them bit-exactly. ``base`` is an MbBase
-    or its divisor; anything else raises ValueError before the header is
-    written.
+    Numeric fields use repr, so re-parsing recovers them bit-exactly.
+    ``base`` is an MbBase or its divisor; anything else raises ValueError
+    before the header is written.
 
     Each row is one ``sink.write`` of one string. The job id is the only
     free-text cell: the others are integers, float reprs, empty or
-    ``|``-joined flag names, none of which needs quoting. A row whose job
-    id is a ``str`` holding none of ``,``, ``"`` and ``\n`` is written as
-    one f-string, the id quoted when it holds a ``\r``; any other row goes
-    through ``csv.writer``, which is made, and ``csv`` imported, at the
-    first such row. ``csv.writer`` quotes those three characters here, but
-    not a bare ``\r``, which ``csv.reader`` would read as the end of a row.
+    ``|``-joined flag names, none of which needs quoting. A job id that is
+    not a ``str`` is written as ``str(job_id)``, ``None`` as an empty cell.
+    An id holding a comma, a quote, ``\n`` or ``\r`` is double-quoted with
+    its quotes doubled (RFC 4180), so ``csv.reader`` reads each row back
+    as one row.
     """
     divisor = MbBase(base).divisor
     write = sink.write
-    writerow = None  # csv.writer(sink).writerow, made at the first row that may need quoting
     flag_cells: dict[frozenset, str] = {}  # samples share a few flag sets
     rows = 0
     try:
@@ -139,18 +135,12 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
                 rate_cell = repr(rate_bps)
                 out_cell = repr(rate_bps / divisor)
             job_id = sample.job_id
-            if (type(job_id) is str and "," not in job_id and '"' not in job_id
-                    and "\n" not in job_id):
-                if "\r" in job_id:  # csv.writer leaves it bare; it holds no quote to double
-                    job_id = f'"{job_id}"'
-                write(f"{job_id},{sample.start.epoch_ms},{sample.end.epoch_ms},"
-                      f"{sample.duration_ms},{sample.n_bytes},{rate_cell},{out_cell},{flag_cell}\n")
-            else:
-                if writerow is None:
-                    import csv  # only a job id that may need quoting loads it
-                    writerow = csv.writer(sink, lineterminator="\n").writerow
-                writerow([job_id, sample.start.epoch_ms, sample.end.epoch_ms,
-                          sample.duration_ms, sample.n_bytes, rate_cell, out_cell, flag_cell])
+            if type(job_id) is not str:
+                job_id = "" if job_id is None else str(job_id)
+            if "," in job_id or '"' in job_id or "\n" in job_id or "\r" in job_id:
+                job_id = '"' + job_id.replace('"', '""') + '"'
+            write(f"{job_id},{sample.start.epoch_ms},{sample.end.epoch_ms},"
+                  f"{sample.duration_ms},{sample.n_bytes},{rate_cell},{out_cell},{flag_cell}\n")
             rows += 1
     except OSError as exc:
         raise IoFailure(exc, rows_written=rows) from exc

@@ -15,7 +15,8 @@ in one ``tuple.__new__`` call, and each field reads through a C getter of
 its item. Their base, ``_Fields``, keeps what a tuple would break: equality
 only within one class, no order, pickling through the checks. ``Timestamp``
 keeps one slot, set through its descriptor: one call is cheaper than
-``tuple.__new__``. Every instance, the parsers' included, passes the checks.
+``tuple.__new__``; its ``__reduce__`` copies through ``__init__``. Every
+instance, the parsers' included, passes the checks.
 
 Timestamps are integer milliseconds since the Unix epoch, UTC (source
 logs state no timezone; UTC is the documented assumption), widened on
@@ -84,10 +85,12 @@ def _tuple_dataclass(cls):
     return cls
 
 
-@dataclass(frozen=True, order=True, slots=True, init=False)
+@dataclass(frozen=True, order=True, init=False)
 class Timestamp:
     """A point in time: integer milliseconds since the Unix epoch, UTC."""
 
+    # By hand: slots=True remakes the class, and the frozen __setattr__ names the old one.
+    __slots__ = ("epoch_ms",)
     epoch_ms: int
 
     def __init__(self, epoch_ms: int):
@@ -96,6 +99,9 @@ class Timestamp:
         if not _FIRST_MS <= epoch_ms <= _LAST_MS:
             raise ValueError(f"epoch_ms {epoch_ms} is outside 0001-01-01 .. 9999-12-31 UTC")
         _set_timestamp_epoch_ms(self, epoch_ms)
+
+    def __reduce__(self):  # pickle and copy rebuild through the checked __init__
+        return type(self), (self.epoch_ms,)
 
 
 _set_timestamp_epoch_ms = Timestamp.__dict__["epoch_ms"].__set__
@@ -203,7 +209,8 @@ class RateSample(_Fields):
         if rate_bytes_per_s is not None:
             lhs = rate_bytes_per_s * duration_ms
             rhs = MS_PER_S * n_bytes
-            if abs(lhs - rhs) > RECONSTRUCTION_RTOL * max(abs(lhs), abs(rhs)):
+            # Written so that a NaN or an infinite product fails it too.
+            if not (abs(lhs - rhs) <= RECONSTRUCTION_RTOL * max(abs(lhs), abs(rhs)) < inf):
                 raise ValueError(
                     f"inconsistent sample: {rate_bytes_per_s} B/s * {duration_ms} ms "
                     f"!= 1000 * {n_bytes} B"

@@ -69,7 +69,7 @@ class RateSample:
         if rate is not None:
             lhs = rate * duration_ms
             rhs = MS_PER_S * n_bytes
-            if abs(lhs - rhs) > RECONSTRUCTION_RTOL * max(abs(lhs), abs(rhs)):
+            if not (abs(lhs - rhs) <= RECONSTRUCTION_RTOL * max(abs(lhs), abs(rhs)) < inf):
                 raise ValueError(f"inconsistent sample: {rate} B/s * {duration_ms} ms "
                                  f"!= 1000 * {n_bytes} B")
         object.__setattr__(self, "flags", frozenset(self.flags))

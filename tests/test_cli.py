@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, stream separation."""
 
+import csv
 import dataclasses
 import errno
 import hashlib
@@ -736,9 +737,8 @@ def test_streams_separate_in_subprocess(small_trace):
 
 def test_only_gen_loads_the_generator_in_subprocess():
     # The read commands start without synth and the fractions and decimal it
-    # imports, and without csv, which only rates --full loads, for a job id
-    # that needs quoting; the package still serves the generator's names on
-    # first use.
+    # imports, and without csv, which no command loads; the package still
+    # serves the generator's names on first use.
     code = ("import sys, tracebw.cli\n"
             "print(sorted({'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv'}\n"
             "             & set(sys.modules)))\n"
@@ -749,25 +749,34 @@ def test_only_gen_loads_the_generator_in_subprocess():
     assert result.stdout == "[]\n1 True\n"
 
 
-@pytest.mark.parametrize("job_id,loaded,cell", [
-    ("j1", "[]", "j1"),
-    ("a,b", "['_csv', 'csv']", '"a,b"'),
-], ids=["plain-job-id", "comma-in-job-id"])
-def test_full_csv_loads_csv_only_to_quote_in_subprocess(tmp_path, job_id, loaded, cell):
-    # Every row of the full CSV is one string; csv.writer, and the csv and
-    # _csv modules with it, only come in for a job id that may need quoting.
+def test_full_csv_never_loads_csv_in_subprocess(tmp_path):
+    # write_csv quotes a job id itself, so neither rates --full nor a \r id,
+    # which no trace line can carry, loads the csv or _csv module; each row
+    # still reads back through csv.reader as one row.
+    ids = ["j1", "a,b", 'say "hi"']
     trace = tmp_path / "ids.trace"
-    trace.write_text(LANL_LINE + "\n" + LANL_LINE.replace("j1", job_id, 1) + "\n")
-    out = tmp_path / "out.csv"
+    trace.write_text("".join(LANL_LINE.replace("j1", job_id, 1) + "\n" for job_id in ids))
+    out, cr_out = tmp_path / "out.csv", tmp_path / "cr.csv"
     code = ("import sys, tracebw.cli\n"
+            "from tracebw import MbBase, RateSample, Timestamp, write_csv\n"
             "assert tracebw.cli.main(['rates', '--full', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "sample = RateSample('cr\\rcr', Timestamp(0), Timestamp(1000), 5, 1000, 5.0)\n"
+            "with open(sys.argv[3], 'w', newline='') as sink:\n"
+            "    assert write_csv([sample], MbBase.BINARY, sink) == 1\n"
             "print(sorted({'csv', '_csv'} & set(sys.modules)))\n")
-    result = subprocess.run([sys.executable, "-c", code, str(trace), str(out)],
+    result = subprocess.run([sys.executable, "-c", code, str(trace), str(out), str(cr_out)],
                             capture_output=True, text=True, check=True)
-    assert result.stdout == loaded + "\n"
-    rows = out.read_text().splitlines()
-    assert len(rows) == 3
-    assert rows[1].startswith("j1,") and rows[2].startswith(cell + ",")
+    assert result.stdout == "[]\n"
+    cells = ["j1", '"a,b"', '"say ""hi"""']
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    for line, cell in zip(lines[1:], cells):
+        assert line.startswith(cell + ",")
+    for path, expected in ((out, ids), (cr_out, ["cr\rcr"])):
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1:]] == expected
+        assert all(len(row) == 8 for row in rows)
 
 
 def test_read_command_builds_no_clock_table_in_subprocess(small_trace):

@@ -333,10 +333,11 @@ def csv_writer_csv(samples, base) -> str:
 
 # Job ids over full text, the characters that need quoting (\r among them,
 # which csv.writer with a "\n" terminator would leave bare) made likely, and
-# an int, which csv.writer writes as str(x).
+# ids that are not a str: an int or a float, which csv.writer writes as
+# str(x), and None, which it writes as an empty cell.
 _job_ids = (st.text() | st.text(alphabet=st.sampled_from(',"\r\n a\u00e9\u4e2d'))
             | st.sampled_from(["", " j1 ", "a,b", 'say "hi"', "x\r\ny", "\r", "\u00e9t\u00e9"])
-            | st.integers())
+            | st.integers() | st.floats() | st.none())
 
 
 @st.composite
@@ -357,7 +358,8 @@ def csv_samples(draw):
 
 @given(st.lists(csv_samples(), max_size=8), st.sampled_from(list(MbBase)))
 @example([sample_of(1024, 2000, job_id=job_id) for job_id in
-          ["plain", "a,b", "", 'q"q', "cr\rcr", "lf\nlf", " pad ", "\u00e9", 7]],
+          ["plain", "a,b", "", 'q"q', "cr\rcr", "lf\nlf", " pad ", "\u00e9", 7, None, 2.5,
+           -0.0, float("nan"), 1e300]],
          MbBase.BINARY)
 @example([sample_of(0, -5, job_id=1), sample_of(3, 0, job_id="j")], MbBase.DECIMAL)
 def test_csv_matches_csv_writer(samples, base):
@@ -423,7 +425,7 @@ class TestSinkFailure:
 
     @pytest.mark.parametrize("failing", [2, 3], ids=["quoted-row", "plain-row-after-quoted"])
     def test_csv_reports_rows_written_around_a_quoted_row(self, failing):
-        # The third row's job id needs quoting, so csv.writer writes it.
+        # The third row's job id needs quoting; that row is still one write.
         samples = mb_samples(1.0, 2.0, 3.0, 4.0)
         samples[2] = sample_of(1024, 2000, job_id="a,b")
         sink = ExplodingSink(allowed_writes=1 + failing)   # header + that many rows

@@ -164,6 +164,15 @@ class TestRateSample:
         with pytest.raises(ValueError):
             self._sample(rate_bytes_per_s=1048576.5)
 
+    @pytest.mark.parametrize("rate_bps", [float("nan"), float("inf"), float("-inf"), 1e305])
+    def test_rate_must_be_finite_and_so_must_its_product(self, rate_bps):
+        # NaN fails no comparison, and an infinite product makes the
+        # tolerance infinite: the check must refuse both all the same.
+        with pytest.raises(ValueError, match="^inconsistent sample"):
+            self._sample(rate_bytes_per_s=rate_bps)
+        with pytest.raises(ValueError, match="^inconsistent sample"):
+            RateSample("j", Timestamp(0), Timestamp(1000), 5, 1000, rate_bps)
+
     def test_duration_must_match_endpoints(self):
         with pytest.raises(ValueError):
             self._sample(duration_ms=31999, rate_bytes_per_s=1048608.768)
