@@ -1,4 +1,4 @@
-"""Streaming parsers for line-oriented batch accounting logs.
+r"""Streaming parsers for line-oriented batch accounting logs.
 
 A log is an ASCII file with one line per job. Two concrete layouts are
 supported:
@@ -7,58 +7,57 @@ LANL16
     16 positionally-ordered columns: job id, submit/start/end timestamps,
     requested and used processors, requested and used CPU seconds,
     requested and used memory in Kbytes, queue, dedicated flag, user,
-    project, executable, exit code. ``#`` starts a comment line. In every
-    column but the first, an empty cell or the token ``-1`` means the
-    value is missing (the job id is taken verbatim). Timestamps are
-    integer epoch seconds or ``Mon DD YY[ HH:MM:SS[.mmm]]``. Columns are
-    tab-separated; cells may contain spaces (the civil timestamp form
-    does). Lines without any tab fall back to whitespace-run splitting,
-    in which case timestamps must use the epoch-seconds form. A line in
-    the plain form, as ``tracebw gen`` writes it, where single tabs
-    separate a non-empty job id and 15 cells that neither start nor end
-    with a space, and each count, seconds, flag and exit-code cell is
-    ``-1`` or 1-15 ASCII digits (a decimal fraction allowed in the two
-    seconds cells), is checked by one compiled pattern and converted
-    directly. Its timestamp cells go to
-    :func:`~tracebw.timefmt.parse_timestamp` as on any other line, and
-    one that it refuses sends the line to the column table, which names
-    the reason.
+    project, executable, exit code. ``#`` starts a comment line. Columns
+    are tab-separated and each cell is trimmed of spaces; cells may
+    contain spaces (the civil timestamp form does). Lines without any tab
+    fall back to whitespace-run splitting, in which case timestamps must
+    use the epoch-seconds form. In every column but the first, an empty
+    cell or ``-1`` means the value is missing; the job id is taken
+    verbatim.
 
 ARCHIVE18
     The public archive's 18-field layout: one line of whitespace-separated
     numeric fields per job, ``;`` starts a header comment, ``-1`` means
-    missing. Fields are job number, submit time (epoch seconds), wait
-    time, runtime, allocated processors, average used CPU seconds, used
-    memory (Kbytes per processor), requested processors, requested time,
-    requested memory (Kbytes per processor), status, user, group,
-    executable, queue, partition, preceding job, think time. Start time
-    is derived as submit + wait and end time as start + runtime; a
-    missing addend makes the derived value missing too. Per-processor
-    memory is multiplied by the allocated processor count to give a
-    whole-job figure unless ``scale_per_proc_memory=False``. A line in
-    the plain form, where each field is ``-1`` or 1-15 ASCII digits (a
-    decimal fraction allowed in the five seconds fields) and runs of
-    spaces or tabs separate them, is checked by one compiled pattern and
-    converted directly; any other line takes the column table below, and
-    both give the same record. There is no ARCHIVE18 writer.
+    missing, also when written as an integral float (``-1.0``). Fields
+    are job number, submit time (epoch seconds), wait time, runtime,
+    allocated processors, average used CPU seconds, used memory (Kbytes
+    per processor), requested processors, requested time, requested
+    memory (Kbytes per processor), status, user, group, executable,
+    queue, partition, preceding job, think time. Start time is derived as
+    submit + wait and end time as start + runtime; a missing addend makes
+    the derived value missing too. Per-processor memory is multiplied by
+    the allocated processor count to give a whole-job figure unless
+    ``scale_per_proc_memory=False``. There is no ARCHIVE18 writer.
 
-Each format is one column table: a tuple of (field name, converter,
-reason code) entries in column order, run by one loop per line not in the
-plain form; the format's field count is the table's length plus the
-verbatim job id. Both formats' plain-form patterns are built from their
-tables and one token grammar per converter, so a token rule is written
-once for both. A converter turns a cell into a value; when it raises
-ValueError the line is malformed with the entry's reason code and the
-detail ``name='cell'``, and when it finds a value below zero in a
-non-negative column the reason is ``negative-value`` with the detail
-``name=value``.
-The first failing column, in column order, names the line's reason.
-LANL16 cells that are empty or ``-1`` are absent and skip the converter;
-ARCHIVE18 converters read ``-1`` as absent themselves, since ``-1.0`` is
-absent too. Timestamp cells follow the grammar in :mod:`tracebw.timefmt`.
-Processor and memory counts above ``2**63 - 1`` are ``bad-int``; an ARCHIVE18
+Each format is one column table of (field name, kind, reason code)
+entries in column order, after the job id, which is taken verbatim. Each
+kind's grammar is an ASCII token, written once for both formats: an
+integer (count, flag, exit code, status, category) is ``-?\d+``, which
+ARCHIVE18 may also write as an integral float (``4.0``, ``4.``); an
+ARCHIVE18 label (user, group, executable, queue) is such an integer kept
+as its text; seconds are ``-?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?``; a
+timestamp follows :func:`~tracebw.timefmt.parse_timestamp`; a LANL16 text
+cell is any text. A count (processors, memory) is at most ``2**63 - 1``
+and seconds are finite. A cell that breaks these gives its column's
+reason code (``bad-int``, ``bad-real``, ``bad-flag``, ``bad-timestamp``)
+and the detail ``name='cell'``; a count or seconds value below zero is
+``negative-value``, detail ``name=value``. The first refused cell, in
+column order, names the line's reason. So ``1_0``, ``+5``, non-ASCII
+digits and a LANL16 cell led by a no-break space are refused, and so are
+``1e3``, ``1E3`` and ``.0`` in an ARCHIVE18 integer field; ``-1e0`` in an
+ARCHIVE18 seconds field is ``negative-value``, not missing. An ARCHIVE18
 time outside the timestamp span is ``bad-real``, blamed on the cell that
 moved it there.
+
+Each format converts its cells in one block. A line in the plain form,
+as ``tracebw gen`` writes LANL16 and as aligned ARCHIVE18 columns are
+written, goes there directly, checked by one compiled pattern built from
+the column table. Any other line is checked cell by cell by one function
+shared by both formats, which names the first refused cell or rewrites
+the cells into plain form for the same block: LANL16 cells trimmed, an
+empty one as ``-1``; ARCHIVE18 integers but labels as their integral
+part, a missing value as ``-1``. A timestamp that ``parse_timestamp``
+refuses on a plain line is named by the same check.
 
 Malformed lines are counted and skipped, never fatal; only a failure of
 the underlying stream aborts a session (:class:`IoFailure`, carrying the
@@ -71,7 +70,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from math import isfinite
 from typing import IO, Callable, Iterable, Iterator
 
@@ -83,57 +82,6 @@ from .timefmt import format_timestamp, parse_timestamp
 class TraceFormat(Enum):
     LANL16 = "lanl"
     ARCHIVE18 = "archive"
-
-
-_MISSING_TOKENS = ("", "-1")
-
-
-class _NegativeValue(Exception):
-    """Raised by a converter for a value below zero in a non-negative column."""
-
-    def __init__(self, value):
-        super().__init__(value)
-        self.value = value
-
-
-def _malformed(line_no: int, column: tuple, cell: str, exc: Exception) -> MalformedLine:
-    """The MalformedLine for a cell whose converter raised ``exc``."""
-    name, _, reason = column
-    if isinstance(exc, _NegativeValue):
-        return MalformedLine(line_no, "negative-value", f"{name}={exc.value}")
-    return MalformedLine(line_no, reason, f"{name}={cell!r}")
-
-
-# Converters take one cell and return its value. They raise ValueError when
-# the cell does not convert (reported under the column's reason code) and
-# _NegativeValue when a non-negative column holds a value below zero.
-
-def _timestamp(cell: str) -> Timestamp:
-    # parse_timestamp is looked up per call so that a wrapper installed on
-    # this module's attribute (as a tracer does) sees every cell.
-    return parse_timestamp(cell)
-
-
-def _count(cell: str) -> int:
-    value = int(cell)
-    if value < 0:
-        raise _NegativeValue(value)
-    if value > _MAX_COUNT:
-        raise ValueError(cell)
-    return value
-
-
-def _seconds(cell: str) -> float:
-    value = float(cell)
-    if not isfinite(value):
-        raise ValueError(cell)
-    if value < 0:
-        raise _NegativeValue(value)
-    return value
-
-
-def _flag(cell: str) -> bool:
-    return int(cell) != 0
 
 
 def _split_lanl(line: str) -> list[str]:
@@ -148,126 +96,81 @@ def _split_lanl(line: str) -> list[str]:
     return line.split()
 
 
-# Columns 1-15 in JobRecord field order, as (field name, converter, reason
-# code). Column 0, the job id, is taken verbatim; in every other column an
-# empty cell or "-1" is absent and skips the converter.
+# Columns 1-15 in JobRecord field order, as (field name, kind, reason code).
+# Column 0, the job id, is taken verbatim; a text cell is never refused.
 _LANL_COLUMNS = (
-    ("submit_time", _timestamp, "bad-timestamp"),
-    ("start_time", _timestamp, "bad-timestamp"),
-    ("end_time", _timestamp, "bad-timestamp"),
-    ("req_procs", _count, "bad-int"),
-    ("used_procs", _count, "bad-int"),
-    ("req_cpu_s", _seconds, "bad-real"),
-    ("used_cpu_s", _seconds, "bad-real"),
-    ("req_mem_kb", _count, "bad-int"),
-    ("used_mem_kb", _count, "bad-int"),
-    ("queue", str, ""),
-    ("dedicated", _flag, "bad-flag"),
-    ("user", str, ""),
-    ("project", str, ""),
-    ("executable", str, ""),
-    ("exit_code", int, "bad-int"),
+    ("submit_time", "timestamp", "bad-timestamp"),
+    ("start_time", "timestamp", "bad-timestamp"),
+    ("end_time", "timestamp", "bad-timestamp"),
+    ("req_procs", "count", "bad-int"),
+    ("used_procs", "count", "bad-int"),
+    ("req_cpu_s", "seconds", "bad-real"),
+    ("used_cpu_s", "seconds", "bad-real"),
+    ("req_mem_kb", "count", "bad-int"),
+    ("used_mem_kb", "count", "bad-int"),
+    ("queue", "text", ""),
+    ("dedicated", "integer", "bad-flag"),
+    ("user", "text", ""),
+    ("project", "text", ""),
+    ("executable", "text", ""),
+    ("exit_code", "integer", "bad-int"),
 )
 LANL_FIELD_COUNT = 1 + len(_LANL_COLUMNS)
 
-
-def _swf_int(cell: str) -> int | None:
-    # Integral floats such as "4.0" are accepted; -1 is absent.
-    try:
-        value = int(cell)
-    except ValueError:
-        real = float(cell)
-        if not real.is_integer():
-            raise
-        value = int(real)
-    return None if value == -1 else value
-
-
-def _swf_amount(cell: str) -> int | None:
-    value = _swf_int(cell)
-    if value is not None:
-        if value < 0:
-            raise _NegativeValue(value)
-        if value > _MAX_COUNT:
-            raise ValueError(cell)
-    return value
-
-
-def _swf_label(cell: str) -> str | None:
-    # A category number, kept as its text.
-    return None if _swf_int(cell) is None else cell
-
-
-def _swf_seconds(cell: str) -> float | None:
-    value = float(cell)
-    if value == -1:
-        return None
-    if not isfinite(value):
-        raise ValueError(cell)
-    if value < 0:
-        raise _NegativeValue(value)
-    return value
-
-
-# Fields 1-17 as (field name, converter, reason code); field 0, the job
-# number, is taken verbatim. Trailing category fields are validated even
-# where unused.
+# Fields 1-17 as (field name, kind, reason code); field 0, the job number, is
+# taken verbatim. Trailing category fields are checked even where unused.
 _ARCHIVE_COLUMNS = (
-    ("submit", _swf_seconds, "bad-real"),
-    ("wait", _swf_seconds, "bad-real"),
-    ("runtime", _swf_seconds, "bad-real"),
-    ("allocated_procs", _swf_amount, "bad-int"),
-    ("avg_cpu", _swf_seconds, "bad-real"),
-    ("used_mem_kb_per_proc", _swf_amount, "bad-int"),
-    ("requested_procs", _swf_amount, "bad-int"),
-    ("requested_time", _swf_seconds, "bad-real"),
-    ("requested_mem_kb_per_proc", _swf_amount, "bad-int"),
-    ("status", _swf_int, "bad-int"),
-    ("user", _swf_label, "bad-int"),
-    ("group", _swf_label, "bad-int"),
-    ("executable", _swf_label, "bad-int"),
-    ("queue", _swf_label, "bad-int"),
-    ("partition", _swf_int, "bad-int"),
-    ("preceding_job", _swf_int, "bad-int"),
-    ("think_time", _swf_int, "bad-int"),
+    ("submit", "seconds", "bad-real"),
+    ("wait", "seconds", "bad-real"),
+    ("runtime", "seconds", "bad-real"),
+    ("allocated_procs", "count", "bad-int"),
+    ("avg_cpu", "seconds", "bad-real"),
+    ("used_mem_kb_per_proc", "count", "bad-int"),
+    ("requested_procs", "count", "bad-int"),
+    ("requested_time", "seconds", "bad-real"),
+    ("requested_mem_kb_per_proc", "count", "bad-int"),
+    ("status", "integer", "bad-int"),
+    ("user", "label", "bad-int"),
+    ("group", "label", "bad-int"),
+    ("executable", "label", "bad-int"),
+    ("queue", "label", "bad-int"),
+    ("partition", "integer", "bad-int"),
+    ("preceding_job", "integer", "bad-int"),
+    ("think_time", "integer", "bad-int"),
 )
 ARCHIVE_FIELD_COUNT = 1 + len(_ARCHIVE_COLUMNS)
 
-# The plain form of a cell, by converter: a count, flag or exit code is -1 or
-# 1-15 ASCII digits, and a seconds cell may add a decimal fraction. Such a
-# token is far below _MAX_COUNT and its only negative is -1, so each converter
-# returns what its first int or float call gives, with -1 absent. A text or
-# timestamp cell, and a LANL16 job id, is any run without a tab that neither
-# starts nor ends with a space: so it is not empty, and the LANL16 split strips
-# nothing from it. Its last character is tested by a lookbehind once the run
-# has reached the tab, so a cell that passes is scanned once, with no backing
-# off. parse_timestamp is a timestamp cell's grammar on both routes.
+# The cell grammars of the checked route, as ASCII tokens. Per format, its
+# grammar for a missing value, then for an integer, which captures the
+# integer's plain form.
+_SECONDS = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+_LANL_GRAMMAR = (r"-1|", r"(-?\d+)")
+_ARCHIVE_GRAMMAR = (r"-0*1(?:\.0*)?", r"(-?\d+)(?:\.0*)?")
+
+# The plain form of a cell, by kind: a count, flag, exit code or ARCHIVE18
+# integer is -1 or 1-15 ASCII digits, and a seconds cell may add a decimal
+# fraction. Such a token is far below _MAX_COUNT and its only negative is -1,
+# so the conversion block needs no check. A text or timestamp cell, and a
+# LANL16 job id, is any run without a tab that neither starts nor ends with a
+# space: so it is not empty, and the LANL16 split strips nothing from it. Its
+# last character is tested by a lookbehind once the run has reached the tab,
+# so a cell that passes is scanned once, with no backing off.
 _INT_TOKEN = r"(?:-1|\d{1,15})"
 _REAL_TOKEN = r"(?:-1|\d{1,15}(?:\.\d*)?)"
 _TEXT_TOKEN = r"(?:[^\t ][^\t]*(?<! ))"
-_PLAIN_TOKEN = {
-    _count: _INT_TOKEN,
-    _flag: _INT_TOKEN,
-    int: _INT_TOKEN,
-    _swf_amount: _INT_TOKEN,
-    _swf_int: _INT_TOKEN,
-    _swf_label: _INT_TOKEN,
-    _seconds: _REAL_TOKEN,
-    _swf_seconds: _REAL_TOKEN,
-    str: _TEXT_TOKEN,
-    _timestamp: _TEXT_TOKEN,
-}
+_PLAIN_TOKEN = {"count": _INT_TOKEN, "integer": _INT_TOKEN, "label": _INT_TOKEN,
+                "seconds": _REAL_TOKEN, "text": _TEXT_TOKEN, "timestamp": _TEXT_TOKEN}
 
 # A plain LANL16 line: single tabs between the job id and the 15 cells, as
 # format_lanl_line writes them.
-_PLAIN_LANL_PATTERN = _TEXT_TOKEN + "".join("\t" + _PLAIN_TOKEN[convert]
-                                            for _, convert, _ in _LANL_COLUMNS)
+_PLAIN_LANL_PATTERN = _TEXT_TOKEN + "".join("\t" + _PLAIN_TOKEN[kind]
+                                            for _, kind, _ in _LANL_COLUMNS)
 
 # A plain ARCHIVE18 line: runs of spaces or tabs separate the fields, as in
 # aligned columns. The benchmark generator writes every valid line this way.
 _PLAIN_ARCHIVE_PATTERN = (r"[ \t]*\S+"
-                          + "".join(r"[ \t]+" + _PLAIN_TOKEN[convert]
-                                    for _, convert, _ in _ARCHIVE_COLUMNS)
+                          + "".join(r"[ \t]+" + _PLAIN_TOKEN[kind]
+                                    for _, kind, _ in _ARCHIVE_COLUMNS)
                           + r"[ \t]*")
 
 
@@ -287,6 +190,55 @@ def _plain_archive_line(line: str) -> re.Match | None:
     return _plain_archive_line(line)
 
 
+@cache
+def _matchers(missing: str, integer: str) -> dict[str, Callable[[str], re.Match | None]]:
+    # A fullmatch per kind, whose group 1 is set on a missing value. Compiled on
+    # the first line that needs them, not at import.
+    tokens = {"count": integer, "integer": integer, "label": integer,
+              "seconds": _SECONDS, "text": r"(?s:.*)", "timestamp": r"(?s:.*)"}
+    return {kind: re.compile(f"({missing})|{token}", re.ASCII).fullmatch
+            for kind, token in tokens.items()}
+
+
+def _plain_cells(line_no: int, cells: list[str], columns: tuple,
+                 grammar: tuple[str, str]) -> list[str]:
+    """Check a line's cells against the kinds in ``columns``, in column order,
+    and return them in plain form, or raise MalformedLine for the first one
+    refused. ``grammar`` is the format's, for a missing value and an integer."""
+    matchers = _matchers(*grammar)
+    plain = [cells[0]]
+    for (name, kind, reason), token in zip(columns, cells[1:]):
+        match = matchers[kind](token)
+        cell = token
+        value = 0
+        try:
+            if not match:
+                raise ValueError(token)
+            if match[1] is not None:
+                cell = "-1"
+            elif kind == "timestamp":
+                # Looked up per cell, as in the conversion block.
+                parse_timestamp(token)
+            elif kind == "seconds":
+                if not isfinite(value := float(token)):
+                    raise ValueError(token)
+            elif kind != "text":
+                # An integer too long for int() is refused here, not raised in the block.
+                number = int(match[2])
+                if kind == "count":
+                    value = number
+                    if value > _MAX_COUNT:
+                        raise ValueError(token)
+                if kind != "label":
+                    cell = match[2]
+        except ValueError:
+            raise MalformedLine(line_no, reason, f"{name}={token!r}") from None
+        if value < 0:
+            raise MalformedLine(line_no, "negative-value", f"{name}={value}")
+        plain.append(cell)
+    return plain
+
+
 def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
     """Parse one 16-column record line into a JobRecord.
 
@@ -295,47 +247,42 @@ def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
     streaming parser just counts it).
     """
     if _plain_lanl_line(line):
-        # What the table's converters would return, computed inline, as for
-        # ARCHIVE18. Only a timestamp cell can fail here, and then the table
-        # below names the reason.
-        (job_id, submit, start, end, req_procs, used_procs, req_cpu_s, used_cpu_s,
-         req_mem_kb, used_mem_kb, queue, dedicated, user, project, executable,
-         exit_code) = line.split("\t")
-        try:
-            # parse_timestamp is looked up per cell so that a wrapper installed
-            # on this module's attribute (as a tracer does) sees every cell.
-            submit = None if submit == "-1" else parse_timestamp(submit)
-            start = None if start == "-1" else parse_timestamp(start)
-            end = None if end == "-1" else parse_timestamp(end)
-        except ValueError:
-            pass
-        else:
-            return JobRecord(job_id, submit, start, end,
-                             None if req_procs == "-1" else int(req_procs),
-                             None if used_procs == "-1" else int(used_procs),
-                             None if req_cpu_s == "-1" else float(req_cpu_s),
-                             None if used_cpu_s == "-1" else float(used_cpu_s),
-                             None if req_mem_kb == "-1" else int(req_mem_kb),
-                             None if used_mem_kb == "-1" else int(used_mem_kb),
-                             None if queue == "-1" else queue,
-                             None if dedicated == "-1" else int(dedicated) != 0,
-                             None if user == "-1" else user,
-                             None if project == "-1" else project,
-                             None if executable == "-1" else executable,
-                             None if exit_code == "-1" else int(exit_code))
-    cells = _split_lanl(line)
-    if len(cells) != LANL_FIELD_COUNT:
-        raise MalformedLine(line_no, "column-count",
-                            f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")
-    values = [cells[0]]
-    append = values.append
+        cells = line.split("\t")
+    else:
+        cells = _split_lanl(line)
+        if len(cells) != LANL_FIELD_COUNT:
+            raise MalformedLine(line_no, "column-count",
+                                f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")
+        cells = _plain_cells(line_no, cells, _LANL_COLUMNS, _LANL_GRAMMAR)
+    # Each cell inline: a Python call per cell would cost more than the rest
+    # of the line.
+    (job_id, submit, start, end, req_procs, used_procs, req_cpu_s, used_cpu_s,
+     req_mem_kb, used_mem_kb, queue, dedicated, user, project, executable,
+     exit_code) = cells
     try:
-        for (_, convert, _), cell in zip(_LANL_COLUMNS, cells[1:]):
-            append(None if cell in _MISSING_TOKENS else convert(cell))
-    except (ValueError, _NegativeValue) as exc:
-        failed = len(values)
-        raise _malformed(line_no, _LANL_COLUMNS[failed - 1], cells[failed], exc) from exc
-    return JobRecord(*values)
+        # parse_timestamp is looked up per cell so that a wrapper installed
+        # on this module's attribute (as a tracer does) sees every cell.
+        submit = None if submit == "-1" else parse_timestamp(submit)
+        start = None if start == "-1" else parse_timestamp(start)
+        end = None if end == "-1" else parse_timestamp(end)
+    except ValueError:
+        # Only on a plain line: the check has parsed every other line's
+        # timestamps. It names the refused one.
+        _plain_cells(line_no, cells, _LANL_COLUMNS, _LANL_GRAMMAR)
+        raise
+    return JobRecord(job_id, submit, start, end,
+                     None if req_procs == "-1" else int(req_procs),
+                     None if used_procs == "-1" else int(used_procs),
+                     None if req_cpu_s == "-1" else float(req_cpu_s),
+                     None if used_cpu_s == "-1" else float(used_cpu_s),
+                     None if req_mem_kb == "-1" else int(req_mem_kb),
+                     None if used_mem_kb == "-1" else int(used_mem_kb),
+                     None if queue == "-1" else queue,
+                     None if dedicated == "-1" else int(dedicated) != 0,
+                     None if user == "-1" else user,
+                     None if project == "-1" else project,
+                     None if executable == "-1" else executable,
+                     None if exit_code == "-1" else int(exit_code))
 
 
 def _ms(value_s: float | None) -> Timestamp | None:
@@ -354,36 +301,25 @@ def parse_archive_line(line: str, line_no: int = 0, *,
     if len(cells) != ARCHIVE_FIELD_COUNT:
         raise MalformedLine(line_no, "column-count",
                             f"expected {ARCHIVE_FIELD_COUNT} fields, got {len(cells)}")
-    if _plain_archive_line(line):
-        # What the table's converters would return, computed inline: a Python
-        # call per cell would cost more than the rest of the line.
-        (_, submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
-         req_time_s, req_mem_pp, exit_code, user, group, executable, queue, *_) = cells
-        submit_s = None if submit_s == "-1" else float(submit_s)
-        wait_s = None if wait_s == "-1" else float(wait_s)
-        runtime_s = None if runtime_s == "-1" else float(runtime_s)
-        alloc_procs = None if alloc_procs == "-1" else int(alloc_procs)
-        used_cpu_s = None if used_cpu_s == "-1" else float(used_cpu_s)
-        used_mem_pp = None if used_mem_pp == "-1" else int(used_mem_pp)
-        req_procs = None if req_procs == "-1" else int(req_procs)
-        req_time_s = None if req_time_s == "-1" else float(req_time_s)
-        req_mem_pp = None if req_mem_pp == "-1" else int(req_mem_pp)
-        exit_code = None if exit_code == "-1" else int(exit_code)
-        user = None if user == "-1" else user
-        group = None if group == "-1" else group
-        executable = None if executable == "-1" else executable
-        queue = None if queue == "-1" else queue
-    else:
-        values = []
-        append = values.append
-        try:
-            for (_, convert, _), cell in zip(_ARCHIVE_COLUMNS, cells[1:]):
-                append(convert(cell))
-        except (ValueError, _NegativeValue) as exc:
-            failed = len(values)
-            raise _malformed(line_no, _ARCHIVE_COLUMNS[failed], cells[failed + 1], exc) from exc
-        (submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
-         req_time_s, req_mem_pp, exit_code, user, group, executable, queue) = values[:14]
+    if not _plain_archive_line(line):
+        cells = _plain_cells(line_no, cells, _ARCHIVE_COLUMNS, _ARCHIVE_GRAMMAR)
+    # Each cell inline, as for LANL16.
+    (_, submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
+     req_time_s, req_mem_pp, exit_code, user, group, executable, queue, *_) = cells
+    submit_s = None if submit_s == "-1" else float(submit_s)
+    wait_s = None if wait_s == "-1" else float(wait_s)
+    runtime_s = None if runtime_s == "-1" else float(runtime_s)
+    alloc_procs = None if alloc_procs == "-1" else int(alloc_procs)
+    used_cpu_s = None if used_cpu_s == "-1" else float(used_cpu_s)
+    used_mem_pp = None if used_mem_pp == "-1" else int(used_mem_pp)
+    req_procs = None if req_procs == "-1" else int(req_procs)
+    req_time_s = None if req_time_s == "-1" else float(req_time_s)
+    req_mem_pp = None if req_mem_pp == "-1" else int(req_mem_pp)
+    exit_code = None if exit_code == "-1" else int(exit_code)
+    user = None if user == "-1" else user
+    group = None if group == "-1" else group
+    executable = None if executable == "-1" else executable
+    queue = None if queue == "-1" else queue
 
     start_s = None if submit_s is None or wait_s is None else submit_s + wait_s
     end_s = None if start_s is None or runtime_s is None else start_s + runtime_s
@@ -395,7 +331,8 @@ def parse_archive_line(line: str, line_no: int = 0, *,
     except (ValueError, OverflowError) as exc:
         # The cell that moved the time out of the span: submit, wait or runtime.
         failed = (submit is not None) + (start is not None)
-        raise _malformed(line_no, _ARCHIVE_COLUMNS[failed], cells[failed + 1], exc) from exc
+        raise MalformedLine(line_no, "bad-real",
+                            f"{_ARCHIVE_COLUMNS[failed][0]}={cells[failed + 1]!r}") from exc
     req_mem_kb, used_mem_kb = req_mem_pp, used_mem_pp
     if scale_per_proc_memory:
         req_mem_kb = _whole_job(req_mem_pp, alloc_procs)

@@ -228,7 +228,7 @@ def test_field_reads_make_no_python_call():
         assert count_calls(read_all, obj) == 0, type(obj).__name__
 
 
-# A plain ARCHIVE18 line calls no converter: parse_archive_line itself, _ms
+# A plain ARCHIVE18 line skips the cell check: parse_archive_line itself, _ms
 # and Timestamp for each of the three times, _whole_job twice and JobRecord.
 PLAIN_ARCHIVE_CALLS = 10
 
@@ -244,14 +244,28 @@ def test_plain_archive_line_skips_the_column_table(line):
     assert count_calls(parse_archive_line, line) <= PLAIN_ARCHIVE_CALLS
 
 
-def test_integral_float_in_an_integer_column_takes_the_column_table():
+def checked_lines(monkeypatch) -> list[list[str]]:
+    """The cells of each line that takes the checked route from now on."""
+    checked = []
+    check = parsing._plain_cells
+
+    def counted(line_no, cells, *table):
+        checked.append(cells)
+        return check(line_no, cells, *table)
+
+    monkeypatch.setattr(parsing, "_plain_cells", counted)
+    return checked
+
+
+def test_integral_float_in_an_integer_column_takes_the_column_table(monkeypatch):
     plain = "17 820454400 120 3600 32 3599.5 2048 32 3600 2048 1 5 3 7 1 1 -1 -1"
     line = plain.replace(" 32 ", " 32.0 ", 1)
-    assert parse_archive_line(line) == parse_archive_line(plain)
-    assert count_calls(parse_archive_line, line) >= PLAIN_ARCHIVE_CALLS + 17
+    checked = checked_lines(monkeypatch)
+    assert parse_archive_line(plain) == parse_archive_line(line)
+    assert checked == [line.split()]  # the integral float's line, once
 
 
-# A plain LANL16 line calls no converter: parse_lanl_line itself, then
+# A plain LANL16 line skips the cell check: parse_lanl_line itself, then
 # parse_timestamp and Timestamp for each of the three times, and JobRecord.
 PLAIN_LANL_CALLS = 8
 
@@ -270,11 +284,11 @@ def test_plain_lanl_line_skips_the_column_table(line):
     assert count_calls(parse_lanl_line, line) <= PLAIN_LANL_CALLS
 
 
-def test_space_padded_cell_takes_the_column_table():
+def test_space_padded_cell_takes_the_column_table(monkeypatch):
     line = PLAIN_CIVIL_LINE.replace("\tq256", "\t q256", 1)
-    assert parse_lanl_line(line) == parse_lanl_line(PLAIN_CIVIL_LINE)
-    # The split, then a converter for each of the ten non-text columns.
-    assert count_calls(parse_lanl_line, line) >= PLAIN_LANL_CALLS + 11
+    checked = checked_lines(monkeypatch)
+    assert parse_lanl_line(PLAIN_CIVIL_LINE) == parse_lanl_line(line)
+    assert checked == [PLAIN_CIVIL_LINE.split("\t")]  # the padded line, trimmed, once
 
 
 def test_every_timestamp_cell_reaches_the_module_attribute(monkeypatch):

@@ -138,8 +138,8 @@ class TestParseLanlLine:
     ])
     @pytest.mark.parametrize("separator", ["\t", " \t"], ids=["plain", "padded"])
     def test_year_or_day_too_large_for_a_date_is_bad_timestamp(self, token, separator):
-        # A plain line tries the inline conversion first; a padded one goes
-        # straight to the column table. Both name the timestamp column.
+        # A plain line tries the conversion block first; a padded one is
+        # checked cell by cell first. Both name the timestamp column.
         cells = LANL_LINE.split("\t")
         cells[2] = token
         with pytest.raises(MalformedLine) as info:
@@ -257,6 +257,117 @@ class TestParseArchiveLine:
         assert rec.req_mem_kb == (2**63 - 1) ** 2
         (sample,) = compute_rates([rec], MemorySource.REQUESTED)
         assert isfinite(sample.rate_bytes_per_s)
+
+
+# --- The cell grammar, token by token ----------------------------------------
+
+# Tokens that int() or float() read but that break the ASCII cell grammar.
+_NOT_NUMBERS = ["1_0", "+5", "\u0663", "\uff11\uff12"]
+_LANL_SEPARATORS = {"plain": "\t", "padded": " \t "}
+_ARCHIVE_SEPARATORS = {"plain": " ", "aligned": "   "}
+
+
+def _lanl_line_with(name: str, token: str, separator: str) -> str:
+    cells = LANL_LINE.split("\t")
+    cells[1 + [column for column, _, _ in parsing._LANL_COLUMNS].index(name)] = token
+    return separator.join(cells)
+
+
+def _archive_line_with(name: str, token: str, separator: str) -> str:
+    cells = list(_ARCHIVE_DEFAULTS)
+    cells[SWF_FIELDS.index(name)] = token
+    return separator.join(cells)
+
+
+def _refusal(parse, line: str) -> str:
+    with pytest.raises(MalformedLine) as info:
+        parse(line, 3)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("separator", _LANL_SEPARATORS.values(), ids=_LANL_SEPARATORS)
+@pytest.mark.parametrize("name,token,expected", [
+    *((name, token, f"{reason}: {name}={token!r}")
+      for token in _NOT_NUMBERS + ["\xa05"]
+      for name, reason in (("req_procs", "bad-int"), ("req_cpu_s", "bad-real"),
+                           ("dedicated", "bad-flag"), ("exit_code", "bad-int"))),
+    ("used_mem_kb", "1e3", "bad-int: used_mem_kb='1e3'"),
+    ("exit_code", "1E3", "bad-int: exit_code='1E3'"),
+    ("dedicated", ".0", "bad-flag: dedicated='.0'"),
+    ("req_procs", "-1e0", "bad-int: req_procs='-1e0'"),
+    ("used_cpu_s", "-1e0", "negative-value: used_cpu_s=-1.0"),
+    ("exit_code", "9" * 5000, f"bad-int: exit_code='{'9' * 5000}'"),  # too long for int()
+])
+def test_lanl_refused_token(name, token, expected, separator):
+    assert _refusal(parse_lanl_line, _lanl_line_with(name, token, separator)) \
+        == f"line 3: {expected}"
+
+
+@pytest.mark.parametrize("separator", _ARCHIVE_SEPARATORS.values(), ids=_ARCHIVE_SEPARATORS)
+@pytest.mark.parametrize("name,token,expected", [
+    *((name, token, f"{reason}: {name}={token!r}")
+      for token in _NOT_NUMBERS
+      for name, reason in (("wait", "bad-real"), ("allocated_procs", "bad-int"),
+                           ("status", "bad-int"), ("user", "bad-int"),
+                           ("think_time", "bad-int"))),
+    *((name, token, f"bad-int: {name}={token!r}")
+      for token in ("1e3", "1E3", ".0", "-1e0")
+      for name in ("allocated_procs", "status", "user", "think_time")),
+    ("wait", "-1e0", "negative-value: wait=-1.0"),
+    ("avg_cpu", "-1e0", "negative-value: avg_cpu=-1.0"),
+    ("status", "9" * 5000, f"bad-int: status='{'9' * 5000}'"),  # too long for int()
+])
+def test_archive_refused_token(name, token, expected, separator):
+    assert _refusal(parse_archive_line, _archive_line_with(name, token, separator)) \
+        == f"line 3: {expected}"
+
+
+def test_archive_no_break_space_separates_fields():
+    # ARCHIVE18 splits on every whitespace character, so "\xa05" is a
+    # separator and a 5, never one cell.
+    line = _archive_line_with("allocated_procs", "\xa05", " ")
+    assert parse_archive_line(line).used_procs == 5
+
+
+@pytest.mark.parametrize("separator", _LANL_SEPARATORS.values(), ids=_LANL_SEPARATORS)
+@pytest.mark.parametrize("name,token,expected", [
+    ("req_procs", "00", 0),
+    ("req_procs", "-0", 0),
+    ("used_mem_kb", str(2**63 - 1), 2**63 - 1),
+    ("dedicated", "00", False),
+    ("exit_code", "-0", 0),
+    ("req_cpu_s", "-0", -0.0),
+    ("req_cpu_s", "-0.0", -0.0),
+    ("req_cpu_s", "1e-05", 1e-05),
+    ("used_cpu_s", "1.5e+20", 1.5e+20),
+])
+def test_lanl_accepted_token(name, token, expected, separator):
+    value = getattr(parse_lanl_line(_lanl_line_with(name, token, separator), 3), name)
+    assert repr(value) == repr(expected)  # repr tells -0.0 from 0.0 and 0 from False
+
+
+@pytest.mark.parametrize("separator", _ARCHIVE_SEPARATORS.values(), ids=_ARCHIVE_SEPARATORS)
+@pytest.mark.parametrize("name,token,field,expected", [
+    ("allocated_procs", "00", "used_procs", 0),
+    ("allocated_procs", "-0", "used_procs", 0),
+    ("allocated_procs", "-0.0", "used_procs", 0),
+    ("requested_procs", str(2**63 - 1), "req_procs", 2**63 - 1),
+    ("avg_cpu", "-0.0", "used_cpu_s", -0.0),
+    ("avg_cpu", "1e-05", "used_cpu_s", 1e-05),
+    ("requested_time", "1.5e+20", "req_cpu_s", 1.5e+20),
+    ("allocated_procs", "4.0", "used_procs", 4),
+    ("requested_procs", "4.", "req_procs", 4),
+    ("status", "4.0", "exit_code", 4),
+    ("allocated_procs", "-1.0", "used_procs", None),
+    ("allocated_procs", "-01", "used_procs", None),
+    ("wait", "-1.0", "start_time", None),
+    ("user", "-1.0", "user", None),
+    ("user", "3.0", "user", "3.0"),
+])
+def test_archive_accepted_token(name, token, field, expected, separator):
+    line = _archive_line_with(name, token, separator)
+    value = getattr(parse_archive_line(line, 3, scale_per_proc_memory=False), field)
+    assert repr(value) == repr(expected)
 
 
 # --- ARCHIVE18 properties --------------------------------------------------
@@ -392,10 +503,11 @@ class TestArchiveProperties:
         assert str(info.value) == f"line 9: negative-value: {name}={value}"
 
 
-# --- ARCHIVE18 plain-token check against the column table ----------------------
+# --- ARCHIVE18 plain-token check against the checked route ---------------------
 
 # Tokens that int() or float() accept in some column but that are not in the
-# plain form, or only just are (15 digits), or are plain only as seconds.
+# plain form, or only just are (15 digits), or are plain only as seconds; the
+# checked route refuses some of them.
 _ODD_TOKENS = ["1_0", "4.0", "5.", ".5", "-1.0", "-0", "-01", "-5", "+5", "1e3",
                "nan", "inf", "\u0663", "\u0661\u0662", "\uff11\uff12",
                str(2**53 + 1), str(2**63 - 1), str(2**63), "9" * 15, "9" * 16]
@@ -471,10 +583,11 @@ def test_odd_token_in_any_field_agrees_with_the_column_table(token):
         assert _parsed(line, True) == _parsed_by_the_table(line, True), SWF_FIELDS[field]
 
 
-# --- LANL16 plain-line check against the column table --------------------------
+# --- LANL16 plain-line check against the checked route -------------------------
 
-# Tokens that the table reads in some column but that are not in the plain
-# form, or only just are, or are plain only as text or a timestamp.
+# Tokens that the checked route reads or refuses in some column but that are
+# not in the plain form, or only just are, or are plain only as text or a
+# timestamp.
 _ODD_LANL_TOKENS = [
     "", " 5", "5 ", "\xa05",  # empty; a space beside a tab; a space the split keeps
     "00", "-5", "+7", "1_0", "-0", "-2", "\u0663",
@@ -537,7 +650,7 @@ def test_epoch_only_trace_builds_no_civil_read_table(monkeypatch):
     # an empty input and an epoch-only trace, on both routes, leave them empty.
     monkeypatch.setattr(timefmt, "_HOUR_MINUTE_MS", {})
     monkeypatch.setattr(timefmt, "_SECOND_MS", {})
-    padded = LANL_LINE.replace("\tq1", "\t q1")  # takes the column table
+    padded = LANL_LINE.replace("\tq1", "\t q1")  # takes the checked route
     missing = LANL_LINE.replace("\t768453010\t", "\t-1\t")
     assert list(parse_trace([], TraceFormat.LANL16)) == []
     records = list(parse_trace([LANL_LINE, padded, missing, "\n"], TraceFormat.LANL16))
