@@ -13,6 +13,16 @@ status is 0 on success, 1 on I/O failure, 2 on invalid flags or
 generator specs, and 141 (128 + SIGPIPE, as a shell reports a filter
 killed by SIGPIPE) when the reader of the output goes away early, as
 with ``| head``; that last case writes no error message.
+
+``inspect``, ``rates`` and ``summary`` run one pipeline, parse → iter_rates
+→ writer or summarize, over each byte range of the input. A regular file
+of at least twice ``_RANGE_FLOOR`` bytes is split into one range per
+usable CPU, each starting just past a newline byte; the first range runs
+in this process and each other one in a forked worker (see
+:mod:`tracebw._ranges`, which only such a file loads). The rows, counts
+and statistics are merged in range order, so every output byte equals
+that of a read in one range. Standard input, a FIFO and a smaller file
+are one range.
 """
 
 from __future__ import annotations
@@ -23,16 +33,17 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import fields
+from functools import partial
 from itertools import count
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from .bandwidth import MbBase, MemorySource, iter_rates
 from .errors import InvalidSpec, IoFailure
-from .export import summarize, write_csv, write_worksheet
-from .model import JobRecord, ParseReport, RateFlag, RateSample, TraceSummary
+from .export import _finish, _tally, write_csv, write_worksheet
+from .model import JobRecord, RateFlag, TraceSummary
 from .parsing import TraceFormat, parse_trace, write_lanl_trace
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
@@ -143,12 +154,9 @@ def _replaced_on_success(path: str) -> Iterator[IO[str]]:
         raise
 
 
-def _write_report(report: ParseReport, valid: int, out: IO[str]) -> None:
-    out.write(f"total={report.record_lines}\n")
-    out.write(f"parsed={report.parsed}\n")
-    out.write(f"valid={valid}\n")
-    out.write(f"omitted={report.parsed - valid}\n")
-    out.write(f"malformed={report.malformed}\n")
+def _write_report(parsed: int, malformed: int, valid: int, out: IO[str]) -> None:
+    out.write(f"total={parsed + malformed}\nparsed={parsed}\nvalid={valid}\n"
+              f"omitted={parsed - valid}\nmalformed={malformed}\n")
 
 
 def _write_summary(summary: TraceSummary, out: IO[str]) -> None:
@@ -157,39 +165,76 @@ def _write_summary(summary: TraceSummary, out: IO[str]) -> None:
         out.write(f"{field.name}={'' if value is None else repr(value)}\n")
 
 
-def _run_trace_command(args: argparse.Namespace) -> int:
-    with _open_input(args.trace) as source:
-        stream = parse_trace(source, args.format,
-                             scale_per_proc_memory=args.per_proc_memory == "scaled")
-        # zip pulls a sample before a count, so once the samples are drained
-        # the counter's next value is their number, with no Python call per sample.
-        counter = count()
-        samples = map(itemgetter(0), zip(
-            iter_rates(stream, args.memory, args.carry_forward), counter))
+_RANGE_FLOOR = 1 << 20  # bytes of input that a range holds at least
 
-        if args.command == "inspect":
-            for _ in samples:
-                pass
-            with _open_output(args.out) as out:
-                _write_report(stream.report, next(counter), out)
-            return 0
 
-        kept: Iterable[RateSample] = samples
+def _plan_ranges(fd: int, n: int | None = None) -> list[int]:
+    """The byte offsets where the ranges of the input open on ``fd`` start:
+    ``[0]`` for one range.
+
+    ``n`` ranges are asked for, by default one per usable CPU but no more
+    than one per ``_RANGE_FLOOR`` bytes (see
+    :func:`tracebw._ranges.line_starts`). A file under twice that is read in
+    one range without loading that module.
+    """
+    if n is None and os.fstat(fd).st_size < 2 * _RANGE_FLOOR:
+        return [0]
+    from ._ranges import line_starts
+
+    return line_starts(fd, n, _RANGE_FLOOR)
+
+
+def _run_pipeline(args: argparse.Namespace, records: Iterable[JobRecord],
+                  sink: IO[str] | None) -> tuple:
+    """Run the command over parsed records; return the number of samples and,
+    for ``summary`` only, summarize's tally. Rows of ``rates`` go to ``sink``."""
+    # zip pulls a sample before a count, so once the samples are drained
+    # the counter's next value is their number, with no Python call per sample.
+    counter = count()
+    samples = map(itemgetter(0), zip(
+        iter_rates(records, args.memory, args.carry_forward), counter))
+    tally = None
+    if args.command == "inspect":
+        for _ in samples:
+            pass
+    else:
         if args.drop_negative:
-            kept = (s for s in samples if RateFlag.NEGATIVE_DURATION not in s.flags)
-
+            samples = (s for s in samples if RateFlag.NEGATIVE_DURATION not in s.flags)
         mb = MbBase[args.mb.upper()]
-        if args.command == "rates":
-            with _open_output(args.out) as out:
-                if args.full:
-                    write_csv(kept, mb, out)
-                else:
-                    write_worksheet(kept, mb, out)
+        if args.command == "summary":
+            tally = _tally(samples, mb)
+        elif args.full:
+            write_csv(samples, mb, sink)
         else:
-            summary = summarize(kept, mb)
-            with _open_output(args.out) as out:
-                _write_summary(summary, out)
-        _write_report(stream.report, next(counter), sys.stderr)
+            write_worksheet(samples, mb, sink)
+    return next(counter), tally
+
+
+def _run_trace_command(args: argparse.Namespace) -> int:
+    parse = partial(parse_trace, format=args.format,
+                    scale_per_proc_memory=args.per_proc_memory == "scaled")
+    run = partial(_run_pipeline, args)
+    with _open_input(args.trace) as source, \
+            _open_output(args.out) if args.command == "rates" else nullcontext() as out:
+        starts = [0] if args.trace == "-" else _plan_ranges(source.fileno())
+        if len(starts) > 1:
+            from ._ranges import run_ranges
+
+            results = run_ranges(parse, run, source.fileno(), starts, out)
+        else:
+            stream = parse(source)
+            results = [(*run(stream, out), stream.report.parsed, stream.report.malformed)]
+    # Each result is (valid, tally, parsed, malformed) of one range.
+    valid, tallies, parsed, malformed = zip(*results)
+    counts = map(sum, (parsed, malformed, valid))
+    if args.command == "inspect":
+        with _open_output(args.out) as out:
+            _write_report(*counts, out)
+        return 0
+    if args.command == "summary":
+        with _open_output(args.out) as out:
+            _write_summary(_finish(tallies), out)
+    _write_report(*counts, sys.stderr)
     return 0
 
 

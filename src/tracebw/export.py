@@ -16,7 +16,7 @@ loaded.
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .bandwidth import BYTES_PER_KB, MbBase
 from .errors import IoFailure
@@ -42,6 +42,12 @@ def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary
     ``n_undefined``. Order of the input never matters. ``base`` is an
     MbBase or its divisor; anything else raises ValueError.
     """
+    return _finish((_tally(samples, base),))
+
+
+def _tally(samples: Iterable[RateSample], base: MbBase | int) -> tuple[list[float], int, int]:
+    """The defined rates in the output unit, and the counts of undefined and
+    negative ones: all that :func:`_finish` needs of the samples."""
     divisor = MbBase(base).divisor
     defined: list[float] = []
     n_undefined = 0
@@ -54,6 +60,21 @@ def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary
         defined.append(value)
         if value < 0:
             n_negative += 1
+    return defined, n_undefined, n_negative
+
+
+def _finish(tallies: Sequence[tuple[list[float], int, int]]) -> TraceSummary:
+    """The summary of the samples of one or more tallies, taken together.
+
+    The first tally's list gathers every defined rate and is sorted in
+    place; the others are emptied.
+    """
+    defined, n_undefined, n_negative = tallies[0]
+    for more, undefined, negative in tallies[1:]:
+        defined += more
+        more.clear()  # its rates live on in defined
+        n_undefined += undefined
+        n_negative += negative
     if not defined:
         return TraceSummary(n_rates=0, n_negative=0, n_undefined=n_undefined)
     defined.sort()

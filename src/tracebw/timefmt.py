@@ -4,19 +4,20 @@ A timestamp cell, after surrounding whitespace is stripped, is one of two
 forms, told apart by its first character:
 
 epoch seconds
-    Anything that does not start with an ASCII letter, read with ``int()``:
-    an optional sign, decimal digits, optional ``_`` between digits (so
-    ``+7``, ``-5`` and ``1_0`` are accepted; ``²`` and ``1.5`` are not).
+    Anything that does not start with an ASCII letter: a decimal integer,
+    ASCII digits with an optional leading ``-`` (so ``-5`` and ``007`` are
+    accepted; ``+7``, ``1_0``, ``٣``, ``²`` and ``1.5`` are not).
 
 civil
     Starts with a letter: ``Mon DD YY[YY][ HH:MM:SS[.f]]``, the parts
     separated by whitespace runs. ``Mon`` is an English three-letter
     month abbreviation in any letter case, never locale-dependent. ``DD``
-    and the year are read with ``int()``; a year token of at most two
-    characters is pivoted onto 1970-2069 (``94`` is 1994, ``05`` is 2005),
-    a longer one is taken as written. The clock is three ``:``-separated
-    ``int()`` fields in 0-23, 0-59 and 0-59, and ``.f`` is 1 to 3 digits
-    of milliseconds (an empty fraction after the dot reads as 0).
+    and the year are decimal integers as above; a year token of at most
+    two characters is pivoted onto 1970-2069 (``94`` is 1994, ``05`` is
+    2005), a longer one is taken as written. The clock is three
+    ``:``-separated decimal integers in 0-23, 0-59 and 0-59, and ``.f`` is
+    1 to 3 ASCII digits of milliseconds (an empty fraction after the dot
+    reads as 0).
 
 Every timestamp lies in the span :class:`~tracebw.model.Timestamp` holds
 as its invariant, the span a civil cell can name, so
@@ -27,7 +28,7 @@ that does not exist in its month and year (``May 32 94``, ``Feb 29 95``),
 a year outside 1-9999, an hour, minute or second out of range
 (``25:00:00``, ``00:60:00``), a fraction of 4 or more digits, epoch
 seconds outside the span (``253402300800`` is in the year 10000), and
-any token that ``int()`` refuses where it is applied.
+any token that is not a decimal integer where one is expected.
 
 A civil token in the canonical fixed-width form that
 :func:`format_timestamp` and ``tracebw gen`` write,
@@ -76,8 +77,19 @@ _PIVOT_LOW, _PIVOT_HIGH = 1970, 2069
 _DAY_CACHE_SIZE = 4096
 
 
+def _decimal(token: str) -> int:
+    """A decimal integer: ASCII digits with an optional leading ``-``.
+
+    ``int()`` alone would also read ``+7``, ``1_0`` and non-ASCII digits.
+    ``token`` holds no whitespace, which ``int()`` would also skip.
+    """
+    if not token.isascii() or "_" in token or "+" in token:
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _year_from_token(token: str) -> int:
-    year = int(token)
+    year = _decimal(token)
     if year < 0:
         raise ValueError(f"negative year {token!r}")
     if len(token) <= 2:
@@ -93,7 +105,7 @@ def _day_ms(day_part: str) -> int:
     if month is None:
         raise ValueError(f"bad month in timestamp {day_part!r}")
     try:
-        day = date(_year_from_token(year_token), month, int(day_token))
+        day = date(_year_from_token(year_token), month, _decimal(day_token))
     except OverflowError:
         # A year or day too large for a C int, such as a 20-digit year.
         raise ValueError(f"day out of range in timestamp {day_part!r}") from None
@@ -104,12 +116,12 @@ def _clock_ms(clock: str) -> int:
     """Milliseconds after midnight of ``HH:MM:SS[.f]``."""
     hms, _, fraction = clock.partition(".")
     hh, mm, ss = hms.split(":")
-    hour, minute, second = int(hh), int(mm), int(ss)
+    hour, minute, second = _decimal(hh), _decimal(mm), _decimal(ss)
     if not (0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59):
         raise ValueError(f"clock out of range {clock!r}")
     ms = 0
     if fraction:
-        if len(fraction) > 3 or not fraction.isdigit():
+        if len(fraction) > 3 or not (fraction.isascii() and fraction.isdigit()):
             raise ValueError(f"bad millisecond fraction {fraction!r}")
         ms = int(fraction) * 10 ** (3 - len(fraction))
     return ((hour * 60 + minute) * 60 + second) * MS_PER_S + ms
@@ -144,7 +156,10 @@ def parse_timestamp(token: str) -> Timestamp:
     """
     token = token.strip()
     if token[:1] not in _CIVIL_INITIALS:
+        # _decimal's test, written out: this branch runs for every epoch cell.
         try:
+            if not token.isascii() or "_" in token or "+" in token:
+                raise ValueError
             epoch_ms = int(token) * MS_PER_S
         except ValueError:
             raise ValueError(f"bad timestamp {token!r}") from None

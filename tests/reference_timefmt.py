@@ -2,13 +2,16 @@
 
 Deliberately simple and slow: every cell builds a ``datetime``, which
 validates the date and the clock of a civil cell and the span of an
-epoch one, and a cell is epoch seconds exactly when ``int()`` accepts it.
+epoch one, and a cell is epoch seconds exactly when it is a decimal
+integer: ASCII digits after an optional ``-``, which a regular expression
+checks.
 ``tracebw.timefmt`` must accept the same cells and return the same
 milliseconds, and write the same cells.
 """
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -17,8 +20,14 @@ MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 _MONTH_INDEX = {name.lower(): i + 1 for i, name in enumerate(MONTHS)}
 
 
+def _int(token: str) -> int:
+    if re.fullmatch(r"-?[0-9]+", token) is None:
+        raise ValueError(f"not a decimal integer {token!r}")
+    return int(token)
+
+
 def _year(token: str) -> int:
-    year = int(token)
+    year = _int(token)
     if year < 0:
         raise ValueError(f"negative year {token!r}")
     if len(token) <= 2:
@@ -29,11 +38,8 @@ def _year(token: str) -> int:
 def reference_parse_ms(token: str) -> int:
     """Epoch milliseconds of a timestamp cell; ValueError when it is not one."""
     token = token.strip()
-    try:
+    if re.fullmatch(r"-?[0-9]+", token):
         seconds = int(token)
-    except ValueError:
-        pass
-    else:
         try:  # the span datetime can hold is the span of a timestamp
             dt = EPOCH + timedelta(seconds=seconds)
         except OverflowError:
@@ -45,14 +51,14 @@ def reference_parse_ms(token: str) -> int:
     month = _MONTH_INDEX.get(parts[0].lower())
     if month is None:
         raise ValueError(f"bad month {token!r}")
-    day, year = int(parts[1]), _year(parts[2])
+    day, year = _int(parts[1]), _year(parts[2])
     hour = minute = second = ms = 0
     if len(parts) == 4:
         clock, _, fraction = parts[3].partition(".")
         hh, mm, ss = clock.split(":")
-        hour, minute, second = int(hh), int(mm), int(ss)
+        hour, minute, second = _int(hh), _int(mm), _int(ss)
         if fraction:
-            if not 1 <= len(fraction) <= 3 or not fraction.isdigit():
+            if re.fullmatch(r"[0-9]{1,3}", fraction) is None:
                 raise ValueError(f"bad fraction {fraction!r}")
             ms = int(fraction) * 10 ** (3 - len(fraction))
     dt = datetime(year, month, day, hour, minute, second, ms * 1000, tzinfo=timezone.utc)

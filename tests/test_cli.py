@@ -735,18 +735,25 @@ def test_streams_separate_in_subprocess(small_trace):
     assert "Start date" not in result.stderr
 
 
-def test_only_gen_loads_the_generator_in_subprocess():
+def test_only_gen_loads_the_generator_in_subprocess(tmp_path):
     # The read commands start without synth and the fractions and decimal it
     # imports, and without csv, which no command loads; the package still
-    # serves the generator's names on first use.
+    # serves the generator's names on first use. No command loads a process
+    # pool or pickle, and a file too small to split never loads the module
+    # that forks workers.
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
     code = ("import sys, tracebw.cli\n"
-            "print(sorted({'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv'}\n"
-            "             & set(sys.modules)))\n"
+            "unused = {'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv', 'tracebw._ranges',\n"
+            "          'multiprocessing', 'concurrent', 'pickle', 'subprocess'}\n"
+            "print(sorted(unused & set(sys.modules)))\n"
+            "assert tracebw.cli.main(['rates', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(unused & set(sys.modules)))\n"
             "from tracebw import GenSpec, generate\n"
             "print(generate(GenSpec(count=1))[1].expected_valid, 'tracebw.synth' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", code],
+    result = subprocess.run([sys.executable, "-c", code, str(empty), os.devnull],
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n1 True\n"
+    assert result.stdout == "[]\n[]\n1 True\n"
 
 
 def test_full_csv_never_loads_csv_in_subprocess(tmp_path):

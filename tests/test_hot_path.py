@@ -27,7 +27,7 @@ import pytest
 from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateFlag, RateSample, Timestamp,
                      TraceFormat, generate, iter_rates, parse_trace, parsing, summarize,
                      write_csv, write_worksheet)
-from tracebw.cli import main
+from tracebw.cli import _RANGE_FLOOR, main
 from tracebw.parsing import format_lanl_line, parse_archive_line, parse_lanl_line, write_lanl_trace
 from tracebw.synth import iter_jobs
 
@@ -354,11 +354,14 @@ def test_cli_adds_no_calls_per_line(make_lines, run, command, tmp_path):
     # Between the input and the output the CLI runs the library pipeline and
     # nothing else per line: its fixed costs (argument parsing, opening and
     # replacing files, the report) cancel out between 1,000 and 2,000 lines.
+    # Both inputs stay under twice _RANGE_FLOOR, so the CLI reads each in
+    # one range in this process, and the profile sees every line.
     lines = make_lines()
     paths = []
     for copies in (1, 2):
         path = tmp_path / f"trace-{copies}"
         path.write_text("".join(lines * copies), encoding="utf-8")
+        assert path.stat().st_size < 2 * _RANGE_FLOOR
         paths.append(str(path))
     out = str(tmp_path / "out")
 

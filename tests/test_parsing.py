@@ -291,6 +291,9 @@ def _refusal(parse, line: str) -> str:
       for token in _NOT_NUMBERS + ["\xa05"]
       for name, reason in (("req_procs", "bad-int"), ("req_cpu_s", "bad-real"),
                            ("dedicated", "bad-flag"), ("exit_code", "bad-int"))),
+    # Epoch seconds follow the same integer grammar.
+    *((name, token, f"bad-timestamp: {name}={token!r}")
+      for token in _NOT_NUMBERS for name in ("submit_time", "end_time")),
     ("used_mem_kb", "1e3", "bad-int: used_mem_kb='1e3'"),
     ("exit_code", "1E3", "bad-int: exit_code='1E3'"),
     ("dedicated", ".0", "bad-flag: dedicated='.0'"),
