@@ -30,9 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
-import shutil
 import sys
-import tempfile
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import fields
 from functools import partial
@@ -239,7 +237,11 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
-    # Only gen loads the generator, and with it fractions and decimal.
+    # Only gen loads the generator, and with it fractions and decimal, and
+    # the sidecar spool's tempfile and shutil.
+    import shutil
+    import tempfile
+
     from .synth import format_sidecar_header, format_sidecar_line, iter_jobs, load_genspec
 
     with open(args.genspec, encoding="utf-8") as handle:

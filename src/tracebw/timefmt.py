@@ -41,11 +41,12 @@ milliseconds come from a bounded cache, and those of ``HH:MM:`` and
 ``int()`` of ``mmm``. The dicts hold about 180 KB, so they are built on
 the first canonical read, not at import; epoch-only input never builds
 them. Everything else, a canonical-shaped token with an out-of-range
-clock included, takes the general grammar above, so both routes accept
-the same tokens with the same values. The day cache is shared by both
-routes and converts each distinct day part once (rejections are never
-cached). Worksheet dates, and the day part of a written civil cell, are
-likewise cached per epoch day.
+clock included, is matched against the general grammar above by a second
+compiled pattern, so both routes accept the same tokens with the same
+values. The day cache is shared by both routes and converts each
+distinct day part text once (rejections are never cached). Worksheet
+dates, and the day part of a written civil cell, are likewise cached
+per epoch day.
 
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
@@ -77,61 +78,41 @@ _PIVOT_LOW, _PIVOT_HIGH = 1970, 2069
 _DAY_CACHE_SIZE = 4096
 
 
-def _decimal(token: str) -> int:
-    """A decimal integer: ASCII digits with an optional leading ``-``.
-
-    ``int()`` alone would also read ``+7``, ``1_0`` and non-ASCII digits.
-    ``token`` holds no whitespace, which ``int()`` would also skip.
-    """
-    if not token.isascii() or "_" in token or "+" in token:
-        raise ValueError(f"not a decimal integer: {token!r}")
-    return int(token)
-
-
-def _year_from_token(token: str) -> int:
-    year = _decimal(token)
-    if year < 0:
-        raise ValueError(f"negative year {token!r}")
-    if len(token) <= 2:
-        return 1900 + year if year >= 70 else 2000 + year
-    return year
-
-
 @lru_cache(maxsize=_DAY_CACHE_SIZE)
 def _day_ms(day_part: str) -> int:
-    """Epoch milliseconds of midnight UTC on the day ``Mon DD YY[YY]``."""
+    """Epoch milliseconds of midnight UTC on the day ``Mon DD YY[YY]``, as
+    one of the civil patterns below matched it: its day and year are ASCII
+    digits after an optional ``-``, which ``int()`` reads as written."""
     month_token, day_token, year_token = day_part.split()
     month = _MONTH_INDEX.get(month_token.lower())
     if month is None:
         raise ValueError(f"bad month in timestamp {day_part!r}")
+    year = int(year_token)
+    if year < 0:
+        raise ValueError(f"negative year in timestamp {day_part!r}")
+    if len(year_token) <= 2:
+        year += 1900 if year >= 70 else 2000
     try:
-        day = date(_year_from_token(year_token), month, _decimal(day_token))
+        day = date(year, month, int(day_token))
     except OverflowError:
         # A year or day too large for a C int, such as a 20-digit year.
         raise ValueError(f"day out of range in timestamp {day_part!r}") from None
     return (day.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
 
 
-def _clock_ms(clock: str) -> int:
-    """Milliseconds after midnight of ``HH:MM:SS[.f]``."""
-    hms, _, fraction = clock.partition(".")
-    hh, mm, ss = hms.split(":")
-    hour, minute, second = _decimal(hh), _decimal(mm), _decimal(ss)
-    if not (0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59):
-        raise ValueError(f"clock out of range {clock!r}")
-    ms = 0
-    if fraction:
-        if len(fraction) > 3 or not (fraction.isascii() and fraction.isdigit()):
-            raise ValueError(f"bad millisecond fraction {fraction!r}")
-        ms = int(fraction) * 10 ** (3 - len(fraction))
-    return ((hour * 60 + minute) * 60 + second) * MS_PER_S + ms
+# Any civil token: the day part, then an optional clock, whose fields are
+# held to their ranges after the match. Integers are ASCII digits after an
+# optional minus; \s is Unicode whitespace, the set str.split() splits on.
+_general_civil = re.compile(
+    r"([A-Za-z]{3}\s+-?[0-9]+\s+-?[0-9]+)"
+    r"(?:\s+(-?[0-9]+):(-?[0-9]+):(-?[0-9]+)(?:\.([0-9]{0,3}))?)?").fullmatch
 
 
 # The canonical civil form, as format_timestamp writes it: the day part with
-# its trailing space (the _day_ms key the general path uses too), then the
-# clock as the writer's three pieces, ``HH:MM:``, ``SS.`` and ``mmm``. The
-# hour, minute and second are held to their ranges here, so an out-of-range
-# clock does not match and is refused by the general path. ASCII only, so
+# its trailing space (its _day_ms key), then the clock as the writer's three
+# pieces, ``HH:MM:``, ``SS.`` and ``mmm``. The hour, minute and second are
+# held to their ranges here, so an out-of-range clock does not match and is
+# refused by the general path. ASCII only, so
 # \d is 0-9 and nothing int() would read differently.
 _canonical_civil = re.compile(
     r"([A-Za-z]{3} \d\d \d\d(?:\d\d)? )((?:[01]\d|2[0-3]):[0-5]\d:)([0-5]\d\.)(\d\d\d)",
@@ -156,7 +137,8 @@ def parse_timestamp(token: str) -> Timestamp:
     """
     token = token.strip()
     if token[:1] not in _CIVIL_INITIALS:
-        # _decimal's test, written out: this branch runs for every epoch cell.
+        # ASCII digits after an optional minus: int() alone would also read
+        # +7, 1_0 and non-ASCII digits.
         try:
             if not token.isascii() or "_" in token or "+" in token:
                 raise ValueError
@@ -171,13 +153,18 @@ def parse_timestamp(token: str) -> Timestamp:
         day_part, hour_minute, second, ms = canonical.groups()
         return Timestamp(_day_ms(day_part) + _HOUR_MINUTE_MS[hour_minute]
                          + _SECOND_MS[second] + int(ms))
-    parts = token.split()
-    if len(parts) == 3:
-        return Timestamp(_day_ms(token))
-    if len(parts) != 4:
+    general = _general_civil(token)
+    if general is None:
         raise ValueError(f"bad timestamp {token!r}")
-    clock = parts[3]
-    return Timestamp(_day_ms(token[:-len(clock)]) + _clock_ms(clock))
+    day_part, hour, minute, second, fraction = general.groups()
+    if hour is None:
+        return Timestamp(_day_ms(day_part))
+    hour, minute, second = int(hour), int(minute), int(second)
+    if not (0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59):
+        raise ValueError(f"clock out of range in timestamp {token!r}")
+    # An absent or empty fraction is 0 ms; "5" is 500 ms.
+    ms = int((fraction or "").ljust(3, "0"))
+    return Timestamp(_day_ms(day_part) + ((hour * 60 + minute) * 60 + second) * MS_PER_S + ms)
 
 
 # The civil clock's text by minute of the day, second and millisecond, empty

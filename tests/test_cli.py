@@ -7,8 +7,10 @@ import hashlib
 import io
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tokenize
 import tracemalloc
 
 import pytest
@@ -412,7 +414,7 @@ class TestOutReplacesOnSuccess:
             sink.write("j0")
             raise OSError(errno.EIO, "Input/output error")
 
-        monkeypatch.setattr(tracebw.cli.shutil, "copyfileobj", broken_copy)
+        monkeypatch.setattr(shutil, "copyfileobj", broken_copy)  # gen imports it on use
         spec = tmp_path / "s.genspec"
         spec.write_text("count=5\n")
         trace = tmp_path / "t.trace"
@@ -740,20 +742,35 @@ def test_only_gen_loads_the_generator_in_subprocess(tmp_path):
     # imports, and without csv, which no command loads; the package still
     # serves the generator's names on first use. No command loads a process
     # pool or pickle, and a file too small to split never loads the module
-    # that forks workers.
+    # that forks workers. Only gen's sidecar spool loads tempfile. The child
+    # runs without the site module, because a .pth file in site-packages may
+    # import tempfile at start-up, and finds the package on PYTHONPATH.
     empty = tmp_path / "empty.trace"
     empty.write_text("")
     code = ("import sys, tracebw.cli\n"
             "unused = {'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv', 'tracebw._ranges',\n"
-            "          'multiprocessing', 'concurrent', 'pickle', 'subprocess'}\n"
+            "          'multiprocessing', 'concurrent', 'pickle', 'subprocess', 'tempfile'}\n"
             "print(sorted(unused & set(sys.modules)))\n"
             "assert tracebw.cli.main(['rates', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
             "print(sorted(unused & set(sys.modules)))\n"
             "from tracebw import GenSpec, generate\n"
             "print(generate(GenSpec(count=1))[1].expected_valid, 'tracebw.synth' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", code, str(empty), os.devnull],
+    package_root = os.path.dirname(os.path.dirname(tracebw.cli.__file__))
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(empty), os.devnull],
+                            env={**os.environ, "PYTHONPATH": package_root},
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n[]\n1 True\n"
+
+
+def test_cli_module_stays_within_the_parser_memory_step():
+    # Every benchmark run compiles cli.py from source. On CPython 3.11,
+    # tracemalloc's peak while compiling it was 738 KiB at 2,048 tokens and
+    # 850 KiB at 2,049 or more: a step larger than the benchmark's 0.1 MB
+    # bound on peak RSS. Tokens are counted without comments and blank lines.
+    with open(tracebw.cli.__file__, encoding="utf-8") as handle:
+        tokens = sum(token.type not in (tokenize.COMMENT, tokenize.NL)
+                     for token in tokenize.generate_tokens(handle.readline))
+    assert tokens <= 2048
 
 
 def test_full_csv_never_loads_csv_in_subprocess(tmp_path):

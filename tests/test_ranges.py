@@ -202,8 +202,8 @@ def test_every_line_start_as_a_boundary(format, text, command, tmp_path):
 
 
 def test_rows_follow_the_output_codec_and_an_appending_stdout(tmp_path):
-    # A worker encodes its rows as the output does, and a standard output
-    # opened for appending, which sendfile refuses, is copied as text.
+    # A worker's rows pass through the output's own encoder, so they are
+    # encoded as the parent's rows are, whatever its codec or open mode.
     path = str(tmp_path / "trace")
     with open(path, "wb") as handle:
         handle.write(_TRICKY_LANL + b"\n" + _TRICKY_LANL)
