@@ -22,7 +22,9 @@ in this process and each other one in a forked worker (see
 :mod:`tracebw._ranges`, which only such a file loads). The rows, counts
 and statistics are merged in range order, so every output byte equals
 that of a read in one range. Standard input, a FIFO and a smaller file
-are one range.
+are one range. ``gen`` writes its jobs in job ranges the same way, once
+there are at least twice ``tracebw._gen._JOB_FLOOR`` of them (see
+:mod:`tracebw._gen`); this module only opens its two files.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .bandwidth import MbBase, MemorySource, iter_rates
 from .errors import InvalidSpec, IoFailure
 from .export import _finish, _tally, write_csv, write_worksheet
 from .model import JobRecord, RateFlag, TraceSummary
-from .parsing import TraceFormat, parse_trace, write_lanl_trace
+from .parsing import TraceFormat, parse_trace
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -238,34 +240,15 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 
 def _run_gen(args: argparse.Namespace) -> int:
     # Only gen loads the generator, and with it fractions and decimal, and
-    # the sidecar spool's tempfile and shutil.
-    import shutil
-    import tempfile
-
-    from .synth import format_sidecar_header, format_sidecar_line, iter_jobs, load_genspec
+    # its writer, with the sidecar spool's tempfile and shutil.
+    from ._gen import write_gen
+    from .synth import load_genspec
 
     with open(args.genspec, encoding="utf-8") as handle:
         spec = load_genspec(handle)
-    valid = 0
-
-    def records(spool: IO[str]) -> Iterator[JobRecord]:
-        # Each job goes to the trace as it is drawn; valid jobs' sidecar
-        # lines wait in the spool until the header counts are known.
-        nonlocal valid
-        for record, rate in iter_jobs(spec):
-            if rate is not None:
-                spool.write(format_sidecar_line(record.job_id, rate))
-                valid += 1
-            yield record
-
     # Both files move into place only once both are written.
-    with _open_output(args.out) as out, _open_output(args.truth) as side, \
-            tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        write_lanl_trace(records(spool), out)
-        header = format_sidecar_header(valid, spec.count - valid)
-        side.write(header)
-        spool.seek(0)
-        shutil.copyfileobj(spool, side)
+    with _open_output(args.out) as out, _open_output(args.truth) as side:
+        header = write_gen(spec, out, side)
     sys.stderr.write(f"count={spec.count}\n{header}")
     return 0
 

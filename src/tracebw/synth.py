@@ -18,9 +18,11 @@ its default.
 
 Determinism contract: the output is a pure function of the GenSpec. All
 randomness comes from CPython's ``random.Random`` (MT19937) seeded with
-``spec.seed``, and only its ``random()`` method is used - the one method
+``spec.seed``, and only its ``random()`` method draws - the one method
 whose stream CPython guarantees stable across versions - so fixtures are
-byte-identical across releases. Per job the draw order is fixed: arrival
+byte-identical across releases. A job range that starts past the first
+job skips draws with ``getrandbits``, which a test holds to the words
+``random()`` would consume. Per job the draw order is fixed: arrival
 gap, wait, runtime, memory choice, processor choice, then the three
 missing-field flips. This makes no claim of statistical fidelity to any
 real machine; it is a test fixture generator.
@@ -120,12 +122,30 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
     job that cannot be built, such as one drawn outside the timestamp
     span, raises InvalidSpec naming it.
 
+    The jobs are those of :func:`_jobs` from the first job to the last,
+    returned as that generator itself, so a job costs no extra resumption.
+    """
+    return _jobs(spec, 0, spec.count)
+
+
+def _jobs(spec: GenSpec, first: int, stop: int) -> Iterator[tuple[JobRecord, Fraction | None]]:
+    """Yield jobs ``first`` to ``stop - 1``, numbered from 0, of
+    :func:`iter_jobs`, each with its exact rate.
+
     All randomness comes from ``Random(spec.seed).random()`` alone, the
     one method whose stream CPython keeps stable across versions. Each
     job's eight draws are written out below in the module's fixed order;
     another method, order or float expression would change every fixture.
+
+    A range that starts at a later job gets there alone, because only the
+    submit time carries from one job to the next. For each earlier job it
+    makes the gap draw, adds the rounded gap to the submit time, and skips
+    the other seven draws with one ``getrandbits(448)``: each ``random()``
+    consumes two 32-bit Mersenne Twister words, and ``getrandbits(448)``
+    consumes the same 14 (pinned by a test).
     """
-    draw = random.Random(spec.seed).random
+    rng = random.Random(spec.seed)
+    draw = rng.random
     log = math.log
     mean_gap = spec.inter_arrival_mean_ms
     wait_span = _MAX_WAIT_MS + 1
@@ -144,7 +164,11 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
     end_frac = spec.missing_end_frac
     mem_frac = spec.missing_mem_frac
     submit_ms = BASE_EPOCH_MS
-    for i in range(spec.count):
+    skip = rng.getrandbits
+    for _ in range(first):
+        submit_ms += round(-mean_gap * log(1.0 - draw()))
+        skip(448)
+    for i in range(first, stop):
         try:
             submit_ms += round(-mean_gap * log(1.0 - draw()))
             wait_ms = int(draw() * wait_span)

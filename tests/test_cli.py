@@ -256,6 +256,16 @@ class TestSummary:
         assert "min=\n" in out
 
 
+# gen's bytes for this spec, fixed across commits: a change to a draw, the draw
+# order or a written cell shows here. The trace's digest, then the sidecar's.
+GEN_PINS_SPEC = ("seed=11\ncount=1000\nmissing_start_frac=0.05\nmissing_end_frac=0.02\n"
+                 "missing_mem_frac=0.02\n")
+GEN_PINS = [
+    "d6e37720bcd0da062ffa05f80f44443703b63e1d9086844ae48e504c22564623",
+    "1cbfbdb9bd07f3bbb29201eb73b8d000dc69c819d56f52c32928121d2dca6ba4",
+]
+
+
 class TestGen:
     def write_spec(self, tmp_path, text="seed=42\ncount=1000\nmissing_start_frac=0.3\n"):
         path = tmp_path / "fixture.genspec"
@@ -288,19 +298,13 @@ class TestGen:
             == (tmp_path / "b.trace.truth").read_bytes()
 
     def test_gen_bytes_are_pinned(self, tmp_path, capsys):
-        # gen's bytes for this spec, fixed across commits: a change to a draw,
-        # the draw order or a written cell shows here.
-        spec = self.write_spec(tmp_path, "seed=11\ncount=1000\nmissing_start_frac=0.05\n"
-                                         "missing_end_frac=0.02\nmissing_mem_frac=0.02\n")
+        spec = self.write_spec(tmp_path, GEN_PINS_SPEC)
         out_path = tmp_path / "fix.trace"
         assert main(["gen", str(spec), "--out", str(out_path)]) == 0
         assert out_err(capsys) == ("", "count=1000\nexpected_valid=907\nexpected_omitted=93\n")
         digests = [hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in (out_path, tmp_path / "fix.trace.truth")]
-        assert digests == [
-            "d6e37720bcd0da062ffa05f80f44443703b63e1d9086844ae48e504c22564623",
-            "1cbfbdb9bd07f3bbb29201eb73b8d000dc69c819d56f52c32928121d2dca6ba4",
-        ]
+        assert digests == GEN_PINS
 
     def test_gen_then_summary_matches_sidecar(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
@@ -749,7 +753,8 @@ def test_only_gen_loads_the_generator_in_subprocess(tmp_path):
     empty.write_text("")
     code = ("import sys, tracebw.cli\n"
             "unused = {'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv', 'tracebw._ranges',\n"
-            "          'multiprocessing', 'concurrent', 'pickle', 'subprocess', 'tempfile'}\n"
+            "          'tracebw._fork', 'tracebw._gen', 'multiprocessing', 'concurrent',\n"
+            "          'pickle', 'subprocess', 'tempfile'}\n"
             "print(sorted(unused & set(sys.modules)))\n"
             "assert tracebw.cli.main(['rates', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
             "print(sorted(unused & set(sys.modules)))\n"

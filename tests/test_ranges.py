@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 
 import tracebw.cli as cli
-from tracebw import _ranges
+from tracebw import _fork, _ranges
 from tracebw.cli import EXIT_BROKEN_PIPE, main
 from tracebw.parsing import format_lanl_line
 
@@ -413,7 +413,7 @@ def test_interrupt_kills_and_reaps(tmp_path, monkeypatch):
 
     _fail_in_workers(monkeypatch, lambda: time.sleep(60))
     monkeypatch.setattr(cli, "_plan_ranges", functools.partial(_PLAN, n=3))
-    monkeypatch.setattr(_ranges._Worker, "result", interrupted)
+    monkeypatch.setattr(_fork._Worker, "result", interrupted)
     begun = time.monotonic()
     with pytest.raises(KeyboardInterrupt), contextlib.redirect_stdout(io.StringIO()):
         main(["rates", str(path)])
