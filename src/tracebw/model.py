@@ -23,14 +23,16 @@ logs state no timezone; UTC is the documented assumption), widened on
 ingest from the logs' seconds or days so that durations have a single
 resolution. ``Timestamp`` alone checks its invariant, the span a civil
 cell can name: 0001-01-01 00:00:00.000 .. 9999-12-31 23:59:59.999 UTC,
-so every instance can be written (see :mod:`tracebw.timefmt`).
+so every instance can be written (see :mod:`tracebw.timefmt`). The span's
+bounds and the epoch's day ordinal are integer constants, equal to what
+``datetime.date`` gives, so that importing this module does not import
+``datetime``; only a run that reads or writes a civil date does.
 """
 
 from __future__ import annotations
 
 from collections import _tuplegetter  # C, or property(itemgetter) where C is missing
 from dataclasses import dataclass, field, fields
-from datetime import date
 from enum import Enum
 from math import inf
 from types import MappingProxyType
@@ -38,12 +40,13 @@ from typing import Iterable, Mapping
 
 MS_PER_S = 1000
 _MS_PER_DAY = 86_400_000
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_EPOCH_ORDINAL = 719_163  # date(1970, 1, 1).toordinal()
 
 # The span of a timestamp, in epoch milliseconds: the first and the last
-# millisecond of the days a date can hold.
-_FIRST_MS = (date.min.toordinal() - _EPOCH_ORDINAL) * _MS_PER_DAY
-_LAST_MS = (date.max.toordinal() + 1 - _EPOCH_ORDINAL) * _MS_PER_DAY - 1
+# millisecond of the days a date can hold, ordinals 1 (date.min) to
+# 3,652,059 (date.max).
+_FIRST_MS = (1 - _EPOCH_ORDINAL) * _MS_PER_DAY
+_LAST_MS = (3_652_059 + 1 - _EPOCH_ORDINAL) * _MS_PER_DAY - 1
 
 # A signed 64-bit field, the widest an accounting system stores; it keeps
 # every rate finite, even after per-processor memory scaling.

@@ -43,10 +43,13 @@ the first canonical read, not at import; epoch-only input never builds
 them. Everything else, a canonical-shaped token with an out-of-range
 clock included, is matched against the general grammar above by a second
 compiled pattern, so both routes accept the same tokens with the same
-values. The day cache is shared by both routes and converts each
-distinct day part text once (rejections are never cached). Worksheet
-dates, and the day part of a written civil cell, are likewise cached
-per epoch day.
+values. Both patterns are compiled on the first civil cell read, not at
+import; epoch-only input never compiles them. The day cache is shared by
+both routes and converts each distinct day part text once (rejections
+are never cached). Worksheet dates, and the day part of a written civil
+cell, are likewise cached per epoch day. Each day cache imports
+``datetime`` on a miss, so a run that neither reads nor writes a civil
+date never loads it.
 
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
@@ -62,8 +65,8 @@ commands that only read never build them.
 from __future__ import annotations
 
 import re
-from datetime import date
 from functools import lru_cache
+from typing import Callable
 
 from .model import _EPOCH_ORDINAL, _MS_PER_DAY, MS_PER_S, Timestamp
 
@@ -92,6 +95,9 @@ def _day_ms(day_part: str) -> int:
         raise ValueError(f"negative year in timestamp {day_part!r}")
     if len(year_token) <= 2:
         year += 1900 if year >= 70 else 2000
+    # Imported here, on a cache miss only, so epoch-only input never loads datetime.
+    from datetime import date
+
     try:
         day = date(year, month, int(day_token))
     except OverflowError:
@@ -103,20 +109,32 @@ def _day_ms(day_part: str) -> int:
 # Any civil token: the day part, then an optional clock, whose fields are
 # held to their ranges after the match. Integers are ASCII digits after an
 # optional minus; \s is Unicode whitespace, the set str.split() splits on.
-_general_civil = re.compile(
-    r"([A-Za-z]{3}\s+-?[0-9]+\s+-?[0-9]+)"
-    r"(?:\s+(-?[0-9]+):(-?[0-9]+):(-?[0-9]+)(?:\.([0-9]{0,3}))?)?").fullmatch
-
+_GENERAL_CIVIL = (r"([A-Za-z]{3}\s+-?[0-9]+\s+-?[0-9]+)"
+                  r"(?:\s+(-?[0-9]+):(-?[0-9]+):(-?[0-9]+)(?:\.([0-9]{0,3}))?)?")
 
 # The canonical civil form, as format_timestamp writes it: the day part with
 # its trailing space (its _day_ms key), then the clock as the writer's three
 # pieces, ``HH:MM:``, ``SS.`` and ``mmm``. The hour, minute and second are
 # held to their ranges here, so an out-of-range clock does not match and is
-# refused by the general path. ASCII only, so
+# refused by the general path. Matched with re.ASCII, so
 # \d is 0-9 and nothing int() would read differently.
-_canonical_civil = re.compile(
-    r"([A-Za-z]{3} \d\d \d\d(?:\d\d)? )((?:[01]\d|2[0-3]):[0-5]\d:)([0-5]\d\.)(\d\d\d)",
-    re.ASCII).fullmatch
+_CANONICAL_CIVIL = (r"([A-Za-z]{3} \d\d \d\d(?:\d\d)? )"
+                    r"((?:[01]\d|2[0-3]):[0-5]\d:)([0-5]\d\.)(\d\d\d)")
+
+# The general pattern's fullmatch, bound with the canonical one's below.
+_general_civil: Callable[[str], re.Match | None]
+
+
+def _canonical_civil(token: str) -> re.Match | None:
+    # Compiling both civil patterns waits for the first civil cell, which
+    # parse_timestamp always tries here before the general pattern. Both names
+    # are then rebound to the compiled fullmatch, so later cells make no
+    # Python call to match.
+    global _canonical_civil, _general_civil
+    _canonical_civil = re.compile(_CANONICAL_CIVIL, re.ASCII).fullmatch
+    _general_civil = re.compile(_GENERAL_CIVIL).fullmatch
+    return _canonical_civil(token)
+
 
 # The canonical clock's milliseconds by its ``HH:MM:`` and ``SS.`` text, the
 # inverse of the writer's tables below; filled on the first canonical read.
@@ -208,6 +226,8 @@ def format_timestamp(ts: Timestamp) -> str:
 @lru_cache(maxsize=_DAY_CACHE_SIZE)
 def _civil_day(epoch_day: int) -> str:
     """``Mon DD YY[YY] `` of a day, trailing space included, as format_timestamp writes it."""
+    from datetime import date
+
     day = date.fromordinal(_EPOCH_ORDINAL + epoch_day)
     return f"{MONTHS[day.month - 1]} {day.day:02d} {_format_year(day.year)} "
 
@@ -219,6 +239,8 @@ def format_day(ts: Timestamp) -> str:
 
 @lru_cache(maxsize=_DAY_CACHE_SIZE)
 def _day_label(epoch_day: int) -> str:
+    from datetime import date
+
     day = date.fromordinal(_EPOCH_ORDINAL + epoch_day)
     return f"{MONTHS[day.month - 1]} {day.day:02d} {day.year % 100:02d}"
 

@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+import tracebw._read
 import tracebw.cli
 from tracebw import (
     GenSpec,
@@ -401,8 +402,8 @@ class TestOutReplacesOnSuccess:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return self.sink.write(text)
 
-        real = tracebw.cli.write_worksheet
-        monkeypatch.setattr(tracebw.cli, "write_worksheet",
+        real = tracebw._read.write_worksheet
+        monkeypatch.setattr(tracebw._read, "write_worksheet",
                             lambda samples, base, sink: real(samples, base, FullDisk(sink)))
         target = tmp_path / "sheet.csv"
         target.write_bytes(b"previous contents\n")
@@ -765,6 +766,45 @@ def test_only_gen_loads_the_generator_in_subprocess(tmp_path):
                             env={**os.environ, "PYTHONPATH": package_root},
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n[]\n1 True\n"
+
+
+def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
+    # Only a civil date, read or written, imports datetime, and only a civil
+    # cell read compiles the civil patterns: until then _canonical_civil is
+    # the Python function that compiles them. gen never loads the read
+    # runner, and a read of a file too small to split loads neither the
+    # forked worker nor gen's writer. Each child runs without the site
+    # module, as above, so that no .pth file imports anything first.
+    epoch = tmp_path / "epoch.trace"
+    epoch.write_text(LANL_LINE + "\n")
+    archive = tmp_path / "archive.swf"
+    archive.write_text(archive_line() + "\n")
+    civil = tmp_path / "civil.trace"
+    civil.write_text(_with_cell(LANL_LINE, 2, "May 10 94 00:00:03.456") + "\n")
+    spec = tmp_path / "empty.genspec"
+    spec.write_text("count=0\n")
+    reads = ("import sys, types, tracebw.cli\n"
+             "from tracebw import timefmt\n"
+             "epoch, archive, civil, out = sys.argv[1:]\n"
+             "def loaded():\n"
+             "    names = {'datetime', 'tracebw._fork', 'tracebw._gen'} & set(sys.modules)\n"
+             "    return sorted(names), type(timefmt._canonical_civil) is types.FunctionType\n"
+             "main = tracebw.cli.main\n"
+             "assert main(['rates', '--full', '--carry-forward', '--memory', 'used', epoch,\n"
+             "             '--out', out]) == 0\n"
+             "assert main(['summary', '--format', 'archive', archive, '--out', out]) == 0\n"
+             "print(*loaded())\n"
+             "assert main(['rates', civil, '--out', out]) == 0\n"
+             "print(*loaded())\n")
+    gen = ("import sys, tracebw.cli\n"
+           "assert tracebw.cli.main(['gen', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+           "print(sorted({'datetime', 'tracebw._read'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracebw.cli.__file__))}
+    results = [subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True).stdout
+               for code, argv in ((reads, (epoch, archive, civil, os.devnull)),
+                                  (gen, (spec, tmp_path / "gen.trace")))]
+    assert results == ["[] True\n['datetime'] False\n", "[]\n"]
 
 
 def test_cli_module_stays_within_the_parser_memory_step():

@@ -27,7 +27,8 @@ import pytest
 from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateFlag, RateSample, Timestamp,
                      TraceFormat, generate, iter_rates, parse_trace, parsing, summarize,
                      write_csv, write_worksheet)
-from tracebw.cli import _RANGE_FLOOR, main
+from tracebw._read import _RANGE_FLOOR
+from tracebw.cli import main
 from tracebw.parsing import format_lanl_line, parse_archive_line, parse_lanl_line, write_lanl_trace
 from tracebw.synth import iter_jobs
 

@@ -4,13 +4,14 @@ import copy
 import dataclasses
 import inspect
 import pickle
+from datetime import date
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tracebw import (JobRecord, ParseReport, RateFlag, RateSample, Timestamp, TraceSummary,
-                     rate)
+                     model, rate)
 from tracebw.model import _FIRST_MS, _LAST_MS
 
 from .conftest import job_record_args, job_records, timestamps, tokens
@@ -89,6 +90,14 @@ class TestTimestamp:
     def test_span_is_0001_to_9999(self):
         assert Timestamp(_FIRST_MS).epoch_ms == -62_135_596_800_000  # 0001-01-01 00:00:00.000
         assert Timestamp(_LAST_MS).epoch_ms == 253_402_300_799_999  # 9999-12-31 23:59:59.999
+
+    def test_span_constants_are_datetimes(self):
+        # Written as integers so that importing the model does not import
+        # datetime; they must stay what datetime.date gives.
+        epoch = date(1970, 1, 1).toordinal()
+        assert model._EPOCH_ORDINAL == epoch
+        assert _FIRST_MS == (date.min.toordinal() - epoch) * model._MS_PER_DAY
+        assert _LAST_MS == (date.max.toordinal() + 1 - epoch) * model._MS_PER_DAY - 1
 
     @pytest.mark.parametrize("epoch_ms", [_FIRST_MS - 1, _LAST_MS + 1, 10**20, -10**20])
     def test_rejects_values_outside_the_span(self, epoch_ms):

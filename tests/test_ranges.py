@@ -17,8 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, given, settings
 
-import tracebw.cli as cli
-from tracebw import _fork, _ranges
+from tracebw import _fork, _ranges, _read
 from tracebw.cli import EXIT_BROKEN_PIPE, main
 from tracebw.parsing import format_lanl_line
 
@@ -28,7 +27,7 @@ from .test_parsing import LANL_LINE
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="ranges need os.fork")
 
-_PLAN = cli._plan_ranges
+_PLAN = _read._plan_ranges
 
 
 def _no_children_left():
@@ -52,9 +51,9 @@ def _run(argv, workdir, n=None, starts=None, stdout_mode="w", **stdout_options):
         patch.setattr(sys, "stdout", stdout)
         patch.setattr(sys, "stderr", err)
         if n is not None:
-            patch.setattr(cli, "_plan_ranges", functools.partial(_PLAN, n=n))
+            patch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=n))
         if starts is not None:
-            patch.setattr(cli, "_plan_ranges", lambda fd: starts)
+            patch.setattr(_read, "_plan_ranges", lambda fd: starts)
         code = main(argv)
     _no_children_left()
     with open(stdout_path, "rb") as handle:
@@ -250,8 +249,8 @@ def test_a_fifo_is_one_range(tmp_path):
     os.mkfifo(fifo)
     fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        assert cli._plan_ranges(fd) == [0]
-        assert cli._plan_ranges(fd, n=4) == [0]
+        assert _read._plan_ranges(fd) == [0]
+        assert _read._plan_ranges(fd, n=4) == [0]
     finally:
         os.close(fd)
 
@@ -261,9 +260,9 @@ def test_a_small_file_is_one_range_by_default(tmp_path):
     path.write_bytes((LANL_LINE + "\n").encode() * 1000)
     fd = os.open(path, os.O_RDONLY)
     try:
-        assert os.path.getsize(path) < 2 * cli._RANGE_FLOOR
-        assert cli._plan_ranges(fd) == [0]
-        assert len(cli._plan_ranges(fd, n=3)) == 3
+        assert os.path.getsize(path) < 2 * _read._RANGE_FLOOR
+        assert _read._plan_ranges(fd) == [0]
+        assert len(_read._plan_ranges(fd, n=3)) == 3
     finally:
         os.close(fd)
 
@@ -275,7 +274,7 @@ def test_standard_input_is_never_split(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("standard input was planned")
 
-    monkeypatch.setattr(cli, "_plan_ranges", refuse)
+    monkeypatch.setattr(_read, "_plan_ranges", refuse)
     with open(path, "rb") as handle:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(handle))
         assert main(["inspect", "-"]) == 0
@@ -289,7 +288,7 @@ def large_trace(tmp_path_factory):
     """A trace over twice the split floor, so the default plan splits it."""
     path = tmp_path_factory.mktemp("large") / "large.trace"
     lines = [LANL_LINE.replace("j1", f"job{i}").replace("768453010", "-1" if i % 7 else "768453010")
-             for i in range(2 * cli._RANGE_FLOOR // len(LANL_LINE) + 100)]
+             for i in range(2 * _read._RANGE_FLOOR // len(LANL_LINE) + 100)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
@@ -297,11 +296,11 @@ def large_trace(tmp_path_factory):
 def test_large_file_default_plan(large_trace, tmp_path):
     fd = os.open(large_trace, os.O_RDONLY)
     try:
-        starts = cli._plan_ranges(fd)
+        starts = _read._plan_ranges(fd)
     finally:
         os.close(fd)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert len(starts) == min(cpus, os.path.getsize(large_trace) // cli._RANGE_FLOOR)
+    assert len(starts) == min(cpus, os.path.getsize(large_trace) // _read._RANGE_FLOOR)
     argv = ["rates", "--carry-forward", large_trace, "--out", str(tmp_path / "out")]
     assert _run(argv, str(tmp_path)) == _run(argv, str(tmp_path), n=1)
 
@@ -350,14 +349,14 @@ def test_closed_pipe_reaps_workers(large_trace, monkeypatch):
 def _fail_in_workers(monkeypatch, action):
     """Make the pipeline run ``action`` in every worker; the parent runs as before."""
     parent = os.getpid()
-    pipeline = cli._run_pipeline
+    pipeline = _read._run_pipeline
 
     def run_pipeline(*args):
         if os.getpid() != parent:
             action()
         return pipeline(*args)
 
-    monkeypatch.setattr(cli, "_run_pipeline", run_pipeline)
+    monkeypatch.setattr(_read, "_run_pipeline", run_pipeline)
 
 
 def _raise():
@@ -377,7 +376,7 @@ def test_worker_failure_exits_one_and_keeps_out(action, cause, command, tmp_path
     target = tmp_path / "out"
     target.write_text("keep me\n")
     _fail_in_workers(monkeypatch, action)
-    monkeypatch.setattr(cli, "_plan_ranges", functools.partial(_PLAN, n=3))
+    monkeypatch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=3))
     assert main([*command, str(path), "--out", str(target)]) == 1
     # Three ranges of 100 lines start at lines 0, 34 and 67; the first
     # worker's failure is the one reported.
@@ -395,7 +394,7 @@ def test_full_device_exits_one_and_reaps(tmp_path, monkeypatch, capsys):
         pytest.skip("no /dev/full")
     path = tmp_path / "trace"
     path.write_bytes((LANL_LINE + "\n").encode() * 100)
-    monkeypatch.setattr(cli, "_plan_ranges", functools.partial(_PLAN, n=3))
+    monkeypatch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=3))
     assert main(["rates", str(path), "--out", "/dev/full"]) == 1
     assert capsys.readouterr().err.startswith("tracebw: error: [Errno 28] No space left")
     _no_children_left()
@@ -412,7 +411,7 @@ def test_interrupt_kills_and_reaps(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     _fail_in_workers(monkeypatch, lambda: time.sleep(60))
-    monkeypatch.setattr(cli, "_plan_ranges", functools.partial(_PLAN, n=3))
+    monkeypatch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=3))
     monkeypatch.setattr(_fork._Worker, "result", interrupted)
     begun = time.monotonic()
     with pytest.raises(KeyboardInterrupt), contextlib.redirect_stdout(io.StringIO()):
