@@ -47,8 +47,9 @@ from .parsing import (
     write_lanl_trace,
 )
 
-# The generator's names load synth (and with it fractions and decimal) on
-# first use, so the read path never pays for them (PEP 562).
+# The generator's names load synth on first use, so the read path never pays
+# for it (PEP 562). Only generate and read_sidecar load fractions, and with it
+# decimal, when called: tracebw gen loads neither.
 _SYNTH_NAMES = frozenset(
     ("GenSpec", "GroundTruth", "generate", "load_genspec", "read_sidecar", "write_sidecar"))
 

@@ -1,6 +1,7 @@
-"""The process entry point: ``python -m tracebw`` and the ``tracebw`` script.
+"""The process entry point: ``python -m tracebw``, ``python -m tracebw.cli``
+and the ``tracebw`` script.
 
-Both run :func:`entry`. Once the package and :mod:`tracebw.cli` are
+All three run :func:`entry`. Once the package and :mod:`tracebw.cli` are
 imported, it moves every object the process holds, those the imports made
 included, into the cyclic garbage collector's permanent generation
 (``gc.freeze()``), and then runs the command. No later collection walks those objects again: not the

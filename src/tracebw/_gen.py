@@ -7,6 +7,11 @@ and each other one by a forked worker (see :mod:`tracebw._fork`, which
 only such a run loads). Every output byte equals that of a run in one
 range, because only the submit time carries from one job to the next, and
 :func:`tracebw.synth._jobs` can start a range at any job.
+
+Each range is one loop over :func:`tracebw.synth._jobs`, which gives a
+valid job's exact rate as an unreduced integer pair: :func:`write_jobs`
+reduces it with :func:`math.gcd`, so gen builds no ``Fraction`` and loads
+neither :mod:`fractions` nor :mod:`decimal`.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import shutil
 import tempfile
 from contextlib import nullcontext
 from functools import partial
-from typing import IO, Iterator
+from math import gcd
+from typing import IO
 
-from .model import JobRecord
-from .parsing import write_lanl_trace
+from .errors import IoFailure
+from .parsing import format_lanl_line
 from .synth import GenSpec, _jobs, format_sidecar_header, format_sidecar_line
 
 _JOB_FLOOR = 10_000  # jobs that a range holds at least
@@ -53,18 +59,23 @@ def plan_jobs(count: int, n: int | None = None) -> list[int]:
 def write_jobs(spec: GenSpec, first: int, stop: int, trace: IO[str], sidecar: IO[str]) -> int:
     """Write jobs ``first`` to ``stop - 1`` to ``trace`` as LANL16 lines, each
     as it is drawn, and each valid one's line to ``sidecar``; return the
-    number of valid jobs."""
+    number of valid jobs.
+
+    A failed trace write raises :class:`IoFailure` with the number of lines
+    this call wrote, as :func:`tracebw.parsing.write_lanl_trace` does.
+    """
     valid = 0
-
-    def records() -> Iterator[JobRecord]:
-        nonlocal valid
-        for record, rate in _jobs(spec, first, stop):
-            if rate is not None:
-                sidecar.write(format_sidecar_line(record.job_id, rate))
-                valid += 1
-            yield record
-
-    write_lanl_trace(records(), trace)
+    for written, (record, numerator, denominator) in enumerate(_jobs(spec, first, stop)):
+        try:
+            trace.write(format_lanl_line(record) + "\n")
+        except OSError as exc:
+            raise IoFailure(exc, rows_written=written) from exc
+        if numerator is not None:
+            # runtime_ms >= 1, so this is the Fraction's numerator and denominator.
+            common = gcd(numerator, denominator)
+            sidecar.write(format_sidecar_line(record.job_id, numerator // common,
+                                              denominator // common))
+            valid += 1
     return valid
 
 

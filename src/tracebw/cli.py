@@ -30,7 +30,11 @@ once there are at least twice ``tracebw._gen._JOB_FLOOR`` of them (see
 :func:`main` runs one command and may be called in process any number of
 times; it never freezes or disables the cyclic garbage collector. The
 process entry point, ``python -m tracebw`` or the ``tracebw`` script,
-does that first (see :mod:`tracebw.__main__`).
+does that first (see :mod:`tracebw.__main__`). ``python -m tracebw.cli``
+runs that entry point too. It still imports :mod:`tracebw.cli` a second
+time: ``-m`` runs this file as the module ``__main__``, a module apart from
+:mod:`tracebw.cli`, and the entry point and :mod:`tracebw._read` import
+the package's own.
 """
 
 from __future__ import annotations
@@ -135,8 +139,8 @@ def _replaced_on_success(path: str) -> Iterator[IO[str]]:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
-    # Only gen loads the generator, and with it fractions and decimal, and
-    # its writer, with the sidecar spool's tempfile and shutil.
+    # Only gen loads the generator and its writer, with the sidecar spool's
+    # tempfile and shutil; neither loads fractions or decimal.
     from ._gen import write_gen
     from .synth import load_genspec
 
@@ -192,4 +196,6 @@ def _discard_stdout() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import entry
+
+    sys.exit(entry())

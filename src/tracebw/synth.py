@@ -10,11 +10,14 @@ rational - so pipeline tests never re-derive their expectations from the
 code under test.
 
 :func:`iter_jobs` yields the jobs one at a time as they are drawn, so a
-consumer such as ``tracebw gen`` writes any number of them in constant
-memory. :func:`generate` collects the same jobs into a list and a
-:class:`GroundTruth`, whose valid count is the number of its rates. A
-spec file's keys are :class:`GenSpec`'s fields, each read as the type of
-its default.
+consumer writes any number of them in constant memory. ``tracebw gen``
+reads the private :func:`_jobs`, which gives each valid job's rate as an
+integer numerator and denominator, so it never imports :mod:`fractions`
+(nor :mod:`decimal`, which that imports): only :func:`iter_jobs` and
+:func:`read_sidecar` do, when called. :func:`generate` collects the same
+jobs into a list and a :class:`GroundTruth`, whose valid count is the
+number of its rates. A spec file's keys are :class:`GenSpec`'s fields,
+each read as the type of its default.
 
 Determinism contract: the output is a pure function of the GenSpec. All
 randomness comes from CPython's ``random.Random`` (MT19937) seeded with
@@ -33,12 +36,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .bandwidth import BYTES_PER_KB
 from .errors import InvalidSpec, MalformedSidecar
 from .model import _FIRST_MS, _LAST_MS, _MAX_COUNT, MS_PER_S, JobRecord, Timestamp, _require_counts
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # 1994-05-10 00:00:00 UTC; generated traces start on this day.
 BASE_EPOCH_MS = 768_528_000_000
@@ -123,14 +128,26 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
     span, raises InvalidSpec naming it.
 
     The jobs are those of :func:`_jobs` from the first job to the last,
-    returned as that generator itself, so a job costs no extra resumption.
+    each rate built from the numerator and denominator it gives. That
+    costs one generator resumption per job on top of :func:`_jobs`' own;
+    ``tracebw gen`` writes from :func:`_jobs` directly, so it builds no
+    Fraction and never imports :mod:`fractions`.
     """
-    return _jobs(spec, 0, spec.count)
+    from fractions import Fraction
+
+    return ((record, None if numerator is None else Fraction(numerator, denominator))
+            for record, numerator, denominator in _jobs(spec, 0, spec.count))
 
 
-def _jobs(spec: GenSpec, first: int, stop: int) -> Iterator[tuple[JobRecord, Fraction | None]]:
+def _jobs(spec: GenSpec, first: int,
+          stop: int) -> Iterator[tuple[JobRecord, int | None, int | None]]:
     """Yield jobs ``first`` to ``stop - 1``, numbered from 0, of
-    :func:`iter_jobs`, each with its exact rate.
+    :func:`iter_jobs`, each as ``(record, numerator, denominator)``.
+
+    A valid job's pair is its exact rate unreduced, ``1000 * mem_kb * 1024``
+    over ``runtime_ms``, which is at least 1; reduced by their ``math.gcd``
+    the two are the numerator and denominator of :func:`iter_jobs`' Fraction.
+    Any other job gives ``(record, None, None)``.
 
     All randomness comes from ``Random(spec.seed).random()`` alone, the
     one method whose stream CPython keeps stable across versions. Each
@@ -155,11 +172,12 @@ def _jobs(spec: GenSpec, first: int, stop: int) -> Iterator[tuple[JobRecord, Fra
     n_mem = len(mem_choices)
     procs_choices = spec.procs_choices
     n_procs = len(procs_choices)
-    # The labels repeat with the job number, so each is formatted once here.
-    queues = tuple("q" + str(procs) for procs in procs_choices)
-    users = tuple(f"u{k:03d}" for k in range(1, 24))
-    projects = tuple(f"p{k:02d}" for k in range(1, 8))
-    apps = tuple(f"app{k}" for k in range(1, 12))
+    # The labels repeat with the job number, so each is formatted once here,
+    # by a list comprehension: one call each, where a generator resumes per item.
+    queues = ["q" + str(procs) for procs in procs_choices]
+    users = [f"u{k:03d}" for k in range(1, 24)]
+    projects = [f"p{k:02d}" for k in range(1, 8)]
+    apps = [f"app{k}" for k in range(1, 12)]
     start_frac = spec.missing_start_frac
     end_frac = spec.missing_end_frac
     mem_frac = spec.missing_mem_frac
@@ -192,9 +210,9 @@ def _jobs(spec: GenSpec, first: int, stop: int) -> Iterator[tuple[JobRecord, Fra
         except (ValueError, OverflowError) as exc:
             raise InvalidSpec(f"job {i + 1} leaves the timestamp span: {exc}") from exc
         if drop_start or drop_end or drop_mem:
-            yield record, None
+            yield record, None, None
         else:
-            yield record, Fraction(MS_PER_S * mem_kb * BYTES_PER_KB, runtime_ms)
+            yield record, MS_PER_S * mem_kb * BYTES_PER_KB, runtime_ms
 
 
 def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:
@@ -213,9 +231,10 @@ def format_sidecar_header(expected_valid: int, expected_omitted: int) -> str:
     return f"expected_valid={expected_valid}\nexpected_omitted={expected_omitted}\n"
 
 
-def format_sidecar_line(job_id: str, rate: Fraction) -> str:
-    """One valid job's sidecar line, ``job_id numerator/denominator`` and a newline."""
-    return f"{job_id} {rate.numerator}/{rate.denominator}\n"
+def format_sidecar_line(job_id: str, numerator: int, denominator: int) -> str:
+    """One valid job's sidecar line, ``job_id numerator/denominator`` and a
+    newline; the caller passes the rate in lowest terms."""
+    return f"{job_id} {numerator}/{denominator}\n"
 
 
 def write_sidecar(truth: GroundTruth, sink: IO[str]) -> None:
@@ -226,7 +245,7 @@ def write_sidecar(truth: GroundTruth, sink: IO[str]) -> None:
     """
     sink.write(format_sidecar_header(truth.expected_valid, truth.expected_omitted))
     for job_id, value in truth.rates:
-        sink.write(format_sidecar_line(job_id, value))
+        sink.write(format_sidecar_line(job_id, value.numerator, value.denominator))
 
 
 def _header_count(lines: list[str], line_no: int, key: str) -> int:
@@ -249,6 +268,8 @@ def read_sidecar(source: Iterable[str]) -> GroundTruth:
     nonzero denominator, and (naming line 1) for an ``expected_valid``
     that is not the number of rate lines. Blank rate lines are skipped.
     """
+    from fractions import Fraction
+
     lines = [line.rstrip("\n") for line in source]
     expected_valid = _header_count(lines, 1, "expected_valid")
     expected_omitted = _header_count(lines, 2, "expected_omitted")

@@ -796,15 +796,29 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
              "print(*loaded())\n"
              "assert main(['rates', civil, '--out', out]) == 0\n"
              "print(*loaded())\n")
-    gen = ("import sys, tracebw.cli\n"
-           "assert tracebw.cli.main(['gen', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-           "print(sorted({'datetime', 'tracebw._read'} & set(sys.modules)))\n")
+    # gen writes each exact rate from integers, so neither an empty run nor
+    # one in two job ranges loads fractions, or decimal, which it imports;
+    # the library's generate still gives Fraction rates.
+    some = tmp_path / "some.genspec"
+    some.write_text("count=5\n")
+    gen = ("import sys, functools, tracebw.cli\n"
+           "from tracebw import _gen\n"
+           "gen = lambda spec: tracebw.cli.main(['gen', spec, '--out', sys.argv[3]])\n"
+           "assert gen(sys.argv[1]) == 0\n"
+           "print(sorted({'datetime', 'tracebw._read', 'fractions', 'decimal'}\n"
+           "             & set(sys.modules)))\n"
+           "_gen.plan_jobs = functools.partial(_gen.plan_jobs, n=2)\n"
+           "assert gen(sys.argv[2]) == 0\n"
+           "print(sorted({'tracebw._fork', 'fractions', 'decimal'} & set(sys.modules)))\n"
+           "from tracebw import GenSpec, generate\n"
+           "print(type(generate(GenSpec(count=1))[1].rates[0][1]).__name__)\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracebw.cli.__file__))}
     results = [subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                               capture_output=True, text=True, check=True).stdout
                for code, argv in ((reads, (epoch, archive, civil, os.devnull)),
-                                  (gen, (spec, tmp_path / "gen.trace")))]
-    assert results == ["[] True\n['datetime'] False\n", "[]\n"]
+                                  (gen, (spec, some, tmp_path / "gen.trace")))]
+    assert results == ["[] True\n['datetime'] False\n",
+                       "[]\n['tracebw._fork']\nFraction\n"]
 
 
 def test_cli_module_stays_within_the_parser_memory_step():

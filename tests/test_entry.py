@@ -4,6 +4,7 @@ command exactly as an in-process ``cli.main`` call does, which never freezes."""
 import gc
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 
@@ -46,6 +47,20 @@ def test_console_script_runs_the_entry():
     assert getattr(importlib.import_module(module), name) is tracebw.__main__.entry
 
 
+# This process imported tracebw.cli already, which runpy warns of; python -m
+# tracebw.cli has not, since the package's __init__ does not import it.
+@pytest.mark.filterwarnings("ignore:'tracebw.cli' found in sys.modules:RuntimeWarning")
+def test_running_cli_as_main_goes_through_the_entry(tmp_path, monkeypatch, unfreeze):
+    # python -m tracebw.cli runs cli.py as __main__; it freezes as the entry does.
+    trace = tmp_path / "t.trace"
+    trace.write_text(LANL_LINE + "\n")
+    monkeypatch.setattr(sys, "argv", ["tracebw", "inspect", str(trace)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("tracebw.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert gc.get_freeze_count() > 0
+
+
 def test_main_in_process_never_freezes(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text(LANL_LINE + "\n")
@@ -76,8 +91,9 @@ def test_module_entry_keeps_error_statuses_and_stderr(argv, status, tmp_path, mo
     except SystemExit as exit_:
         code = exit_.code
     in_process = capsys.readouterr()
-    result = subprocess.run([sys.executable, "-m", "tracebw", *argv],
-                            env=ENV, capture_output=True, text=True)
-    assert (result.returncode, result.stdout, result.stderr) == (status, "", in_process.err)
+    for module in ("tracebw", "tracebw.cli"):
+        result = subprocess.run([sys.executable, "-m", module, *argv],
+                                env=ENV, capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (status, "", in_process.err)
     assert code == status and in_process.out == ""
 

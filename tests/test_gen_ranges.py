@@ -6,12 +6,14 @@ the command."""
 import functools
 import hashlib
 import io
+import math
 import os
 import random
 import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -94,8 +96,9 @@ def recorded_rngs(monkeypatch):
 def test_the_skip_reaches_the_draws_state(spec, starts, recorded_rngs):
     # One random() and one getrandbits(448) per earlier job leave the
     # generator where iter_jobs' eight random() draws a job leave it, and the
-    # next job is the same. A CPython that consumed Mersenne Twister words
-    # otherwise in getrandbits would fail here, not change the fixtures.
+    # next job is the same record with the same exact rate. A CPython that
+    # consumed Mersenne Twister words otherwise in getrandbits would fail
+    # here, not change the fixtures.
     reference = iter_jobs(spec)
     done = 0
     for start in starts:
@@ -109,18 +112,59 @@ def test_the_skip_reaches_the_draws_state(spec, starts, recorded_rngs):
             skipping.getrandbits(448)
         assert skipping.getstate() == drawn, start
         ranged = _jobs(spec, start, start + 1)
-        assert next(ranged) == next(reference), start
+        assert _as_fractions(next(ranged)) == next(reference), start
         assert next(ranged, None) is None
         done += 1
+
+
+def _as_fractions(job):
+    """A ``(record, numerator, denominator)`` of ``_jobs`` as iter_jobs'
+    ``(record, rate)``."""
+    record, numerator, denominator = job
+    assert (numerator is None) is (denominator is None)
+    return record, None if numerator is None else Fraction(numerator, denominator)
 
 
 def test_a_range_is_a_slice_of_iter_jobs():
     spec = GenSpec(seed=5, count=40, missing_start_frac=0.3, missing_end_frac=0.2,
                    missing_mem_frac=0.1)
     jobs = list(iter_jobs(spec))
+    triples = list(_jobs(spec, 0, 40))
+    assert [_as_fractions(job) for job in triples] == jobs
     for first in range(0, 41, 3):
         for stop in (first, first + 1, min(first + 7, 40), 40):
-            assert list(_jobs(spec, first, stop)) == jobs[first:stop], (first, stop)
+            ranged = list(_jobs(spec, first, stop))
+            assert ranged == triples[first:stop], (first, stop)
+            assert [_as_fractions(job) for job in ranged] == jobs[first:stop], (first, stop)
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec(seed=seed, count=2000, missing_start_frac=0.05, missing_end_frac=0.02,
+            missing_mem_frac=0.02) for seed in (1, 2, 3, 11)
+] + [
+    # Runtimes of 1-64 ms share a factor of two with the byte count most of the time.
+    GenSpec(seed=4, count=2000, runtime_min_ms=1, runtime_max_ms=64, missing_mem_frac=0.1),
+], ids=["seed-1", "seed-2", "seed-3", "seed-11", "runtime-1-64"])
+def test_the_gcd_reduced_pair_is_the_fraction(spec):
+    # gen writes the pair reduced by math.gcd; the library's Fraction is the
+    # exact rate of the record's own memory and duration.
+    reduced = 0
+    for (record, numerator, denominator), (same, rate) in zip(_jobs(spec, 0, spec.count),
+                                                                iter_jobs(spec), strict=True):
+        assert record == same
+        if rate is None:
+            assert (numerator, denominator) == (None, None)
+            assert None in (record.start_time, record.end_time, record.req_mem_kb)
+            continue
+        duration = record.end_time.epoch_ms - record.start_time.epoch_ms
+        exact = Fraction(1000 * record.req_mem_kb * 1024, duration)
+        common = math.gcd(numerator, denominator)
+        assert (numerator // common, denominator // common) == (exact.numerator,
+                                                                exact.denominator)
+        assert rate == exact
+        reduced += common > 1
+    if spec.runtime_max_ms == 64:
+        assert reduced > spec.count // 2
 
 
 # --- every split point ------------------------------------------------------

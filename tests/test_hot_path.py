@@ -20,13 +20,14 @@ import dataclasses
 import gc
 import io
 import sys
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import pytest
 
 from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateFlag, RateSample, Timestamp,
                      TraceFormat, generate, iter_rates, parse_trace, parsing, summarize,
                      write_csv, write_worksheet)
+from tracebw._gen import write_jobs
 from tracebw._read import _RANGE_FLOOR
 from tracebw.cli import main
 from tracebw.parsing import format_lanl_line, parse_archive_line, parse_lanl_line, write_lanl_trace
@@ -182,17 +183,36 @@ def test_csv_calls_per_row():
 
 
 def gen_trace(spec):
-    """What ``tracebw gen`` does per job: draw it and write its LANL16 line."""
-    write_lanl_trace(map(itemgetter(0), iter_jobs(spec)), io.StringIO())
+    """What ``tracebw gen`` does per job: draw it, write its LANL16 line and,
+    for a valid job, its sidecar line."""
+    write_jobs(spec, 0, spec.count, io.StringIO(), io.StringIO())
 
 
 # Bound: the count measured with SPEC plus one. Measured per job, with the
 # draws as _Draws method calls and a keyword JobRecord -> with the draws
 # inline and a positional JobRecord (CPython 3.11): 32.75 -> 24.75; then with
-# format_lanl_line's cells written inline: 24.75 -> 9.80.
+# format_lanl_line's cells written inline: 24.75 -> 9.80. Those counts were
+# of iter_jobs' records through write_lanl_trace, without the sidecar. From
+# here it is gen's own loop, sidecar lines included: 13.53 with a Fraction per
+# valid job read back through two properties -> 9.76 with the integer pair
+# reduced by math.gcd and the labels built by list comprehensions.
 def test_python_calls_per_job():
     gen_trace(SPEC)  # warm-up: fills the day caches
-    assert count_calls(gen_trace, SPEC) / SPEC.count <= 9.80 + 1
+    assert count_calls(gen_trace, SPEC) / SPEC.count <= 9.76 + 1
+
+
+def library_jobs(spec):
+    """What the library's :func:`iter_jobs` costs per job: draw it and build
+    each valid job's rate as a Fraction."""
+    for _ in iter_jobs(spec):
+        pass
+
+
+# Bound: the count measured with SPEC plus one: the resumptions of _jobs and
+# of iter_jobs' generator expression, three Timestamps, a JobRecord and a
+# Fraction per valid job (CPython 3.11).
+def test_iter_jobs_calls_per_job():
+    assert count_calls(library_jobs, SPEC) / SPEC.count <= 6.84 + 1
 
 
 @pytest.mark.parametrize("present", [3, 2, 0], ids=["full", "missing-end", "bare"])
