@@ -8,10 +8,11 @@ only such a run loads). Every output byte equals that of a run in one
 range, because only the submit time carries from one job to the next, and
 :func:`tracebw.synth._jobs` can start a range at any job.
 
-Each range is one loop over :func:`tracebw.synth._jobs`, which gives a
-valid job's exact rate as an unreduced integer pair: :func:`write_jobs`
-reduces it with :func:`math.gcd`, so gen builds no ``Fraction`` and loads
-neither :mod:`fractions` nor :mod:`decimal`.
+Each range is one loop over :func:`tracebw.synth._jobs`, which gives each
+job's 16 field values as a plain tuple and a valid job's exact rate as an
+unreduced integer pair. :func:`write_jobs` formats the tuple's LANL16 line
+and reduces the pair with :func:`math.gcd`, so gen builds no ``JobRecord``
+and no ``Fraction``, and loads neither :mod:`fractions` nor :mod:`decimal`.
 """
 
 from __future__ import annotations
@@ -65,15 +66,15 @@ def write_jobs(spec: GenSpec, first: int, stop: int, trace: IO[str], sidecar: IO
     this call wrote, as :func:`tracebw.parsing.write_lanl_trace` does.
     """
     valid = 0
-    for written, (record, numerator, denominator) in enumerate(_jobs(spec, first, stop)):
+    for written, (fields, numerator, denominator) in enumerate(_jobs(spec, first, stop)):
         try:
-            trace.write(format_lanl_line(record) + "\n")
+            trace.write(format_lanl_line(fields) + "\n")
         except OSError as exc:
             raise IoFailure(exc, rows_written=written) from exc
         if numerator is not None:
             # runtime_ms >= 1, so this is the Fraction's numerator and denominator.
             common = gcd(numerator, denominator)
-            sidecar.write(format_sidecar_line(record.job_id, numerator // common,
+            sidecar.write(format_sidecar_line(fields[0], numerator // common,
                                               denominator // common))
             valid += 1
     return valid

@@ -416,37 +416,46 @@ def parse_trace(source: Iterable[str] | IO[str], format: TraceFormat | str, *,
     return TraceStream(source, format, scale_per_proc_memory=scale_per_proc_memory)
 
 
-def format_lanl_line(record: JobRecord) -> str:
+def format_lanl_line(record: JobRecord | tuple) -> str:
     """Render a JobRecord as one canonical tab-separated LANL16 line.
 
-    Absent values render as ``-1``; timestamps render as epoch seconds
-    when second-aligned and in the civil form otherwise, so
-    ``parse_lanl_line(format_lanl_line(r))`` reconstructs ``r``. The
-    format has no escaping: a text field that collides with the reserved
-    tokens (``-1``, embedded tabs or newlines, surrounding spaces) or an
-    exit code of exactly -1 cannot survive the trip and comes back as a
-    different (or absent) value.
+    A JobRecord is the tuple of its fields in field order, so ``record``
+    may also be a plain tuple of the same 16 values, as ``tracebw gen``
+    passes them; both give the same line. Absent values render as ``-1``;
+    timestamps render as epoch seconds when second-aligned and in the
+    civil form otherwise, so ``parse_lanl_line(format_lanl_line(r))``
+    reconstructs ``r``. The format has no escaping: a text field that
+    collides with the reserved tokens (``-1``, embedded tabs or newlines,
+    surrounding spaces) or an exit code of exactly -1 cannot survive the
+    trip and comes back as a different (or absent) value.
     """
-    # Each cell inline, as parse_lanl_line reads them: a Python call per cell
-    # would cost more than the line. format_timestamp is looked up per cell so
-    # that a wrapper installed on this module's attribute sees every one.
+    # One unpacking reads every field, and each cell is inline, as
+    # parse_lanl_line reads them: a Python call per cell would cost more than
+    # the line. format_timestamp is looked up per cell so that a wrapper
+    # installed on this module's attribute sees every one. A generated job's
+    # used CPU seconds are the same float object as its requested ones, so
+    # that cell is formatted once.
+    (job_id, submit, start, end, req_procs, used_procs, req_cpu_s, used_cpu_s,
+     req_mem_kb, used_mem_kb, queue, dedicated, user, project, executable, exit_code) = record
+    req_cpu = "-1" if req_cpu_s is None else repr(float(req_cpu_s))
     return "\t".join((
-        record.job_id,
-        "-1" if (ts := record.submit_time) is None else format_timestamp(ts),
-        "-1" if (ts := record.start_time) is None else format_timestamp(ts),
-        "-1" if (ts := record.end_time) is None else format_timestamp(ts),
-        "-1" if (v := record.req_procs) is None else str(v),
-        "-1" if (v := record.used_procs) is None else str(v),
-        "-1" if (v := record.req_cpu_s) is None else repr(float(v)),
-        "-1" if (v := record.used_cpu_s) is None else repr(float(v)),
-        "-1" if (v := record.req_mem_kb) is None else str(v),
-        "-1" if (v := record.used_mem_kb) is None else str(v),
-        "-1" if (v := record.queue) is None else v,
-        "-1" if (v := record.dedicated) is None else "1" if v else "0",
-        "-1" if (v := record.user) is None else v,
-        "-1" if (v := record.project) is None else v,
-        "-1" if (v := record.executable) is None else v,
-        "-1" if (v := record.exit_code) is None else str(v),
+        job_id,
+        "-1" if submit is None else format_timestamp(submit),
+        "-1" if start is None else format_timestamp(start),
+        "-1" if end is None else format_timestamp(end),
+        "-1" if req_procs is None else str(req_procs),
+        "-1" if used_procs is None else str(used_procs),
+        req_cpu,
+        req_cpu if used_cpu_s is req_cpu_s
+        else "-1" if used_cpu_s is None else repr(float(used_cpu_s)),
+        "-1" if req_mem_kb is None else str(req_mem_kb),
+        "-1" if used_mem_kb is None else str(used_mem_kb),
+        "-1" if queue is None else queue,
+        "-1" if dedicated is None else "1" if dedicated else "0",
+        "-1" if user is None else user,
+        "-1" if project is None else project,
+        "-1" if executable is None else executable,
+        "-1" if exit_code is None else str(exit_code),
     ))
 
 

@@ -11,13 +11,15 @@ code under test.
 
 :func:`iter_jobs` yields the jobs one at a time as they are drawn, so a
 consumer writes any number of them in constant memory. ``tracebw gen``
-reads the private :func:`_jobs`, which gives each valid job's rate as an
-integer numerator and denominator, so it never imports :mod:`fractions`
-(nor :mod:`decimal`, which that imports): only :func:`iter_jobs` and
-:func:`read_sidecar` do, when called. :func:`generate` collects the same
-jobs into a list and a :class:`GroundTruth`, whose valid count is the
-number of its rates. A spec file's keys are :class:`GenSpec`'s fields,
-each read as the type of its default.
+reads the private :func:`_jobs`, which gives each job as the plain tuple
+of its 16 field values and each valid job's rate as an integer numerator
+and denominator, so gen builds no :class:`JobRecord` and never imports
+:mod:`fractions` (nor :mod:`decimal`, which that imports): only
+:func:`iter_jobs` and :func:`read_sidecar` do, when called.
+:func:`generate` collects the same jobs into a list and a
+:class:`GroundTruth`, whose valid count is the number of its rates. A
+spec file's keys are :class:`GenSpec`'s fields, each read as the type of
+its default.
 
 Determinism contract: the output is a pure function of the GenSpec. All
 randomness comes from CPython's ``random.Random`` (MT19937) seeded with
@@ -128,26 +130,38 @@ def iter_jobs(spec: GenSpec) -> Iterator[tuple[JobRecord, Fraction | None]]:
     span, raises InvalidSpec naming it.
 
     The jobs are those of :func:`_jobs` from the first job to the last,
-    each rate built from the numerator and denominator it gives. That
-    costs one generator resumption per job on top of :func:`_jobs`' own;
-    ``tracebw gen`` writes from :func:`_jobs` directly, so it builds no
-    Fraction and never imports :mod:`fractions`.
+    each record built from the fields and each rate from the numerator and
+    denominator it gives. That costs one generator resumption per job on
+    top of :func:`_jobs`' own; ``tracebw gen`` writes from :func:`_jobs`
+    directly, so it builds no JobRecord or Fraction and never imports
+    :mod:`fractions`.
     """
     from fractions import Fraction
 
-    return ((record, None if numerator is None else Fraction(numerator, denominator))
-            for record, numerator, denominator in _jobs(spec, 0, spec.count))
+    return ((JobRecord(*fields),
+             None if numerator is None else Fraction(numerator, denominator))
+            for fields, numerator, denominator in _jobs(spec, 0, spec.count))
 
 
 def _jobs(spec: GenSpec, first: int,
-          stop: int) -> Iterator[tuple[JobRecord, int | None, int | None]]:
+          stop: int) -> Iterator[tuple[tuple, int | None, int | None]]:
     """Yield jobs ``first`` to ``stop - 1``, numbered from 0, of
-    :func:`iter_jobs`, each as ``(record, numerator, denominator)``.
+    :func:`iter_jobs`, each as ``(fields, numerator, denominator)``.
+
+    ``fields`` is the job's 16 values as a plain tuple in
+    :class:`JobRecord`'s field order, the tuple that ``JobRecord(*fields)``
+    holds; its requested and used CPU seconds are one float object. No
+    record is built: the record's one check, that the resource fields are
+    finite and >= 0, holds for any spec that validates. Its processor and
+    memory choices are 1 to ``2**63 - 1``, and its CPU seconds, the
+    processors times at most the timestamp span in seconds, stay below
+    about 3e30. A job drawn outside the span still raises InvalidSpec, as
+    its Timestamps are built here.
 
     A valid job's pair is its exact rate unreduced, ``1000 * mem_kb * 1024``
     over ``runtime_ms``, which is at least 1; reduced by their ``math.gcd``
     the two are the numerator and denominator of :func:`iter_jobs`' Fraction.
-    Any other job gives ``(record, None, None)``.
+    Any other job gives ``(fields, None, None)``.
 
     All randomness comes from ``Random(spec.seed).random()`` alone, the
     one method whose stream CPython keeps stable across versions. Each
@@ -201,7 +215,7 @@ def _jobs(spec: GenSpec, first: int,
             start_ms = submit_ms + wait_ms
             cpu_s = procs * (runtime_ms / MS_PER_S)
             mem = None if drop_mem else mem_kb
-            record = JobRecord(
+            fields = (
                 "j" + str(i + 1).zfill(6), Timestamp(submit_ms),
                 None if drop_start else Timestamp(start_ms),
                 None if drop_end else Timestamp(start_ms + runtime_ms),
@@ -210,9 +224,9 @@ def _jobs(spec: GenSpec, first: int,
         except (ValueError, OverflowError) as exc:
             raise InvalidSpec(f"job {i + 1} leaves the timestamp span: {exc}") from exc
         if drop_start or drop_end or drop_mem:
-            yield record, None, None
+            yield fields, None, None
         else:
-            yield record, MS_PER_S * mem_kb * BYTES_PER_KB, runtime_ms
+            yield fields, MS_PER_S * mem_kb * BYTES_PER_KB, runtime_ms
 
 
 def generate(spec: GenSpec) -> tuple[list[JobRecord], GroundTruth]:

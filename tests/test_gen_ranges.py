@@ -18,7 +18,7 @@ from itertools import islice
 
 import pytest
 
-from tracebw import _fork, _gen
+from tracebw import JobRecord, _fork, _gen
 from tracebw.cli import main
 from tracebw.synth import GenSpec, _jobs, iter_jobs
 
@@ -118,11 +118,11 @@ def test_the_skip_reaches_the_draws_state(spec, starts, recorded_rngs):
 
 
 def _as_fractions(job):
-    """A ``(record, numerator, denominator)`` of ``_jobs`` as iter_jobs'
+    """A ``(fields, numerator, denominator)`` of ``_jobs`` as iter_jobs'
     ``(record, rate)``."""
-    record, numerator, denominator = job
+    fields, numerator, denominator = job
     assert (numerator is None) is (denominator is None)
-    return record, None if numerator is None else Fraction(numerator, denominator)
+    return JobRecord(*fields), None if numerator is None else Fraction(numerator, denominator)
 
 
 def test_a_range_is_a_slice_of_iter_jobs():
@@ -149,8 +149,9 @@ def test_the_gcd_reduced_pair_is_the_fraction(spec):
     # gen writes the pair reduced by math.gcd; the library's Fraction is the
     # exact rate of the record's own memory and duration.
     reduced = 0
-    for (record, numerator, denominator), (same, rate) in zip(_jobs(spec, 0, spec.count),
+    for (fields, numerator, denominator), (same, rate) in zip(_jobs(spec, 0, spec.count),
                                                                 iter_jobs(spec), strict=True):
+        record = JobRecord(*fields)
         assert record == same
         if rate is None:
             assert (numerator, denominator) == (None, None)

@@ -183,8 +183,9 @@ def test_csv_calls_per_row():
 
 
 def gen_trace(spec):
-    """What ``tracebw gen`` does per job: draw it, write its LANL16 line and,
-    for a valid job, its sidecar line."""
+    """What ``tracebw gen`` does per job: draw it, write its LANL16 line from
+    the plain tuple of its fields, with no JobRecord built, and, for a valid
+    job, its sidecar line."""
     write_jobs(spec, 0, spec.count, io.StringIO(), io.StringIO())
 
 
@@ -195,10 +196,11 @@ def gen_trace(spec):
 # of iter_jobs' records through write_lanl_trace, without the sidecar. From
 # here it is gen's own loop, sidecar lines included: 13.53 with a Fraction per
 # valid job read back through two properties -> 9.76 with the integer pair
-# reduced by math.gcd and the labels built by list comprehensions.
+# reduced by math.gcd and the labels built by list comprehensions; then 9.76
+# with a JobRecord per job -> 8.76 with the job's fields as a plain tuple.
 def test_python_calls_per_job():
     gen_trace(SPEC)  # warm-up: fills the day caches
-    assert count_calls(gen_trace, SPEC) / SPEC.count <= 9.76 + 1
+    assert count_calls(gen_trace, SPEC) / SPEC.count <= 8.76 + 1
 
 
 def library_jobs(spec):
@@ -215,14 +217,18 @@ def test_iter_jobs_calls_per_job():
     assert count_calls(library_jobs, SPEC) / SPEC.count <= 6.84 + 1
 
 
+@pytest.mark.parametrize("as_tuple", [False, True], ids=["record", "tuple"])
 @pytest.mark.parametrize("present", [3, 2, 0], ids=["full", "missing-end", "bare"])
-def test_format_lanl_line_calls(present):
+def test_format_lanl_line_calls(present, as_tuple):
     # format_lanl_line itself and one format_timestamp per present timestamp:
     # no call per cell, and none inside format_timestamp once its tables exist.
+    # A plain tuple of the 16 fields, as gen passes them, costs the same.
     records, _ = generate(SPEC)
     record = records[0]
     if present < 3:
         record = JobRecord(record.job_id, *[record.submit_time, record.start_time][:present])
+    if as_tuple:
+        record = tuple(record)
     format_lanl_line(record)  # warm-up: the first civil cell builds the clock tables
     assert count_calls(format_lanl_line, record) <= 1 + present
 
@@ -239,8 +245,9 @@ def test_each_value_type_is_built_in_one_python_call():
 
 
 def test_field_reads_make_no_python_call():
-    # A slot or a tuple item's getter, both in C: format_lanl_line reads every
-    # field of each record gen writes, and the writers most fields of a sample.
+    # A slot or a tuple item's getter, both in C: the writers read most fields
+    # of a sample through them. (format_lanl_line reads a record's fields with
+    # one tuple unpacking, so it calls no getter.)
     start, end = Timestamp(0), Timestamp(32000)
     for obj in (start, JobRecord("j", start, start, end, 1, 2, 3.0, 4.0, 5, 6,
                                  "q", True, "u", "p", "x", 0),

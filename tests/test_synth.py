@@ -11,6 +11,7 @@ from tracebw import (
     GenSpec,
     GroundTruth,
     InvalidSpec,
+    JobRecord,
     MalformedSidecar,
     MemorySource,
     TraceFormat,
@@ -24,7 +25,9 @@ from tracebw import (
     write_lanl_trace,
     write_sidecar,
 )
-from tracebw.synth import iter_jobs
+from tracebw import synth
+from tracebw._gen import write_jobs
+from tracebw.synth import _MAX_RUNTIME_MS, _jobs, iter_jobs
 
 from .conftest import assert_rate_close
 
@@ -169,6 +172,52 @@ class TestGenerate:
     def test_both_memory_fields_carry_the_same_value(self, thousand_jobs):
         records, _ = thousand_jobs
         assert all(r.req_mem_kb == r.used_mem_kb for r in records)
+
+
+class TestGenFields:
+    """``tracebw gen`` writes each job from the plain tuple of its fields that
+    ``_jobs`` yields, so it builds no JobRecord: the record's one check, that
+    the resource fields are finite and >= 0, must hold for every job that a
+    valid spec draws."""
+
+    _WIDEST = 2**63 - 1
+
+    @pytest.mark.parametrize("spec", [
+        *(GenSpec(seed=seed, count=500, missing_start_frac=0.05, missing_end_frac=0.02,
+                  missing_mem_frac=0.02) for seed in (0, 1, 2, 3)),
+        # The widest counts GenSpec accepts, with the longest runtime and the
+        # end knocked out: the largest CPU seconds that a job can carry.
+        GenSpec(seed=4, count=100, mem_kb_choices=(_WIDEST,), procs_choices=(_WIDEST,),
+                runtime_min_ms=_MAX_RUNTIME_MS, runtime_max_ms=_MAX_RUNTIME_MS,
+                missing_end_frac=1),
+        GenSpec(seed=5, count=300, mem_kb_choices=(1, _WIDEST), procs_choices=(1, _WIDEST),
+                runtime_min_ms=1, runtime_max_ms=_MAX_RUNTIME_MS, missing_end_frac=1,
+                missing_start_frac=0.3, missing_mem_frac=0.3),
+    ], ids=["seed-0", "seed-1", "seed-2", "seed-3", "widest-longest", "widest-mixed"])
+    def test_every_job_passes_the_record_check(self, spec):
+        for fields, _, _ in _jobs(spec, 0, spec.count):
+            assert type(fields) is tuple and len(fields) == 16
+            record = JobRecord(*fields)
+            assert tuple(record) == fields
+            assert format_lanl_line(fields) == format_lanl_line(record)
+
+    def test_gen_builds_no_record(self, monkeypatch):
+        calls = 0
+        build = synth.JobRecord
+
+        def counted(*fields):
+            nonlocal calls
+            calls += 1
+            return build(*fields)
+
+        monkeypatch.setattr(synth, "JobRecord", counted)
+        spec = GenSpec(seed=1, count=300, missing_start_frac=0.05, missing_mem_frac=0.02)
+        assert sum(1 for _ in iter_jobs(spec)) == calls == 300  # the counter sees the library's
+        calls = 0
+        trace = io.StringIO()
+        write_jobs(spec, 0, spec.count, trace, io.StringIO())
+        assert calls == 0
+        assert trace.getvalue().count("\n") == 300
 
 
 class TestSidecar:
