@@ -1,11 +1,12 @@
 """Running the pieces of one command at once, every piece but the first in
 a forked worker process.
 
-A worker runs one callable over its piece: ``inspect``, ``rates`` and
-``summary`` pass byte ranges of the input (see :mod:`tracebw._ranges`), and
-``gen`` passes job ranges (see :mod:`tracebw._gen`). Only a run large
-enough to split loads this module, so a smaller one never compiles or
-imports it.
+:func:`plan` is the one rule that splits a run into pieces of about equal
+size: ``gen``'s job ranges (see :mod:`tracebw._gen`) and, once each start
+is moved past a newline, the byte ranges of ``inspect``, ``rates`` and
+``summary`` (see :mod:`tracebw._read` and :mod:`tracebw._ranges`). A
+worker runs one callable over its piece. Only a run large enough to split
+loads this module, so a smaller one never compiles or imports it.
 
 A worker leaves only through ``os._exit``, and it never touches standard
 output, standard error or the command's output files. Its result comes
@@ -35,6 +36,21 @@ def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def plan(total: int, floor: int, n: int | None = None) -> list[int]:
+    """Where ``n`` pieces of about equal size of ``total`` units start:
+    ``[0]`` for one piece, and on a host that cannot fork.
+
+    By default ``n`` is the number of usable CPUs, but no more than one
+    piece per ``floor`` units. Piece k starts at ``k * total // n``; a
+    piece that would be empty is dropped.
+    """
+    if not hasattr(os, "fork"):
+        return [0]
+    if n is None:
+        n = min(usable_cpus(), total // floor)
+    return sorted({k * total // n for k in range(n)}) or [0]
 
 
 class _Worker:

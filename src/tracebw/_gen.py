@@ -2,10 +2,11 @@
 
 The CLI opens the two files and hands them to :func:`write_gen`. A count
 of at least twice ``_JOB_FLOOR`` is split into one job range per usable
-CPU (see :func:`plan_jobs`); the first range is written in this process
-and each other one by a forked worker (see :mod:`tracebw._fork`, which
-only such a run loads). Every output byte equals that of a run in one
-range, because only the submit time carries from one job to the next, and
+CPU by :func:`tracebw._fork.plan`, the rule that splits a read too (see
+:func:`plan_jobs`). The first range is written in this process and each
+other one by a forked worker (see :mod:`tracebw._fork`, which only such a
+run loads). Every output byte equals that of a run in one range, because
+only the submit time carries from one job to the next, and
 :func:`tracebw.synth._jobs` can start a range at any job.
 
 Each range is one loop over :func:`tracebw.synth._jobs`, which gives each
@@ -17,7 +18,6 @@ and no ``Fraction``, and loads neither :mod:`fractions` nor :mod:`decimal`.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from contextlib import nullcontext
@@ -36,25 +36,16 @@ def plan_jobs(count: int, n: int | None = None) -> list[int]:
     """The numbers, from 0, of the first jobs of the ranges of ``count``
     jobs: ``[0]`` for one range.
 
-    ``n`` ranges of about equal size are asked for, by default one per
-    usable CPU but no more than one per ``_JOB_FLOOR`` jobs. Only a host
-    that can fork splits. Range k starts at job ``k * count // n``; a range
-    that would be empty is dropped. A count under twice the floor is written
-    in one range without loading :mod:`tracebw._fork`.
+    ``n`` ranges are asked for, by default one per usable CPU but no more
+    than one per ``_JOB_FLOOR`` jobs, as :func:`tracebw._fork.plan` splits.
+    A count under twice the floor is written in one range without loading
+    that module.
     """
-    if n is None:
-        if count < 2 * _JOB_FLOOR:
-            return [0]
-        from ._fork import usable_cpus
-
-        n = min(usable_cpus(), count // _JOB_FLOOR)
-    if not hasattr(os, "fork"):
+    if n is None and count < 2 * _JOB_FLOOR:
         return [0]
-    starts = [0]
-    for k in range(1, n):
-        if k * count // n > starts[-1]:
-            starts.append(k * count // n)
-    return starts
+    from ._fork import plan
+
+    return plan(count, _JOB_FLOOR, n)
 
 
 def write_jobs(spec: GenSpec, first: int, stop: int, trace: IO[str], sidecar: IO[str]) -> int:

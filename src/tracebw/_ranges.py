@@ -1,11 +1,13 @@
 """Reading one regular file in byte ranges, every range but the first in a
 forked worker process (see :mod:`tracebw._fork`).
 
-The CLI plans the ranges with :func:`line_starts` and runs them with
-:func:`run_ranges`, handing over the command as a parser and a pipeline.
-It loads this module only for a file of at least twice its range floor,
-so a run on a smaller file, a pipe or standard input never compiles or
-imports it.
+The CLI plans the ranges in :func:`tracebw._read._plan_ranges`, which
+splits the file's size by :func:`tracebw._fork.plan` and moves each start
+past a newline with :func:`line_starts`. :func:`run_ranges` then turns
+each byte range into text and runs the command's per-range pipeline,
+:func:`tracebw._read._read_range`, over it. The CLI loads this module only
+for a file of at least twice its range floor, so a run on a smaller file,
+a pipe or standard input never compiles or imports it.
 
 A worker reads its range with ``os.pread`` on the descriptor the parent
 opened, so the file offset that forked processes share is never used. The
@@ -17,49 +19,34 @@ from __future__ import annotations
 import io
 import os
 from functools import partial
-from itertools import chain, islice
-from stat import S_ISREG
 from typing import IO, Callable
 
-from ._fork import forked, usable_cpus
-from .model import JobRecord
-from .parsing import TraceStream
-
-# The functions below take the command as two functions that the CLI binds:
-# parse(lines) -> a TraceStream, and run(records, sink) -> (valid, tally), its
-# pipeline after parsing.
+from ._fork import forked
+from ._read import _text
 
 _NEWLINE_PROBE = 8192  # bytes read at a time when looking for a range boundary
 
 
-def line_starts(fd: int, n: int | None, floor: int) -> list[int]:
-    """The byte offsets where ``n`` ranges of about equal size start.
+def line_starts(fd: int, offsets: list[int]) -> list[int]:
+    """The byte offsets where the ranges of the file open on ``fd`` start,
+    given ``offsets``, the first 0, where ranges of about equal size would.
 
-    By default ``n`` is the number of usable CPUs, but no more than one
-    range per ``floor`` bytes. Only a regular file on a host that can fork
-    is split; otherwise, and for ``n`` below 2, this returns ``[0]``. Range
-    k starts just past the first ``\\n`` byte at or after byte
-    ``k * size // n - 1``, so no line, ``\\r\\n`` pair or UTF-8 sequence is
-    split. A range that would be empty is dropped.
+    Each later range starts just past the first ``\\n`` byte at or after
+    both byte ``offset - 1`` and the start before it, so no line,
+    ``\\r\\n`` pair or UTF-8 sequence is split. A range that would be empty
+    is dropped.
     """
-    status = os.fstat(fd)
-    if not S_ISREG(status.st_mode) or not hasattr(os, "fork"):
-        return [0]
-    size = status.st_size
-    if n is None:
-        n = min(usable_cpus(), size // floor)
     starts = [0]
-    for k in range(1, n):
-        position = max(k * size // n - 1, starts[-1])
-        while position < size:
-            chunk = os.pread(fd, _NEWLINE_PROBE, position)
+    for offset in offsets[1:]:
+        position = max(offset - 1, starts[-1])
+        while chunk := os.pread(fd, _NEWLINE_PROBE, position):
             newline = chunk.find(b"\n")
             if newline >= 0:
                 position += newline + 1
+                if os.pread(fd, 1, position):
+                    starts.append(position)
                 break
             position += len(chunk)
-        if position < size:
-            starts.append(position)
     return starts
 
 
@@ -84,37 +71,16 @@ class _ByteRange(io.RawIOBase):
         return data
 
 
-def _range_text(fd: int, start: int, end: int | None) -> IO[str]:
-    # Decoded as the CLI decodes a whole file.
-    return io.TextIOWrapper(_ByteRange(fd, start, end), encoding="utf-8", errors="replace")
+def _read_bytes(read: Callable[..., tuple], fd: int, start: int, end: int | None,
+                sink: IO[str] | None = None) -> tuple:
+    following = () if end is None else _text(_ByteRange(fd, end, None))
+    return read(_text(_ByteRange(fd, start, end)), following, start > 0, sink)
 
 
-def _read_range(parse: Callable[..., TraceStream], run: Callable[..., tuple], fd: int,
-                start: int, end: int | None, sink: IO[str] | None = None) -> tuple:
-    """Parse bytes ``start`` to ``end`` of the file open on ``fd`` and run the
-    command over its records.
-
-    Returns plain data, ``(valid, tally, parsed, malformed)``: run's result,
-    then the counts of the range's own lines. The lines after the range are
-    read only up to the first record, whose sample this range yields,
-    because only this range knows the end time that carry-forward would
-    give it. In a range after the first, the first record, the range's own
-    or else that one, serves only to seed that end time.
-    """
-    stream = parse(_range_text(fd, start, end))
-    following = () if end is None else _range_text(fd, end, None)
-    records = chain(stream, islice(parse(following), 1))
-    if start:
-        first = next(records, None)
-        if first is not None:  # a start-less record: it yields no sample
-            records = chain((JobRecord(first.job_id, end_time=first.end_time),), records)
-    return (*run(records, sink), stream.report.parsed, stream.report.malformed)
-
-
-def run_ranges(parse: Callable[..., TraceStream], run: Callable[..., tuple], fd: int,
-               starts: list[int], out: IO[str] | None) -> list[tuple]:
-    """Run the command over each range of the file open on ``fd``; return the
-    results of :func:`_read_range` in range order.
+def run_ranges(read: Callable[..., tuple], fd: int, starts: list[int],
+               out: IO[str] | None) -> list[tuple]:
+    """Run ``read``, the per-range pipeline, over each range of the file open
+    on ``fd``; return its results in range order.
 
     ``starts`` holds the byte offsets where the ranges start, the first at
     0, each later one just past a ``\\n`` byte. The first range runs here,
@@ -122,11 +88,11 @@ def run_ranges(parse: Callable[..., TraceStream], run: Callable[..., tuple], fd:
     write rows: the first range writes its rows there, and each worker's
     rows, header line excepted, follow them in range order.
     """
-    tasks = [(partial(_read_range, parse, run, fd, start, end),
+    tasks = [(partial(_read_bytes, read, fd, start, end),
               f"reading from byte {start} to {'the end' if end is None else f'byte {end}'}")
              for start, end in zip(starts[1:], [*starts[2:], None])]
     with forked(tasks, 0 if out is None else 1) as workers:
-        results = [_read_range(parse, run, fd, 0, starts[1], out)]
+        results = [_read_bytes(read, fd, 0, starts[1], out)]
         for worker in workers:
             results.append(worker.result())
             if out is not None:

@@ -2,10 +2,11 @@
 writer or summarize, over each byte range of the input.
 
 The CLI loads this module only for those three commands, so ``gen`` never
-compiles or imports it. A regular file of at least twice ``_RANGE_FLOOR``
-bytes is split into one range per usable CPU (see :mod:`tracebw._ranges`,
-which only such a file loads); every other input is read in one range in
-this process.
+compiles or imports it. :func:`_read_range` is every range's pipeline and
+:func:`_text` decodes every input. :func:`_plan_ranges` splits a regular
+file of at least twice ``_RANGE_FLOOR`` bytes into one range per usable
+CPU by :func:`tracebw._fork.plan`, and :mod:`tracebw._ranges`, which only
+such a file loads, forks a worker for each range after the first.
 """
 
 from __future__ import annotations
@@ -17,15 +18,22 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from functools import partial
-from itertools import count
+from itertools import chain, count, islice
 from operator import itemgetter
-from typing import IO, Iterable, Iterator
+from stat import S_ISREG
+from typing import IO, Callable, Iterable, Iterator
 
 from .bandwidth import MbBase, iter_rates
 from .cli import _open_output
 from .export import _finish, _tally, write_csv, write_worksheet
 from .model import JobRecord, RateFlag, TraceSummary
-from .parsing import parse_trace
+from .parsing import TraceStream, parse_trace
+
+
+def _text(raw: IO[bytes]) -> IO[str]:
+    """The text of ``raw``, a path's, standard input's or a byte range's
+    bytes: UTF-8, each bad byte read as U+FFFD."""
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
 
 
 @contextmanager
@@ -37,13 +45,13 @@ def _open_input(path: str) -> Iterator[IO[str]]:
             return
         # Decode the bytes as a file path's are: standard input's own
         # decoder keeps bad bytes as surrogates that no UTF-8 output can hold.
-        wrapper = io.TextIOWrapper(buffer, encoding="utf-8", errors="replace")
+        wrapper = _text(buffer)
         try:
             yield wrapper
         finally:
             wrapper.detach()  # leave standard input open
     else:
-        with open(path, encoding="utf-8", errors="replace") as handle:
+        with _text(open(path, "rb")) as handle:
             yield handle
 
 
@@ -65,16 +73,42 @@ def _plan_ranges(fd: int, n: int | None = None) -> list[int]:
     """The byte offsets where the ranges of the input open on ``fd`` start:
     ``[0]`` for one range.
 
-    ``n`` ranges are asked for, by default one per usable CPU but no more
-    than one per ``_RANGE_FLOOR`` bytes (see
-    :func:`tracebw._ranges.line_starts`). A file under twice that is read in
-    one range without loading that module.
+    Only a regular file is split: into ``n`` ranges, by default one per
+    usable CPU but at least ``_RANGE_FLOOR`` bytes each, as
+    :func:`tracebw._fork.plan` splits, each start then moved past a newline
+    by :func:`tracebw._ranges.line_starts`. A file under twice the floor is
+    one range, loading neither module.
     """
-    if n is None and os.fstat(fd).st_size < 2 * _RANGE_FLOOR:
+    status = os.fstat(fd)
+    if not S_ISREG(status.st_mode) or n is None and status.st_size < 2 * _RANGE_FLOOR:
         return [0]
+    from ._fork import plan
     from ._ranges import line_starts
 
-    return line_starts(fd, n, _RANGE_FLOOR)
+    return line_starts(fd, plan(status.st_size, _RANGE_FLOOR, n))
+
+
+def _read_range(parse: Callable[..., TraceStream], run: Callable[..., tuple],
+                text: Iterable[str], following: Iterable[str], seed: bool,
+                sink: IO[str] | None = None) -> tuple:
+    """Parse ``text``, one range of the input, with ``parse(lines)`` and run
+    ``run(records, sink)``, the command's pipeline after parsing, over it.
+
+    Returns plain data, ``(valid, tally, parsed, malformed)``: run's result,
+    then the counts of the range's own lines. ``following``, the lines after
+    the range, is read only up to the first record, whose sample this range
+    yields, because only this range knows the end time that carry-forward
+    would give it. With ``seed``, as in a range after the first, the first
+    record, the range's own or else that one, serves only to seed that end
+    time. A read in one range passes ``following=()`` and ``seed=False``.
+    """
+    stream = parse(text)
+    records = chain(stream, islice(parse(following), 1))
+    if seed:
+        first = next(records, None)
+        if first is not None:  # a start-less record: it yields no sample
+            records = chain((JobRecord(first.job_id, end_time=first.end_time),), records)
+    return (*run(records, sink), stream.report.parsed, stream.report.malformed)
 
 
 def _run_pipeline(args: argparse.Namespace, records: Iterable[JobRecord],
@@ -106,17 +140,16 @@ def _run_pipeline(args: argparse.Namespace, records: Iterable[JobRecord],
 def _run_trace_command(args: argparse.Namespace) -> int:
     parse = partial(parse_trace, format=args.format,
                     scale_per_proc_memory=args.per_proc_memory == "scaled")
-    run = partial(_run_pipeline, args)
+    read = partial(_read_range, parse, partial(_run_pipeline, args))
     with _open_input(args.trace) as source, \
             _open_output(args.out) if args.command == "rates" else nullcontext() as out:
         starts = [0] if args.trace == "-" else _plan_ranges(source.fileno())
         if len(starts) > 1:
             from ._ranges import run_ranges
 
-            results = run_ranges(parse, run, source.fileno(), starts, out)
+            results = run_ranges(read, source.fileno(), starts, out)
         else:
-            stream = parse(source)
-            results = [(*run(stream, out), stream.report.parsed, stream.report.malformed)]
+            results = [read(source, (), False, out)]
     # Each result is (valid, tally, parsed, malformed) of one range.
     valid, tallies, parsed, malformed = zip(*results)
     counts = map(sum, (parsed, malformed, valid))

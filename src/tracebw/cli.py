@@ -5,27 +5,28 @@ writes the per-job worksheet (or the full CSV with ``--full``),
 ``summary`` prints aggregate statistics, and ``gen`` synthesizes a
 fixture trace plus its ground-truth sidecar in constant memory. Data
 goes to standard output or ``--out``; diagnostics always go to standard
-error. An
-``--out`` file is written under a temporary name beside it and moved
-into place only when the command succeeds, so a failed run leaves an
-existing file untouched and a trace can be rewritten in place. Exit
-status is 0 on success, 1 on I/O failure, 2 on invalid flags or
-generator specs, and 141 (128 + SIGPIPE, as a shell reports a filter
-killed by SIGPIPE) when the reader of the output goes away early, as
-with ``| head``; that last case writes no error message.
+error. An ``--out`` file is written under a temporary name beside it and
+moved into place only when the command succeeds, so a failed run leaves
+an existing file untouched and a trace can be rewritten in place. Exit
+status is 0 on success, 1 on I/O failure (an output codec that cannot
+encode a job id included), 2 on invalid flags or generator specs, and
+141 (128 + SIGPIPE, as a shell reports a filter killed by SIGPIPE) when
+the reader of the output goes away early, as with ``| head``; that last
+case writes no error message.
 
 ``inspect``, ``rates`` and ``summary`` run one pipeline, parse → iter_rates
-→ writer or summarize, over each byte range of the input (see
-:mod:`tracebw._read`, which only these three commands load). A regular
-file of at least twice ``tracebw._read._RANGE_FLOOR`` bytes is split into
-one range per usable CPU, each starting just past a newline byte; the
-first range runs in this process and each other one in a forked worker
-(see :mod:`tracebw._ranges`, which only such a file loads). The rows,
-counts and statistics are merged in range order, so every output byte
-equals that of a read in one range. Standard input, a FIFO and a smaller
-file are one range. ``gen`` writes its jobs in job ranges the same way,
-once there are at least twice ``tracebw._gen._JOB_FLOOR`` of them (see
-:mod:`tracebw._gen`); this module only opens its two files.
+→ writer or summarize, ``tracebw._read._read_range``, over each byte range
+of the input. Only these three commands load :mod:`tracebw._read`. A
+regular file of at least twice ``tracebw._read._RANGE_FLOOR`` bytes is
+split into one range per usable CPU by :func:`tracebw._fork.plan`, each
+range starting just past a newline byte; the first range runs in this
+process and each other one in a forked worker (see :mod:`tracebw._ranges`,
+which only such a file loads). The rows, counts and statistics are merged
+in range order, so every output byte equals that of a read in one range.
+Standard input, a FIFO and a smaller file are one range. ``gen`` writes
+its jobs in job ranges split by the same rule, once there are at least
+twice ``tracebw._gen._JOB_FLOOR`` of them (see :mod:`tracebw._gen`); this
+module only opens its two files.
 
 :func:`main` runs one command and may be called in process any number of
 times; it never freezes or disables the cyclic garbage collector. The
@@ -172,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidSpec as exc:
         sys.stderr.write(f"tracebw: error: {exc}\n")
         return 2
-    except (IoFailure, OSError) as exc:
+    except (IoFailure, OSError, UnicodeEncodeError) as exc:
         if isinstance(exc, BrokenPipeError) or isinstance(exc.__cause__, BrokenPipeError):
             _discard_stdout()
             return EXIT_BROKEN_PIPE

@@ -84,18 +84,6 @@ class TraceFormat(Enum):
     ARCHIVE18 = "archive"
 
 
-def _split_lanl(line: str) -> list[str]:
-    # Tabs delimit when present (civil timestamps contain spaces); a line
-    # with no tab at all splits on whitespace runs instead.
-    if "\t" in line:
-        cells = line.split("\t")
-        # A cell has a space to strip only where one touches a tab or a line end.
-        if " \t" in line or "\t " in line or line[:1] == " " or line[-1:] == " ":
-            return [cell.strip(" ") for cell in cells]
-        return cells
-    return line.split()
-
-
 # Columns 1-15 in JobRecord field order, as (field name, kind, reason code).
 # Column 0, the job id, is taken verbatim; a text cell is never refused.
 _LANL_COLUMNS = (
@@ -249,7 +237,9 @@ def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
     if _plain_lanl_line(line):
         cells = line.split("\t")
     else:
-        cells = _split_lanl(line)
+        # Tabs delimit when present (civil timestamps contain spaces); a line
+        # with no tab at all splits on whitespace runs instead.
+        cells = [c.strip(" ") for c in line.split("\t")] if "\t" in line else line.split()
         if len(cells) != LANL_FIELD_COUNT:
             raise MalformedLine(line_no, "column-count",
                                 f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")

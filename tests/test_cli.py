@@ -772,8 +772,9 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
     # Only a civil date, read or written, imports datetime, and only a civil
     # cell read compiles the civil patterns: until then _canonical_civil is
     # the Python function that compiles them. gen never loads the read
-    # runner, and a read of a file too small to split loads neither the
-    # forked worker nor gen's writer. Each child runs without the site
+    # runner or the range reader, not even in job ranges, whose plan is in
+    # the forked worker's module; and a read of a file too small to split
+    # loads neither the forked worker nor gen's writer. Each child runs without the site
     # module, as above, so that no .pth file imports anything first.
     epoch = tmp_path / "epoch.trace"
     epoch.write_text(LANL_LINE + "\n")
@@ -809,7 +810,8 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
            "             & set(sys.modules)))\n"
            "_gen.plan_jobs = functools.partial(_gen.plan_jobs, n=2)\n"
            "assert gen(sys.argv[2]) == 0\n"
-           "print(sorted({'tracebw._fork', 'fractions', 'decimal'} & set(sys.modules)))\n"
+           "print(sorted({'tracebw._fork', 'tracebw._ranges', 'tracebw._read', 'fractions',\n"
+           "              'decimal'} & set(sys.modules)))\n"
            "from tracebw import GenSpec, generate\n"
            "print(type(generate(GenSpec(count=1))[1].rates[0][1]).__name__)\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracebw.cli.__file__))}

@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, given, settings
 
-from tracebw import _fork, _ranges, _read
+from tracebw import _fork, _gen, _ranges, _read
 from tracebw.cli import EXIT_BROKEN_PIPE, main
 from tracebw.parsing import format_lanl_line
 
@@ -216,6 +216,22 @@ def test_rows_follow_the_output_codec_and_an_appending_stdout(tmp_path):
                                 else b"\\ufffd") == 2
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("where", [0, -1], ids=["first-line", "last-line"])
+def test_an_unencodable_job_id_exits_one(where, n, tmp_path):
+    # An output codec that cannot encode a job id fails the run as an I/O
+    # failure does, in the parent's range or in a worker's; _run checks
+    # that no worker is left.
+    ids = ["j1", "j2", "j3", "j4"]
+    ids[where] = "j\xe9"
+    path = tmp_path / "trace"
+    path.write_text("".join(LANL_LINE.replace("j1", i) + "\n" for i in ids), encoding="utf-8")
+    code, _, err, _ = _run(["rates", "--full", str(path)], str(tmp_path), n=n, encoding="ascii")
+    assert code == 1
+    assert err.startswith("tracebw: error: 'ascii' codec can't encode character '\\xe9'")
+    assert err.count("\n") == 1
+
+
 # --- the planner ----------------------------------------------------------
 
 def test_line_starts_split_only_after_a_newline(tmp_path):
@@ -225,11 +241,11 @@ def test_line_starts_split_only_after_a_newline(tmp_path):
     fd = os.open(path, os.O_RDONLY)
     try:
         for n in range(1, 9):
-            starts = _ranges.line_starts(fd, n, 1)
+            starts = _ranges.line_starts(fd, _fork.plan(len(text), 1, n))
             assert starts[0] == 0 and starts == sorted(set(starts))
             assert all(text[start - 1] == ord("\n") for start in starts[1:])
             assert len(starts) <= n
-        assert _ranges.line_starts(fd, 9, 1) == [0, 3, 6, 7, 14, 17]
+        assert _ranges.line_starts(fd, _fork.plan(len(text), 1, 9)) == [0, 3, 6, 7, 14, 17]
     finally:
         os.close(fd)
 
@@ -239,9 +255,23 @@ def test_no_newline_no_split(tmp_path):
     path.write_bytes(b"a\rb\rc\r" * 100)
     fd = os.open(path, os.O_RDONLY)
     try:
-        assert _ranges.line_starts(fd, 4, 1) == [0]
+        assert _ranges.line_starts(fd, _fork.plan(600, 1, 4)) == [0]
     finally:
         os.close(fd)
+
+
+def test_one_rule_plans_byte_and_job_ranges(tmp_path):
+    # On a file of N newline bytes every offset is already a line start, so
+    # the read's plan is the plan of N jobs.
+    path = tmp_path / "trace"
+    for size in range(1, 61):
+        path.write_bytes(b"\n" * size)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for n in range(1, 9):
+                assert _read._plan_ranges(fd, n) == _gen.plan_jobs(size, n), (size, n)
+        finally:
+            os.close(fd)
 
 
 def test_a_fifo_is_one_range(tmp_path):
