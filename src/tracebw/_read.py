@@ -1,5 +1,7 @@
-"""Running ``inspect``, ``rates`` and ``summary``: parse → iter_rates →
-writer or summarize, over each byte range of the input.
+"""Running ``inspect``, ``rates`` and ``summary``: parse → rates → writer
+or summarize, over each byte range of the input, each record and sample
+passed on as the plain tuple of its fields, with no JobRecord or
+RateSample built.
 
 The CLI loads this module only for those three commands, so ``gen`` never
 compiles or imports it. :func:`_read_range` is every range's pipeline and
@@ -23,10 +25,10 @@ from operator import itemgetter
 from stat import S_ISREG
 from typing import IO, Callable, Iterable, Iterator
 
-from .bandwidth import MbBase, iter_rates
+from .bandwidth import MbBase, _rates
 from .cli import _open_output
 from .export import _finish, _tally, write_csv, write_worksheet
-from .model import JobRecord, RateFlag, TraceSummary
+from .model import TraceSummary
 from .parsing import TraceStream, parse_trace
 
 
@@ -103,30 +105,33 @@ def _read_range(parse: Callable[..., TraceStream], run: Callable[..., tuple],
     time. A read in one range passes ``following=()`` and ``seed=False``.
     """
     stream = parse(text)
-    records = chain(stream, islice(parse(following), 1))
+    records = chain(stream._fields, islice(parse(following)._fields, 1))
     if seed:
         first = next(records, None)
-        if first is not None:  # a start-less record: it yields no sample
-            records = chain((JobRecord(first.job_id, end_time=first.end_time),), records)
+        if first is not None:  # its job id and end time, and no start: it yields no sample
+            records = chain(((first[0], None, None, first[3]) + (None,) * 12,), records)
     return (*run(records, sink), stream.report.parsed, stream.report.malformed)
 
 
-def _run_pipeline(args: argparse.Namespace, records: Iterable[JobRecord],
+def _run_pipeline(args: argparse.Namespace, records: Iterable[tuple],
                   sink: IO[str] | None) -> tuple:
-    """Run the command over parsed records; return the number of samples and,
-    for ``summary`` only, summarize's tally. Rows of ``rates`` go to ``sink``."""
+    """Run the command over parsed records, each the plain tuple of a
+    JobRecord's fields; return the number of samples and, for ``summary``
+    only, summarize's tally. Rows of ``rates`` go to ``sink``."""
     # zip pulls a sample before a count, so once the samples are drained
     # the counter's next value is their number, with no Python call per sample.
     counter = count()
     samples = map(itemgetter(0), zip(
-        iter_rates(records, args.memory, args.carry_forward), counter))
+        _rates(records, args.memory, args.carry_forward), counter))
     tally = None
     if args.command == "inspect":
         for _ in samples:
             pass
     else:
         if args.drop_negative:
-            samples = (s for s in samples if RateFlag.NEGATIVE_DURATION not in s.flags)
+            # By index, with no Enum hash: a sample's NEGATIVE_DURATION flag
+            # is set exactly when its duration_ms, item 4, is below zero.
+            samples = (s for s in samples if s[4] >= 0)
         mb = MbBase[args.mb.upper()]
         if args.command == "summary":
             tally = _tally(samples, mb)

@@ -15,20 +15,24 @@ before the readiness test; it is off by default, matching the batch
 policy of simply omitting incomplete jobs.
 
 The readiness test is one private predicate, which :func:`partition_jobs`
-calls. Carry-forward lives only in :func:`iter_rates`, whose single loop
-per record resolves the start, tests readiness and builds the sample;
+calls. Carry-forward lives only in the private loop behind
+:func:`iter_rates`, which per record resolves the start, tests readiness
+and yields the sample's 7 field values as a plain tuple;
 :func:`partition_jobs` never carries forward. That loop writes out
 :func:`select_bytes`, the readiness test, :func:`duration_ms` and
-:func:`rate`, so it calls nothing per record but the sample's
-constructor, and a test holds it to the four. All operations are pure
-functions over immutable inputs. Without carry-forward the per-record
-computation is an order-preserving map; with it the loop is sequential
-by contract.
+:func:`rate`, so it makes no Python call per record, and a test holds it
+to the four. It reads each record by index, so it takes a JobRecord or
+the plain tuple of its 16 fields. :func:`iter_rates` builds a RateSample
+over each tuple; the CLI reads the tuples and builds none. All operations
+are pure functions over immutable inputs. Without carry-forward the
+per-record computation is an order-preserving map; with it the loop is
+sequential by contract.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import starmap
 from typing import Iterable, Iterator
 
 from .model import MS_PER_S, JobRecord, RateFlag, RateSample, Timestamp
@@ -140,20 +144,31 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource | str,
     ``source`` is a MemorySource or its value; anything else raises
     ValueError when iteration starts.
     """
+    return starmap(RateSample, _rates(records, source, carry_forward))
+
+
+def _rates(records: Iterable[tuple], source: MemorySource | str,
+           carry_forward: bool = False) -> Iterator[tuple]:
+    """The samples of :func:`iter_rates`, each as the plain tuple of its 7
+    field values in RateSample field order.
+
+    ``records`` are JobRecords or plain tuples of their 16 field values in
+    the same order; each is read by index.
+    """
     source = MemorySource(source)
-    requested = source is MemorySource.REQUESTED
+    memory = 8 if source is MemorySource.REQUESTED else 9  # req_mem_kb, used_mem_kb
     carry_forward = bool(carry_forward)  # so that ``carried`` can index _FLAGS
     prev_end: Timestamp | None = None
-    # select_bytes, _ready, duration_ms and rate, written out: this loop calls
-    # nothing per record but RateSample.
+    # select_bytes, _ready, duration_ms and rate, written out: this loop makes
+    # no Python call per record.
     for record in records:
-        start = record.start_time
-        end = record.end_time
+        start = record[2]  # start_time
+        end = record[3]  # end_time
         carried = start is None and prev_end is not None and carry_forward
         if carried:
             start = prev_end
         prev_end = end
-        kb = record.req_mem_kb if requested else record.used_mem_kb
+        kb = record[memory]
         if start is None or end is None or kb is None:  # _ready's rule
             continue
         n_bytes = kb * BYTES_PER_KB
@@ -163,8 +178,8 @@ def iter_rates(records: Iterable[JobRecord], source: MemorySource | str,
             rate_bps = MS_PER_S * n_bytes / duration if n_bytes else 0.0
         else:
             rate_bps = None
-        yield RateSample(record.job_id, start, end, n_bytes, duration, rate_bps,
-                         _FLAGS[carried][duration < 0])
+        yield (record[0], start, end, n_bytes, duration, rate_bps,
+               _FLAGS[carried][duration < 0])
 
 
 def compute_rates(records: Iterable[JobRecord], source: MemorySource | str,

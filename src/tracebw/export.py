@@ -11,6 +11,11 @@ every field at full fidelity, floats in repr form so they re-parse
 bit-exactly. Each of its rows is one string too; its one free-text cell,
 the job id, is quoted in place by the RFC 4180 rule, so ``csv`` is never
 loaded.
+
+A RateSample is the tuple of its fields in field order, so the writers and
+:func:`summarize` read each sample with one tuple unpacking or index: they
+take RateSamples or plain tuples of the same 7 values, as the CLI passes
+them.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ _FLAG_ORDER = (RateFlag.NEGATIVE_DURATION, RateFlag.CARRIED_FORWARD_START)
 format_sig = "{:.7g}".format
 
 
-def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary:
+def summarize(samples: Iterable[RateSample | tuple], base: MbBase | int) -> TraceSummary:
     """Aggregate statistics over the defined rates, in the output unit.
 
     Median is the lower of the two middles for even counts; p95 is the
@@ -45,7 +50,8 @@ def summarize(samples: Iterable[RateSample], base: MbBase | int) -> TraceSummary
     return _finish((_tally(samples, base),))
 
 
-def _tally(samples: Iterable[RateSample], base: MbBase | int) -> tuple[list[float], int, int]:
+def _tally(samples: Iterable[RateSample | tuple],
+           base: MbBase | int) -> tuple[list[float], int, int]:
     """The defined rates in the output unit, and the counts of undefined and
     negative ones: all that :func:`_finish` needs of the samples."""
     divisor = MbBase(base).divisor
@@ -53,10 +59,11 @@ def _tally(samples: Iterable[RateSample], base: MbBase | int) -> tuple[list[floa
     n_undefined = 0
     n_negative = 0
     for sample in samples:
-        if sample.rate_bytes_per_s is None:
+        rate_bps = sample[5]  # rate_bytes_per_s
+        if rate_bps is None:
             n_undefined += 1
             continue
-        value = sample.rate_bytes_per_s / divisor
+        value = rate_bps / divisor
         defined.append(value)
         if value < 0:
             n_negative += 1
@@ -91,7 +98,8 @@ def _finish(tallies: Sequence[tuple[list[float], int, int]]) -> TraceSummary:
     )
 
 
-def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) -> int:
+def write_worksheet(samples: Iterable[RateSample | tuple], base: MbBase | int,
+                    sink: IO[str]) -> int:
     """Write the worksheet; returns the number of data rows.
 
     One row per sample, in order. Undefined rates leave the Mbytes cell
@@ -109,20 +117,18 @@ def write_worksheet(samples: Iterable[RateSample], base: MbBase | int, sink: IO[
     rows = 0
     try:
         write(WORKSHEET_HEADER + "\n")
-        for sample in samples:
-            rate_bps = sample.rate_bytes_per_s
+        for _, start, end, n_bytes, _, rate_bps, _ in samples:
             mbytes = "" if rate_bps is None else format_sig(rate_bps / divisor)
-            n_bytes = sample.n_bytes
             kbytes = (n_bytes // BYTES_PER_KB if n_bytes % BYTES_PER_KB == 0
                       else format_sig(n_bytes / BYTES_PER_KB))
-            write(f"{format_day(sample.start)},{format_day(sample.end)},{mbytes},{kbytes}\n")
+            write(f"{format_day(start)},{format_day(end)},{mbytes},{kbytes}\n")
             rows += 1
     except OSError as exc:
         raise IoFailure(exc, rows_written=rows) from exc
     return rows
 
 
-def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) -> int:
+def write_csv(samples: Iterable[RateSample | tuple], base: MbBase | int, sink: IO[str]) -> int:
     """Write the full-fidelity CSV; returns the number of data rows.
 
     Numeric fields use repr, so re-parsing recovers them bit-exactly.
@@ -143,9 +149,7 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
     rows = 0
     try:
         write(CSV_HEADER + "\n")
-        for sample in samples:
-            rate_bps = sample.rate_bytes_per_s
-            flags = sample.flags
+        for job_id, start, end, n_bytes, duration, rate_bps, flags in samples:
             flag_cell = flag_cells.get(flags)
             if flag_cell is None:
                 flag_cell = flag_cells[flags] = "|".join(
@@ -155,13 +159,12 @@ def write_csv(samples: Iterable[RateSample], base: MbBase | int, sink: IO[str]) 
             else:
                 rate_cell = repr(rate_bps)
                 out_cell = repr(rate_bps / divisor)
-            job_id = sample.job_id
             if type(job_id) is not str:
                 job_id = "" if job_id is None else str(job_id)
             if "," in job_id or '"' in job_id or "\n" in job_id or "\r" in job_id:
                 job_id = '"' + job_id.replace('"', '""') + '"'
-            write(f"{job_id},{sample.start.epoch_ms},{sample.end.epoch_ms},"
-                  f"{sample.duration_ms},{sample.n_bytes},{rate_cell},{out_cell},{flag_cell}\n")
+            write(f"{job_id},{start.epoch_ms},{end.epoch_ms},"
+                  f"{duration},{n_bytes},{rate_cell},{out_cell},{flag_cell}\n")
             rows += 1
     except OSError as exc:
         raise IoFailure(exc, rows_written=rows) from exc

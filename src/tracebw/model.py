@@ -8,15 +8,17 @@ Missing data is a distinct absent state (``None``), never a sentinel
 number; the ``-1`` sentinel exists only at the file-format boundary (see
 :mod:`tracebw.parsing`).
 
-``JobRecord`` and ``RateSample``, built once per job on the read path, are
-frozen dataclasses over a ``tuple`` of their fields in field order: a
-hand-written ``__new__`` checks its arguments and then makes the instance
-in one ``tuple.__new__`` call, and each field reads through a C getter of
-its item. Their base, ``_Fields``, keeps what a tuple would break: equality
-only within one class, no order, pickling through the checks. ``Timestamp``
-keeps one slot, set through its descriptor: one call is cheaper than
-``tuple.__new__``; its ``__reduce__`` copies through ``__init__``. Every
-instance, the parsers' included, passes the checks.
+``JobRecord`` and ``RateSample``, built once per job by the library's read
+functions (the CLI passes the same field values on as plain tuples and
+builds neither), are frozen dataclasses over a ``tuple`` of their fields
+in field order: a hand-written ``__new__`` checks its arguments and then
+makes the instance in one ``tuple.__new__`` call, and each field reads
+through a C getter of its item. Their base, ``_Fields``, keeps what a
+tuple would break: equality only within one class, no order, pickling
+through the checks. ``Timestamp`` keeps one slot, set through its
+descriptor: one call is cheaper than ``tuple.__new__``; its
+``__reduce__`` copies through ``__init__``. Every instance, the parsers'
+included, passes the checks.
 
 Timestamps are integer milliseconds since the Unix epoch, UTC (source
 logs state no timezone; UTC is the documented assumption), widened on

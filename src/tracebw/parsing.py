@@ -59,6 +59,17 @@ empty one as ``-1``; ARCHIVE18 integers but labels as their integral
 part, a missing value as ``-1``. A timestamp that ``parse_timestamp``
 refuses on a plain line is named by the same check.
 
+The block ends in the record's 16 field values as a plain tuple in
+:class:`JobRecord` field order. :func:`parse_lanl_line` and
+:func:`parse_archive_line` return a JobRecord over it; private twins that
+share the block return the tuple itself, and neither calls the other.
+:class:`TraceStream` runs one loop over the twins, which yields the
+tuples: its iteration builds a JobRecord over each, while the CLI reads
+the tuples and builds none. A tuple holds what the JobRecord would: its
+one check, resource values finite and at least zero, cannot fail on a
+parsed line, because the cell check refuses a negative or non-finite
+cell first.
+
 Malformed lines are counted and skipped, never fatal; only a failure of
 the underlying stream aborts a session (:class:`IoFailure`, carrying the
 partial report). A session's format is a :class:`TraceFormat` or its
@@ -71,6 +82,7 @@ import re
 from collections import Counter
 from enum import Enum
 from functools import cache, partial
+from itertools import starmap
 from math import isfinite
 from typing import IO, Callable, Iterable, Iterator
 
@@ -227,52 +239,60 @@ def _plain_cells(line_no: int, cells: list[str], columns: tuple,
     return plain
 
 
-def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
-    """Parse one 16-column record line into a JobRecord.
+def _lanl_parser(name: str, record: bool) -> Callable[[str, int], JobRecord | tuple]:
+    # The one LANL16 conversion block, for both entry points below: with
+    # ``record`` it ends in a JobRecord over the fields, else it returns them.
+    # Each entry point is then one Python frame, so neither pays for the other.
+    def parse_lanl_line(line: str, line_no: int = 0) -> JobRecord:
+        """Parse one 16-column record line into a JobRecord.
 
-    Raises MalformedLine when the column count is wrong or a cell fails
-    to parse; the caller decides whether that ends the session (the
-    streaming parser just counts it).
-    """
-    if _plain_lanl_line(line):
-        cells = line.split("\t")
-    else:
-        # Tabs delimit when present (civil timestamps contain spaces); a line
-        # with no tab at all splits on whitespace runs instead.
-        cells = [c.strip(" ") for c in line.split("\t")] if "\t" in line else line.split()
-        if len(cells) != LANL_FIELD_COUNT:
-            raise MalformedLine(line_no, "column-count",
-                                f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")
-        cells = _plain_cells(line_no, cells, _LANL_COLUMNS, _LANL_GRAMMAR)
-    # Each cell inline: a Python call per cell would cost more than the rest
-    # of the line.
-    (job_id, submit, start, end, req_procs, used_procs, req_cpu_s, used_cpu_s,
-     req_mem_kb, used_mem_kb, queue, dedicated, user, project, executable,
-     exit_code) = cells
-    try:
-        # parse_timestamp is looked up per cell so that a wrapper installed
-        # on this module's attribute (as a tracer does) sees every cell.
-        submit = None if submit == "-1" else parse_timestamp(submit)
-        start = None if start == "-1" else parse_timestamp(start)
-        end = None if end == "-1" else parse_timestamp(end)
-    except ValueError:
-        # Only on a plain line: the check has parsed every other line's
-        # timestamps. It names the refused one.
-        _plain_cells(line_no, cells, _LANL_COLUMNS, _LANL_GRAMMAR)
-        raise
-    return JobRecord(job_id, submit, start, end,
-                     None if req_procs == "-1" else int(req_procs),
-                     None if used_procs == "-1" else int(used_procs),
-                     None if req_cpu_s == "-1" else float(req_cpu_s),
-                     None if used_cpu_s == "-1" else float(used_cpu_s),
-                     None if req_mem_kb == "-1" else int(req_mem_kb),
-                     None if used_mem_kb == "-1" else int(used_mem_kb),
-                     None if queue == "-1" else queue,
-                     None if dedicated == "-1" else int(dedicated) != 0,
-                     None if user == "-1" else user,
-                     None if project == "-1" else project,
-                     None if executable == "-1" else executable,
-                     None if exit_code == "-1" else int(exit_code))
+        Raises MalformedLine when the column count is wrong or a cell fails
+        to parse; the caller decides whether that ends the session (the
+        streaming parser just counts it).
+        """
+        if _plain_lanl_line(line):
+            cells = line.split("\t")
+        else:
+            # Tabs delimit when present (civil timestamps contain spaces); a line
+            # with no tab at all splits on whitespace runs instead.
+            cells = [c.strip(" ") for c in line.split("\t")] if "\t" in line else line.split()
+            if len(cells) != LANL_FIELD_COUNT:
+                raise MalformedLine(line_no, "column-count",
+                                    f"expected {LANL_FIELD_COUNT} columns, got {len(cells)}")
+            cells = _plain_cells(line_no, cells, _LANL_COLUMNS, _LANL_GRAMMAR)
+        # Each cell inline: a Python call per cell would cost more than the rest
+        # of the line.
+        (job_id, submit, start, end, req_procs, used_procs, req_cpu_s, used_cpu_s,
+         req_mem_kb, used_mem_kb, queue, dedicated, user, project, executable,
+         exit_code) = cells
+        try:
+            # parse_timestamp is looked up per cell so that a wrapper installed
+            # on this module's attribute (as a tracer does) sees every cell.
+            submit = None if submit == "-1" else parse_timestamp(submit)
+            start = None if start == "-1" else parse_timestamp(start)
+            end = None if end == "-1" else parse_timestamp(end)
+        except ValueError:
+            # Only on a plain line: the check has parsed every other line's
+            # timestamps. It names the refused one.
+            _plain_cells(line_no, cells, _LANL_COLUMNS, _LANL_GRAMMAR)
+            raise
+        fields = (job_id, submit, start, end,
+                  None if req_procs == "-1" else int(req_procs),
+                  None if used_procs == "-1" else int(used_procs),
+                  None if req_cpu_s == "-1" else float(req_cpu_s),
+                  None if used_cpu_s == "-1" else float(used_cpu_s),
+                  None if req_mem_kb == "-1" else int(req_mem_kb),
+                  None if used_mem_kb == "-1" else int(used_mem_kb),
+                  None if queue == "-1" else queue,
+                  None if dedicated == "-1" else int(dedicated) != 0,
+                  None if user == "-1" else user,
+                  None if project == "-1" else project,
+                  None if executable == "-1" else executable,
+                  None if exit_code == "-1" else int(exit_code))
+        return JobRecord(*fields) if record else fields
+
+    parse_lanl_line.__name__ = parse_lanl_line.__qualname__ = name
+    return parse_lanl_line
 
 
 def _ms(value_s: float | None) -> Timestamp | None:
@@ -284,55 +304,68 @@ def _whole_job(mem_per_proc: int | None, procs: int | None) -> int | None:
     return None if mem_per_proc is None or procs is None else mem_per_proc * procs
 
 
-def parse_archive_line(line: str, line_no: int = 0, *,
-                       scale_per_proc_memory: bool = True) -> JobRecord:
-    """Parse one 18-field archive record line into a JobRecord."""
-    cells = line.split()
-    if len(cells) != ARCHIVE_FIELD_COUNT:
-        raise MalformedLine(line_no, "column-count",
-                            f"expected {ARCHIVE_FIELD_COUNT} fields, got {len(cells)}")
-    if not _plain_archive_line(line):
-        cells = _plain_cells(line_no, cells, _ARCHIVE_COLUMNS, _ARCHIVE_GRAMMAR)
-    # Each cell inline, as for LANL16.
-    (_, submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
-     req_time_s, req_mem_pp, exit_code, user, group, executable, queue, *_) = cells
-    submit_s = None if submit_s == "-1" else float(submit_s)
-    wait_s = None if wait_s == "-1" else float(wait_s)
-    runtime_s = None if runtime_s == "-1" else float(runtime_s)
-    alloc_procs = None if alloc_procs == "-1" else int(alloc_procs)
-    used_cpu_s = None if used_cpu_s == "-1" else float(used_cpu_s)
-    used_mem_pp = None if used_mem_pp == "-1" else int(used_mem_pp)
-    req_procs = None if req_procs == "-1" else int(req_procs)
-    req_time_s = None if req_time_s == "-1" else float(req_time_s)
-    req_mem_pp = None if req_mem_pp == "-1" else int(req_mem_pp)
-    exit_code = None if exit_code == "-1" else int(exit_code)
-    user = None if user == "-1" else user
-    group = None if group == "-1" else group
-    executable = None if executable == "-1" else executable
-    queue = None if queue == "-1" else queue
+def _archive_parser(name: str, record: bool) -> Callable[..., JobRecord | tuple]:
+    # The one ARCHIVE18 conversion block, as _lanl_parser's for LANL16.
+    def parse_archive_line(line: str, line_no: int = 0, *,
+                           scale_per_proc_memory: bool = True) -> JobRecord:
+        """Parse one 18-field archive record line into a JobRecord."""
+        cells = line.split()
+        if len(cells) != ARCHIVE_FIELD_COUNT:
+            raise MalformedLine(line_no, "column-count",
+                                f"expected {ARCHIVE_FIELD_COUNT} fields, got {len(cells)}")
+        if not _plain_archive_line(line):
+            cells = _plain_cells(line_no, cells, _ARCHIVE_COLUMNS, _ARCHIVE_GRAMMAR)
+        # Each cell inline, as for LANL16.
+        (_, submit_s, wait_s, runtime_s, alloc_procs, used_cpu_s, used_mem_pp, req_procs,
+         req_time_s, req_mem_pp, exit_code, user, group, executable, queue, *_) = cells
+        submit_s = None if submit_s == "-1" else float(submit_s)
+        wait_s = None if wait_s == "-1" else float(wait_s)
+        runtime_s = None if runtime_s == "-1" else float(runtime_s)
+        alloc_procs = None if alloc_procs == "-1" else int(alloc_procs)
+        used_cpu_s = None if used_cpu_s == "-1" else float(used_cpu_s)
+        used_mem_pp = None if used_mem_pp == "-1" else int(used_mem_pp)
+        req_procs = None if req_procs == "-1" else int(req_procs)
+        req_time_s = None if req_time_s == "-1" else float(req_time_s)
+        req_mem_pp = None if req_mem_pp == "-1" else int(req_mem_pp)
+        exit_code = None if exit_code == "-1" else int(exit_code)
+        user = None if user == "-1" else user
+        group = None if group == "-1" else group
+        executable = None if executable == "-1" else executable
+        queue = None if queue == "-1" else queue
 
-    start_s = None if submit_s is None or wait_s is None else submit_s + wait_s
-    end_s = None if start_s is None or runtime_s is None else start_s + runtime_s
-    submit = start = None
-    try:
-        submit = _ms(submit_s)
-        start = _ms(start_s)
-        end = _ms(end_s)
-    except (ValueError, OverflowError) as exc:
-        # The cell that moved the time out of the span: submit, wait or runtime.
-        failed = (submit is not None) + (start is not None)
-        raise MalformedLine(line_no, "bad-real",
-                            f"{_ARCHIVE_COLUMNS[failed][0]}={cells[failed + 1]!r}") from exc
-    req_mem_kb, used_mem_kb = req_mem_pp, used_mem_pp
-    if scale_per_proc_memory:
-        req_mem_kb = _whole_job(req_mem_pp, alloc_procs)
-        used_mem_kb = _whole_job(used_mem_pp, alloc_procs)
+        start_s = None if submit_s is None or wait_s is None else submit_s + wait_s
+        end_s = None if start_s is None or runtime_s is None else start_s + runtime_s
+        submit = start = None
+        try:
+            submit = _ms(submit_s)
+            start = _ms(start_s)
+            end = _ms(end_s)
+        except (ValueError, OverflowError) as exc:
+            # The cell that moved the time out of the span: submit, wait or runtime.
+            failed = (submit is not None) + (start is not None)
+            raise MalformedLine(line_no, "bad-real",
+                                f"{_ARCHIVE_COLUMNS[failed][0]}={cells[failed + 1]!r}") from exc
+        req_mem_kb, used_mem_kb = req_mem_pp, used_mem_pp
+        if scale_per_proc_memory:
+            req_mem_kb = _whole_job(req_mem_pp, alloc_procs)
+            used_mem_kb = _whole_job(used_mem_pp, alloc_procs)
 
-    # Positional, in JobRecord field order: keywords cost a visible share here.
-    return JobRecord(cells[0], submit, start, end,
-                     req_procs, alloc_procs, req_time_s, used_cpu_s,
-                     req_mem_kb, used_mem_kb, queue, None, user, group, executable,
-                     exit_code)
+        fields = (cells[0], submit, start, end,
+                  req_procs, alloc_procs, req_time_s, used_cpu_s,
+                  req_mem_kb, used_mem_kb, queue, None, user, group, executable,
+                  exit_code)
+        return JobRecord(*fields) if record else fields
+
+    parse_archive_line.__name__ = parse_archive_line.__qualname__ = name
+    return parse_archive_line
+
+
+parse_lanl_line = _lanl_parser("parse_lanl_line", record=True)
+parse_archive_line = _archive_parser("parse_archive_line", record=True)
+# The private entry points: each returns the 16 field values of the record
+# that its public twin returns, as a plain tuple in JobRecord field order.
+_lanl_fields = _lanl_parser("_lanl_fields", record=False)
+_archive_fields = _archive_parser("_archive_fields", record=False)
 
 
 _COMMENT_PREFIX = {TraceFormat.LANL16: "#", TraceFormat.ARCHIVE18: ";"}
@@ -356,15 +389,20 @@ class TraceStream:
         # The line parser is picked once. A partial that binds a keyword builds
         # a dict on every call, so the default archive parser is called bare.
         if format is TraceFormat.LANL16:
-            parse_line = parse_lanl_line
+            parse_line = _lanl_fields
         elif scale_per_proc_memory:
-            parse_line = parse_archive_line
+            parse_line = _archive_fields
         else:
-            parse_line = partial(parse_archive_line, scale_per_proc_memory=False)
-        self._records = self._run(iter(source), parse_line)
+            parse_line = partial(_archive_fields, scale_per_proc_memory=False)
+        # The one loop yields each record's fields as a plain tuple, which the
+        # CLI reads as they come. Iteration builds a JobRecord over each, with
+        # the class this module's attribute names now, so that a wrapper
+        # installed there (as a tracer does) sees every record.
+        self._fields = self._run(iter(source), parse_line)
+        self._records = starmap(JobRecord, self._fields)
 
     def __iter__(self) -> Iterator[JobRecord]:
-        # The record generator itself, so a for loop skips __next__.
+        # The record iterator itself, so a for loop skips __next__.
         return self._records
 
     def __next__(self) -> JobRecord:
@@ -375,7 +413,7 @@ class TraceStream:
         return ParseReport(total_lines=self._total, parsed=self._parsed, reasons=self._reasons)
 
     def _run(self, lines: Iterator[str],
-             parse_line: Callable[[str, int], JobRecord]) -> Iterator[JobRecord]:
+             parse_line: Callable[[str, int], tuple]) -> Iterator[tuple]:
         comment = _COMMENT_PREFIX[self.format]
         reasons = self._reasons
         try:
@@ -386,12 +424,12 @@ class TraceStream:
                 if not stripped or stripped.startswith(comment):
                     continue
                 try:
-                    record = parse_line(line, self._total)
+                    fields = parse_line(line, self._total)
                 except MalformedLine as exc:
                     reasons[exc.reason] += 1
                     continue
                 self._parsed += 1
-                yield record
+                yield fields
         except OSError as exc:
             raise IoFailure(exc, partial_report=self.report) from exc
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given
@@ -26,11 +27,15 @@ from tracebw import (
     to_output_unit,
 )
 
-from tracebw.bandwidth import _ready
+from tracebw import MalformedLine, parsing
+from tracebw._read import _read_range
+from tracebw.bandwidth import _rates, _ready
+from tracebw.parsing import _archive_fields, _lanl_fields, parse_archive_line, parse_lanl_line
 
 from .conftest import assert_rate_close, job_records, rational_rate
 from .swf import format_swf_line
-from .test_parsing import swf_jobs
+from .test_hot_path import archive_lines, civil_lines, epoch_lines
+from .test_parsing import _mixed_archive_lines, _mixed_lanl_lines, swf_jobs
 
 
 def record(job_id="j", start=None, end=None, req_mem_kb=None, used_mem_kb=None, **kw):
@@ -384,6 +389,117 @@ class TestInlineLoop:
     def test_partition_holds_exactly_the_records_with_samples(self, records, source):
         valid, _ = partition_jobs(records, source)
         assert valid == [records[int(s.job_id[1:])] for s in iter_rates(records, source)]
+
+
+def _line_result(parse, line, checked, plain_check, **options):
+    """What ``parse`` gives for ``line``, or the MalformedLine text; with
+    ``checked``, every line takes the checked route."""
+    with pytest.MonkeyPatch.context() as patch:
+        if checked:
+            patch.setattr(parsing, plain_check, lambda line: None)
+        try:
+            return parse(line, 7, **options)
+        except MalformedLine as exc:
+            return f"MalformedLine: {exc}"
+
+
+class TestPlainTuples:
+    """The CLI reads each record and sample as the plain tuple of its fields
+    (parsing's _lanl_fields and _archive_fields through TraceStream._fields,
+    then _rates) and builds no JobRecord or RateSample, so neither's check
+    runs there. Each tuple must be one that the constructor accepts and
+    stores as it is, and the one that the public route gives, one to one."""
+
+    @staticmethod
+    def assert_fields(fields, record):
+        assert type(fields) is tuple and len(fields) == 16
+        assert tuple(JobRecord(*fields)) == fields
+        # repr tells 4 from 4.0 and -0.0 from 0.0, which == would not.
+        assert repr(fields) == repr(tuple(record))
+
+    @staticmethod
+    def assert_samples(plain, samples):
+        assert len(plain) == len(samples)
+        for values, sample in zip(plain, samples):
+            assert type(values) is tuple and len(values) == 7
+            assert tuple(RateSample(*values)) == values
+            assert repr(values) == repr(tuple(sample))
+
+    def check(self, lines, format, source, carry_forward, **options):
+        fields = list(parse_trace(lines, format, **options)._fields)
+        records = list(parse_trace(lines, format, **options))
+        assert len(fields) == len(records)
+        for values, record in zip(fields, records):
+            self.assert_fields(values, record)
+        self.assert_samples(list(_rates(fields, source, carry_forward)),
+                            list(iter_rates(records, source, carry_forward)))
+
+    @given(_mixed_lanl_lines(), st.booleans())
+    def test_lanl_line(self, line, checked):
+        fields, record = (_line_result(parse, line, checked, "_plain_lanl_line")
+                          for parse in (_lanl_fields, parse_lanl_line))
+        if isinstance(record, str):
+            assert fields == record  # the same refusal
+        else:
+            self.assert_fields(fields, record)
+
+    @given(_mixed_archive_lines()
+           | st.builds(format_swf_line, swf_jobs, st.sampled_from([" ", "\t", "  "])),
+           st.booleans(), st.booleans())
+    def test_archive_line(self, line, checked, scale):
+        fields, record = (_line_result(parse, line, checked, "_plain_archive_line",
+                                       scale_per_proc_memory=scale)
+                          for parse in (_archive_fields, parse_archive_line))
+        if isinstance(record, str):
+            assert fields == record
+        else:
+            self.assert_fields(fields, record)
+
+    @given(st.lists(_mixed_lanl_lines(), max_size=12), st.sampled_from(MemorySource),
+           st.booleans())
+    def test_lanl_trace(self, lines, source, carry_forward):
+        self.check(lines, TraceFormat.LANL16, source, carry_forward)
+
+    @given(st.lists(_mixed_archive_lines()
+                    | st.builds(format_swf_line, swf_jobs, st.sampled_from([" ", "\t"])),
+                    max_size=12),
+           st.sampled_from(MemorySource), st.booleans(), st.booleans())
+    def test_archive_trace(self, lines, source, carry_forward, scale):
+        self.check(lines, TraceFormat.ARCHIVE18, source, carry_forward,
+                   scale_per_proc_memory=scale)
+
+    @pytest.mark.parametrize("carry_forward", [False, True], ids=["no-carry", "carry"])
+    @pytest.mark.parametrize("source", list(MemorySource), ids=lambda s: s.value)
+    @pytest.mark.parametrize("make_lines,format", [
+        (civil_lines, TraceFormat.LANL16),
+        (epoch_lines, TraceFormat.LANL16),
+        (archive_lines, TraceFormat.ARCHIVE18),
+    ], ids=["civil", "epoch", "archive"])
+    def test_inputs(self, make_lines, format, source, carry_forward):
+        self.check(make_lines(), format, source, carry_forward)
+
+    @pytest.mark.parametrize("carry_forward", [False, True], ids=["no-carry", "carry"])
+    @pytest.mark.parametrize("make_lines,format", [
+        (civil_lines, TraceFormat.LANL16),
+        (archive_lines, TraceFormat.ARCHIVE18),
+    ], ids=["civil", "archive"])
+    def test_seeded_range(self, make_lines, format, carry_forward):
+        # A range after the first, as a split read runs it: its first record
+        # only seeds the end time that carry-forward would give the next, and
+        # the first record of the lines after it ends the range.
+        lines = make_lines()
+        text, following = lines[300:600], lines[600:]
+        source = MemorySource.USED
+
+        def run(records, sink):
+            return (list(_rates(records, source, carry_forward)),)
+
+        (plain, *_) = _read_range(partial(parse_trace, format=format), run,
+                                  text, following, True)
+        first, *rest = parse_trace(text, format)
+        seeded = [JobRecord(first.job_id, end_time=first.end_time), *rest,
+                  next(iter(parse_trace(following, format)))]
+        self.assert_samples(plain, list(iter_rates(seeded, source, carry_forward)))
 
 
 # --- formula and pipeline properties ---------------------------------------

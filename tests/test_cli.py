@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tokenize
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -19,9 +20,11 @@ import tracebw._read
 import tracebw.cli
 from tracebw import (
     GenSpec,
+    JobRecord,
     MbBase,
     MemorySource,
     RateFlag,
+    RateSample,
     TraceFormat,
     generate,
     iter_rates,
@@ -597,6 +600,55 @@ def test_differential_traces_exercise_every_flag(differential_traces):
             command = "rates --full" if name != "mb-decimal" else "rates"
             assert (_library_output(path, format, command, **options)
                     != _library_output(path, format, command)), (format, name)
+
+
+def _constructions(run, *args) -> Counter:
+    """JobRecords and RateSamples that ``run(*args)`` builds, counted by
+    their ``__new__`` frames, so a subclass's count too."""
+    names = {JobRecord.__new__.__code__: "JobRecord", RateSample.__new__.__code__: "RateSample"}
+    built = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            built[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(previous)
+    return built
+
+
+class TestReadBuildsNoValueTypes:
+    """The read commands pass each record and sample on as the plain tuple of
+    its fields; the library's routes still build one object per item."""
+
+    @pytest.mark.parametrize("format,argv", [
+        (TraceFormat.LANL16, ["rates"]),
+        (TraceFormat.LANL16, ["rates", "--full", "--carry-forward", "--drop-negative"]),
+        (TraceFormat.LANL16, ["inspect", "--memory", "used"]),
+        (TraceFormat.ARCHIVE18, ["summary", "--format", "archive"]),
+    ], ids=["rates", "full", "inspect", "summary-archive"])
+    def test_cli_builds_none(self, differential_traces, format, argv, capsys):
+        # Each trace is one range, read in this process, so the profile sees every line.
+        path = str(differential_traces[format])
+        assert _constructions(main, [argv[0], path, *argv[1:]]) == {}
+        report = out_err(capsys)[0 if argv[0] == "inspect" else 1]
+        assert report.startswith("total=") and "\nvalid=0\n" not in report
+
+    @pytest.mark.parametrize("format", list(TraceFormat), ids=lambda f: f.value)
+    def test_library_builds_one_per_item(self, differential_traces, format):
+        with open(differential_traces[format], encoding="utf-8") as handle:
+            lines = handle.readlines()
+        records = []
+        assert _constructions(records.extend, parse_trace(lines, format)) == {
+            "JobRecord": len(records)}
+        samples = []
+        assert _constructions(samples.extend, iter_rates(records, "requested", True)) == {
+            "RateSample": len(samples)}
+        assert len(records) > len(samples) > 0
 
 
 def _with_cell(line: str, column: int, token: str) -> str:

@@ -9,9 +9,11 @@ the bounded day caches hold the trace's few days, as they do on any long
 trace after its first lines. A change that adds a Python call to every line
 or cell shows here at once; one that removes calls should lower the bounds.
 
-The in-process CLI is held to the library pipeline's marginal cost: what
-2,000 lines cost beyond 1,000, per line, may exceed the library's by at
-most 0.1 call, so the CLI adds no per-line or per-sample work of its own.
+The CLI runs the private pipeline, which passes each record and sample on
+as the plain tuple of its fields, and is held to that pipeline's marginal
+cost: what 2,000 lines cost beyond 1,000, per line, may exceed the
+pipeline's by at most 0.1 call, so the CLI adds no per-line or per-sample
+work of its own.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from tracebw import (GenSpec, JobRecord, MbBase, MemorySource, RateFlag, RateSam
                      write_csv, write_worksheet)
 from tracebw._gen import write_jobs
 from tracebw._read import _RANGE_FLOOR
+from tracebw.bandwidth import _rates
 from tracebw.cli import main
-from tracebw.parsing import format_lanl_line, parse_archive_line, parse_lanl_line, write_lanl_trace
+from tracebw.export import _finish, _tally
+from tracebw.parsing import (_archive_fields, _lanl_fields, format_lanl_line, parse_archive_line,
+                             parse_lanl_line, write_lanl_trace)
 from tracebw.synth import iter_jobs
 
 from .swf import format_swf_line
@@ -99,6 +104,24 @@ def archive_summary(lines):
     summarize(iter_rates(records, MemorySource.REQUESTED), MbBase.BINARY)
 
 
+# The same three runs on the private pipeline that the CLI runs, from the
+# parser's field tuples through _rates' sample tuples to the writer or tally.
+
+def plain_civil_worksheet(lines):
+    fields = parse_trace(lines, TraceFormat.LANL16)._fields
+    write_worksheet(_rates(fields, MemorySource.REQUESTED), MbBase.BINARY, io.StringIO())
+
+
+def plain_epoch_csv(lines):
+    fields = parse_trace(lines, TraceFormat.LANL16)._fields
+    write_csv(_rates(fields, MemorySource.USED, carry_forward=True), MbBase.BINARY, io.StringIO())
+
+
+def plain_archive_summary(lines):
+    fields = parse_trace(lines, TraceFormat.ARCHIVE18)._fields
+    _finish((_tally(_rates(fields, MemorySource.REQUESTED), MbBase.BINARY),))
+
+
 def count_calls(run, *args) -> int:
     """Python-level calls, generator resumptions included, made by ``run(*args)``."""
     calls = 0
@@ -133,12 +156,17 @@ def calls_per_line(run, lines: list[str]) -> float:
 # then before the worksheet's one f-string per row -> after it: civil
 # 18.11 -> 16.30; then before iter_rates wrote out its four helpers and the
 # full CSV took one f-string per row -> after: civil 16.30 -> 12.49, epoch
-# 14.75 -> 10.84, archive 16.32 -> 12.58.
+# 14.75 -> 10.84, archive 16.32 -> 12.58. The private pipeline, which builds
+# no JobRecord or RateSample: civil 10.58, epoch 8.83, archive 10.65.
 @pytest.mark.parametrize("make_lines,run,bound", [
     (civil_lines, civil_worksheet, 12.49 + 1),
     (epoch_lines, epoch_csv, 10.84 + 1),
     (archive_lines, archive_summary, 12.58 + 1),
-], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
+    (civil_lines, plain_civil_worksheet, 10.58 + 1),
+    (epoch_lines, plain_epoch_csv, 8.83 + 1),
+    (archive_lines, plain_archive_summary, 10.65 + 1),
+], ids=["civil-worksheet", "epoch-csv", "archive-summary",
+        "plain-civil-worksheet", "plain-epoch-csv", "plain-archive-summary"])
 def test_python_calls_per_line(make_lines, run, bound):
     lines = make_lines()
     assert len(lines) == 1000
@@ -261,15 +289,30 @@ def test_field_reads_make_no_python_call():
 PLAIN_ARCHIVE_CALLS = 10
 
 
-@pytest.mark.parametrize("line", [
+PLAIN_ARCHIVE_LINES = [
     "3 768528030 56 3246 32 3246 1024 32 3246 1024 1 3 3 3 1 1 -1 -1",
     "1 768528008 -1 2750 128 2750 1600 128 2750 1600 1 1 1 1 1 1 -1 -1",
     "    17  820454400    120   3600     32  3599.50   2048     32   3600   2048"
     "   1   5   3   7   1   1  -1  -1",
-], ids=["benchmark", "benchmark-missing-wait", "aligned"])
+]
+PLAIN_ARCHIVE_IDS = ["benchmark", "benchmark-missing-wait", "aligned"]
+
+
+@pytest.mark.parametrize("line", PLAIN_ARCHIVE_LINES, ids=PLAIN_ARCHIVE_IDS)
 def test_plain_archive_line_skips_the_column_table(line):
     parse_archive_line(line)  # warm-up: the first ARCHIVE18 line compiles the pattern
     assert count_calls(parse_archive_line, line) <= PLAIN_ARCHIVE_CALLS
+
+
+# The private parser that the CLI runs: the same calls but JobRecord. It shares
+# parse_archive_line's conversion block, and neither calls the other.
+PLAIN_ARCHIVE_FIELDS_CALLS = 9
+
+
+@pytest.mark.parametrize("line", PLAIN_ARCHIVE_LINES, ids=PLAIN_ARCHIVE_IDS)
+def test_plain_archive_fields_skip_the_column_table(line):
+    _archive_fields(line)  # warm-up: the first ARCHIVE18 line compiles the pattern
+    assert count_calls(_archive_fields, line) <= PLAIN_ARCHIVE_FIELDS_CALLS
 
 
 def checked_lines(monkeypatch) -> list[list[str]]:
@@ -302,14 +345,28 @@ PLAIN_CIVIL_LINE = ("j000001\tMay 10 94 00:00:36.130\tMay 10 94 00:01:09.716"
                     "\t307200\t307200\tq256\t0\tu001\tp01\tapp1\t0")
 
 
-@pytest.mark.parametrize("line", [
+PLAIN_LANL_LINES = [
     PLAIN_CIVIL_LINE,
     PLAIN_CIVIL_LINE.replace("May 10 94 00:01:09.716", "-1"),
     PLAIN_CIVIL_LINE.replace("May 10 94 00:00:36.130", "768528036"),
-], ids=["benchmark", "benchmark-missing-start", "epoch-submit"])
+]
+PLAIN_LANL_IDS = ["benchmark", "benchmark-missing-start", "epoch-submit"]
+
+
+@pytest.mark.parametrize("line", PLAIN_LANL_LINES, ids=PLAIN_LANL_IDS)
 def test_plain_lanl_line_skips_the_column_table(line):
     parse_lanl_line(line)  # warm-up: the first LANL16 line compiles the pattern
     assert count_calls(parse_lanl_line, line) <= PLAIN_LANL_CALLS
+
+
+# The private parser that the CLI runs: the same calls but JobRecord.
+PLAIN_LANL_FIELDS_CALLS = 7
+
+
+@pytest.mark.parametrize("line", PLAIN_LANL_LINES, ids=PLAIN_LANL_IDS)
+def test_plain_lanl_fields_skip_the_column_table(line):
+    _lanl_fields(line)  # warm-up: the first LANL16 line compiles the pattern
+    assert count_calls(_lanl_fields, line) <= PLAIN_LANL_FIELDS_CALLS
 
 
 def test_space_padded_cell_takes_the_column_table(monkeypatch):
@@ -372,14 +429,14 @@ def marginal_calls_per_line(run, small, large, lines: int) -> float:
     return (count_calls(run, large) - count_calls(run, small)) / lines
 
 
-# The CLI's commands for the library runs above, on the same inputs.
+# The CLI's commands for the private pipeline runs above, on the same inputs.
 @pytest.mark.parametrize("make_lines,run,command", [
-    (civil_lines, civil_worksheet, ["rates"]),
-    (epoch_lines, epoch_csv, ["rates", "--full", "--carry-forward", "--memory", "used"]),
-    (archive_lines, archive_summary, ["summary", "--format", "archive"]),
+    (civil_lines, plain_civil_worksheet, ["rates"]),
+    (epoch_lines, plain_epoch_csv, ["rates", "--full", "--carry-forward", "--memory", "used"]),
+    (archive_lines, plain_archive_summary, ["summary", "--format", "archive"]),
 ], ids=["civil-worksheet", "epoch-csv", "archive-summary"])
 def test_cli_adds_no_calls_per_line(make_lines, run, command, tmp_path):
-    # Between the input and the output the CLI runs the library pipeline and
+    # Between the input and the output the CLI runs the private pipeline and
     # nothing else per line: its fixed costs (argument parsing, opening and
     # replacing files, the report) cancel out between 1,000 and 2,000 lines.
     # Both inputs stay under twice _RANGE_FLOOR, so the CLI reads each in
@@ -396,5 +453,5 @@ def test_cli_adds_no_calls_per_line(make_lines, run, command, tmp_path):
     def cli(path):
         assert main([command[0], path, *command[1:], "--out", out]) == 0
 
-    library = marginal_calls_per_line(run, lines, lines * 2, len(lines))
-    assert marginal_calls_per_line(cli, *paths, len(lines)) <= library + 0.1
+    pipeline = marginal_calls_per_line(run, lines, lines * 2, len(lines))
+    assert marginal_calls_per_line(cli, *paths, len(lines)) <= pipeline + 0.1
