@@ -4,9 +4,11 @@ a forked worker process.
 :func:`plan` is the one rule that splits a run into pieces of about equal
 size: ``gen``'s job ranges (see :mod:`tracebw._gen`) and, once each start
 is moved past a newline, the byte ranges of ``inspect``, ``rates`` and
-``summary`` (see :mod:`tracebw._read` and :mod:`tracebw._ranges`). A
-worker runs one callable over its piece. Only a run large enough to split
-loads this module, so a smaller one never compiles or imports it.
+``summary`` (see :mod:`tracebw._read`). :func:`fan_out` is the one way
+they run: the first piece in this process, each other one in a worker,
+the results gathered in piece order. Only a run large enough to split
+loads this module, so a smaller one never compiles or imports it; it
+imports neither command's module.
 
 A worker leaves only through ``os._exit``, and it never touches standard
 output, standard error or the command's output files. Its result comes
@@ -26,8 +28,8 @@ import marshal
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager, suppress
-from typing import IO, Callable, Iterator
+from contextlib import suppress
+from typing import IO, Callable
 
 from .errors import InvalidSpec, IoFailure
 
@@ -38,18 +40,17 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def plan(total: int, floor: int, n: int | None = None) -> list[int]:
-    """Where ``n`` pieces of about equal size of ``total`` units start:
+def plan(total: int, floor: int) -> list[int]:
+    """Where the pieces of about equal size of ``total`` units start:
     ``[0]`` for one piece, and on a host that cannot fork.
 
-    By default ``n`` is the number of usable CPUs, but no more than one
-    piece per ``floor`` units. Piece k starts at ``k * total // n``; a
-    piece that would be empty is dropped.
+    There are ``n`` pieces, one per usable CPU but no more than one per
+    ``floor`` units. Piece k starts at ``k * total // n``; a piece that
+    would be empty is dropped.
     """
     if not hasattr(os, "fork"):
         return [0]
-    if n is None:
-        n = min(usable_cpus(), total // floor)
+    n = min(usable_cpus(), total // floor)
     return sorted({k * total // n for k in range(n)}) or [0]
 
 
@@ -59,14 +60,17 @@ class _Worker:
     UTF-8 text. ``what`` says what the worker does, for its failure."""
 
     def __init__(self, task: Callable, spools: int, what: str):
-        self.what = what
-        self.spools = [tempfile.TemporaryFile() for _ in range(spools)]
-        self.pid = None
-        self._pipe, write_end = os.pipe()
+        self.what, self.pid, self._pipe, self.spools = what, None, None, []
         try:
-            self.pid = os.fork()
+            for _ in range(spools):
+                self.spools.append(tempfile.TemporaryFile())
+            self._pipe, write_end = os.pipe()
+            try:
+                self.pid = os.fork()
+            except BaseException:
+                os.close(write_end)
+                raise
         except BaseException:
-            os.close(write_end)
             self.close()
             raise
         if self.pid == 0:
@@ -116,7 +120,7 @@ class _Worker:
             cause = f"{error}: {value}"
         raise IoFailure(RuntimeError(f"the worker {self.what} failed: {cause}"))
 
-    def append(self, spool: int, out: IO[str], header: bool = False) -> None:
+    def append(self, spool: int, out: IO[str], header: bool) -> None:
         """Append what the worker wrote to spool number ``spool`` to ``out``;
         with ``header``, less the first line."""
         self.spools[spool].seek(0)
@@ -144,16 +148,29 @@ class _Worker:
             spool.close()
 
 
-@contextmanager
-def forked(tasks: list[tuple[Callable, str]], spools: int) -> Iterator[list[_Worker]]:
-    """Fork one worker for each ``(task, what)`` pair, each with ``spools``
-    spools, and yield them in order. However the block ends, each worker
-    still running is killed, and every one is reaped."""
+def fan_out(tasks: list[tuple[Callable, str]], outs: list[IO[str]],
+            header: bool = False) -> list:
+    """Run each ``(task, what)`` pair's task over its piece, as
+    ``task(*sinks)``; return the results in piece order.
+
+    The first task runs in this process, its sinks ``outs``. Each other one
+    runs in a forked worker, its sinks one spool per output, and ``what``
+    says what it does, for its failure. The workers' results are read in
+    piece order, so the lowest failing piece is the one raised, and once
+    a worker's result is read, what it wrote to each spool is appended to
+    the matching output; with ``header``, less the first line. However the
+    run ends, each worker still running is killed, and every one is reaped.
+    """
     workers: list[_Worker] = []
     try:
-        for task, what in tasks:
-            workers.append(_Worker(task, spools, what))
-        yield workers
+        for task, what in tasks[1:]:
+            workers.append(_Worker(task, len(outs), what))
+        results = [tasks[0][0](*outs)]
+        for worker in workers:
+            results.append(worker.result())
+            for spool, out in enumerate(outs):
+                worker.append(spool, out, header)
+        return results
     finally:
         for worker in workers:
             worker.close()

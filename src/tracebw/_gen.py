@@ -4,9 +4,10 @@ The CLI opens the two files and hands them to :func:`write_gen`. A count
 of at least twice ``_JOB_FLOOR`` is split into one job range per usable
 CPU by :func:`tracebw._fork.plan`, the rule that splits a read too (see
 :func:`plan_jobs`). The first range is written in this process and each
-other one by a forked worker (see :mod:`tracebw._fork`, which only such a
-run loads). Every output byte equals that of a run in one range, because
-only the submit time carries from one job to the next, and
+other one by a forked worker, by :func:`tracebw._fork.fan_out`, which
+runs a split read too. Only such a run loads that module, and no run
+loads :mod:`tracebw._read`. Every output byte equals that of a run in one
+range, because only the submit time carries from one job to the next, and
 :func:`tracebw.synth._jobs` can start a range at any job.
 
 Each range is one loop over :func:`tracebw.synth._jobs`, which gives each
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from contextlib import nullcontext
 from functools import partial
 from math import gcd
 from typing import IO
@@ -32,20 +32,20 @@ from .synth import GenSpec, _jobs, format_sidecar_header, format_sidecar_line
 _JOB_FLOOR = 10_000  # jobs that a range holds at least
 
 
-def plan_jobs(count: int, n: int | None = None) -> list[int]:
+def plan_jobs(count: int) -> list[int]:
     """The numbers, from 0, of the first jobs of the ranges of ``count``
     jobs: ``[0]`` for one range.
 
-    ``n`` ranges are asked for, by default one per usable CPU but no more
-    than one per ``_JOB_FLOOR`` jobs, as :func:`tracebw._fork.plan` splits.
-    A count under twice the floor is written in one range without loading
-    that module.
+    There is one range per usable CPU but no more than one per
+    ``_JOB_FLOOR`` jobs, as :func:`tracebw._fork.plan` splits. A count
+    under twice the floor is written in one range without loading that
+    module.
     """
-    if n is None and count < 2 * _JOB_FLOOR:
+    if count < 2 * _JOB_FLOOR:
         return [0]
     from ._fork import plan
 
-    return plan(count, _JOB_FLOOR, n)
+    return plan(count, _JOB_FLOOR)
 
 
 def write_jobs(spec: GenSpec, first: int, stop: int, trace: IO[str], sidecar: IO[str]) -> int:
@@ -75,31 +75,23 @@ def write_gen(spec: GenSpec, out: IO[str], side: IO[str]) -> str:
     """Write the trace of ``spec`` to ``out`` and its sidecar to ``side``;
     return the sidecar's header.
 
-    The first range writes its sidecar lines to an unnamed temporary file,
-    and each worker writes its trace and sidecar lines to two of its own.
-    Once the summed counts give the header, the sidecar lines follow it in
-    range order. A failing job raises before any later range's result is
-    read, so the lowest-numbered one is named.
+    Every range's sidecar lines go, in range order, to an unnamed temporary
+    file first: a worker's through a spool of its own. Once the summed
+    counts give the header, they follow it. A failing job raises before any
+    later range's result is read, so the lowest-numbered one is named.
     """
     starts = plan_jobs(spec.count)
-    ends = [*starts[1:], spec.count]
-    forking = nullcontext(())
-    if len(starts) > 1:
-        from ._fork import forked
+    tasks = [(partial(write_jobs, spec, start, end), f"writing jobs {start + 1} to {end}")
+             for start, end in zip(starts, [*starts[1:], spec.count])]
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        if len(tasks) > 1:
+            from ._fork import fan_out
 
-        forking = forked([(partial(write_jobs, spec, start, end),
-                           f"writing jobs {start + 1} to {end}")
-                          for start, end in zip(starts[1:], ends[1:])], 2)
-    with forking as workers, \
-            tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        valid = write_jobs(spec, 0, ends[0], out, spool)
-        for worker in workers:
-            valid += worker.result()
-            worker.append(0, out)
+            valid = sum(fan_out(tasks, [out, spool]))
+        else:
+            valid = write_jobs(spec, 0, spec.count, out, spool)
         header = format_sidecar_header(valid, spec.count - valid)
         side.write(header)
         spool.seek(0)
         shutil.copyfileobj(spool, side)
-        for worker in workers:
-            worker.append(1, side)
     return header

@@ -7,8 +7,13 @@ The CLI loads this module only for those three commands, so ``gen`` never
 compiles or imports it. :func:`_read_range` is every range's pipeline and
 :func:`_text` decodes every input. :func:`_plan_ranges` splits a regular
 file of at least twice ``_RANGE_FLOOR`` bytes into one range per usable
-CPU by :func:`tracebw._fork.plan`, and :mod:`tracebw._ranges`, which only
-such a file loads, forks a worker for each range after the first.
+CPU by :func:`tracebw._fork.plan`, each start moved past a newline by
+:func:`line_starts`. The first range runs in this process and each other
+one in a forked worker, by :func:`tracebw._fork.fan_out`; only such a file
+loads that module. Each range after the first is read with ``os.pread``
+on the descriptor the parent opened, so the file offset that forked
+processes share is never used, and the rows it writes follow the rows
+before it in range order.
 """
 
 from __future__ import annotations
@@ -69,25 +74,76 @@ def _write_summary(summary: TraceSummary, out: IO[str]) -> None:
 
 
 _RANGE_FLOOR = 1 << 20  # bytes of input that a range holds at least
+_NEWLINE_PROBE = 8192  # bytes read at a time when looking for a range boundary
 
 
-def _plan_ranges(fd: int, n: int | None = None) -> list[int]:
+def _plan_ranges(fd: int) -> list[int]:
     """The byte offsets where the ranges of the input open on ``fd`` start:
     ``[0]`` for one range.
 
-    Only a regular file is split: into ``n`` ranges, by default one per
-    usable CPU but at least ``_RANGE_FLOOR`` bytes each, as
-    :func:`tracebw._fork.plan` splits, each start then moved past a newline
-    by :func:`tracebw._ranges.line_starts`. A file under twice the floor is
-    one range, loading neither module.
+    Only a regular file is split: into one range per usable CPU but at
+    least ``_RANGE_FLOOR`` bytes each, as :func:`tracebw._fork.plan`
+    splits, each start then moved past a newline by :func:`line_starts`. A
+    file under twice the floor is one range, loading no :mod:`tracebw._fork`.
     """
     status = os.fstat(fd)
-    if not S_ISREG(status.st_mode) or n is None and status.st_size < 2 * _RANGE_FLOOR:
+    if not S_ISREG(status.st_mode) or status.st_size < 2 * _RANGE_FLOOR:
         return [0]
     from ._fork import plan
-    from ._ranges import line_starts
 
-    return line_starts(fd, plan(status.st_size, _RANGE_FLOOR, n))
+    return line_starts(fd, plan(status.st_size, _RANGE_FLOOR))
+
+
+def line_starts(fd: int, offsets: list[int]) -> list[int]:
+    """The byte offsets where the ranges of the file open on ``fd`` start,
+    given ``offsets``, the first 0, where ranges of about equal size would.
+
+    Each later range starts just past the first ``\\n`` byte at or after
+    both byte ``offset - 1`` and the start before it, so no line,
+    ``\\r\\n`` pair or UTF-8 sequence is split. A range that would be empty
+    is dropped.
+    """
+    starts = [0]
+    for offset in offsets[1:]:
+        position = max(offset - 1, starts[-1])
+        while chunk := os.pread(fd, _NEWLINE_PROBE, position):
+            newline = chunk.find(b"\n")
+            if newline >= 0:
+                position += newline + 1
+                if os.pread(fd, 1, position):
+                    starts.append(position)
+                break
+            position += len(chunk)
+    return starts
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of a file descriptor, or to its end when
+    ``end`` is None, read with ``os.pread``."""
+
+    def __init__(self, fd: int, start: int, end: int | None):
+        super().__init__()
+        self._fd, self._position, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        if size < 0:
+            return self.readall()
+        if self._end is not None:
+            size = min(size, self._end - self._position)
+        data = os.pread(self._fd, size, self._position)
+        self._position += len(data)
+        return data
+
+
+def _read_bytes(read: Callable[..., tuple], fd: int, start: int, end: int | None,
+                sink: IO[str] | None = None) -> tuple:
+    """Run ``read``, the per-range pipeline, over bytes ``start`` to ``end``
+    of the file open on ``fd``, or to its end when ``end`` is None."""
+    following = () if end is None else _text(_ByteRange(fd, end, None))
+    return read(_text(_ByteRange(fd, start, end)), following, start > 0, sink)
 
 
 def _read_range(parse: Callable[..., TraceStream], run: Callable[..., tuple],
@@ -150,9 +206,15 @@ def _run_trace_command(args: argparse.Namespace) -> int:
             _open_output(args.out) if args.command == "rates" else nullcontext() as out:
         starts = [0] if args.trace == "-" else _plan_ranges(source.fileno())
         if len(starts) > 1:
-            from ._ranges import run_ranges
+            from ._fork import fan_out
 
-            results = run_ranges(read, source.fileno(), starts, out)
+            # Each worker's rows follow the rows before them, less its header line.
+            fd = source.fileno()
+            results = fan_out(
+                [(partial(_read_bytes, read, fd, start, end),
+                  f"reading from byte {start} to {'the end' if end is None else f'byte {end}'}")
+                 for start, end in zip(starts, [*starts[1:], None])],
+                [] if out is None else [out], header=True)
         else:
             results = [read(source, (), False, out)]
     # Each result is (valid, tally, parsed, malformed) of one range.

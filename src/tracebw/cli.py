@@ -14,14 +14,15 @@ encode a job id included), 2 on invalid flags or generator specs, and
 the reader of the output goes away early, as with ``| head``; that last
 case writes no error message.
 
-``inspect``, ``rates`` and ``summary`` run one pipeline, parse → iter_rates
-→ writer or summarize, ``tracebw._read._read_range``, over each byte range
-of the input. Only these three commands load :mod:`tracebw._read`. A
-regular file of at least twice ``tracebw._read._RANGE_FLOOR`` bytes is
-split into one range per usable CPU by :func:`tracebw._fork.plan`, each
-range starting just past a newline byte; the first range runs in this
-process and each other one in a forked worker (see :mod:`tracebw._ranges`,
-which only such a file loads). The rows, counts and statistics are merged
+``inspect``, ``rates`` and ``summary`` run one pipeline, parse →
+``tracebw.bandwidth._rates`` → writer or summarize,
+``tracebw._read._read_range``, over each byte range of the input. Only
+these three commands load :mod:`tracebw._read`. A regular file of at least
+twice ``tracebw._read._RANGE_FLOOR`` bytes is split into one range per
+usable CPU by :func:`tracebw._fork.plan`, each range starting just past a
+newline byte; the first range runs in this process and each other one in
+a forked worker (see :func:`tracebw._fork.fan_out`, whose module only a
+split run loads). The rows, counts and statistics are merged
 in range order, so every output byte equals that of a read in one range.
 Standard input, a FIFO and a smaller file are one range. ``gen`` writes
 its jobs in job ranges split by the same rule, once there are at least

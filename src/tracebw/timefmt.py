@@ -46,10 +46,10 @@ compiled pattern, so both routes accept the same tokens with the same
 values. Both patterns are compiled on the first civil cell read, not at
 import; epoch-only input never compiles them. The day cache is shared by
 both routes and converts each distinct day part text once (rejections
-are never cached). Worksheet dates, and the day part of a written civil
-cell, are likewise cached per epoch day. Each day cache imports
-``datetime`` on a miss, so a run that neither reads nor writes a civil
-date never loads it.
+are never cached). The day part of a written civil cell, and the
+worksheet date cut from it, are likewise cached per epoch day. Each day
+cache imports ``datetime`` on a miss, so a run that neither reads nor
+writes a civil date never loads it.
 
 Timestamps are written back as epoch seconds when second-aligned and in
 the civil form otherwise; years outside the 1970-2069 pivot window are
@@ -239,10 +239,9 @@ def format_day(ts: Timestamp) -> str:
 
 @lru_cache(maxsize=_DAY_CACHE_SIZE)
 def _day_label(epoch_day: int) -> str:
-    from datetime import date
-
-    day = date.fromordinal(_EPOCH_ORDINAL + epoch_day)
-    return f"{MONTHS[day.month - 1]} {day.day:02d} {day.year % 100:02d}"
+    # The civil day part less its trailing space, with the year's last two digits.
+    civil = _civil_day(epoch_day)
+    return civil[:7] + civil[-3:-1]
 
 
 def _format_year(year: int) -> str:

@@ -805,9 +805,9 @@ def test_only_gen_loads_the_generator_in_subprocess(tmp_path):
     empty = tmp_path / "empty.trace"
     empty.write_text("")
     code = ("import sys, tracebw.cli\n"
-            "unused = {'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv', 'tracebw._ranges',\n"
-            "          'tracebw._fork', 'tracebw._gen', 'multiprocessing', 'concurrent',\n"
-            "          'pickle', 'subprocess', 'tempfile'}\n"
+            "unused = {'tracebw.synth', 'fractions', 'decimal', 'csv', '_csv', 'tracebw._fork',\n"
+            "          'tracebw._gen', 'multiprocessing', 'concurrent', 'pickle', 'subprocess',\n"
+            "          'tempfile'}\n"
             "print(sorted(unused & set(sys.modules)))\n"
             "assert tracebw.cli.main(['rates', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
             "print(sorted(unused & set(sys.modules)))\n"
@@ -824,9 +824,9 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
     # Only a civil date, read or written, imports datetime, and only a civil
     # cell read compiles the civil patterns: until then _canonical_civil is
     # the Python function that compiles them. gen never loads the read
-    # runner or the range reader, not even in job ranges, whose plan is in
-    # the forked worker's module; and a read of a file too small to split
-    # loads neither the forked worker nor gen's writer. Each child runs without the site
+    # runner, not even in job ranges, whose plan is in the forked worker's
+    # module; and a read of a file too small to split loads neither the
+    # forked worker nor gen's writer. Each child runs without the site
     # module, as above, so that no .pth file imports anything first.
     epoch = tmp_path / "epoch.trace"
     epoch.write_text(LANL_LINE + "\n")
@@ -854,16 +854,16 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
     # the library's generate still gives Fraction rates.
     some = tmp_path / "some.genspec"
     some.write_text("count=5\n")
-    gen = ("import sys, functools, tracebw.cli\n"
+    gen = ("import os, sys, tracebw.cli\n"
            "from tracebw import _gen\n"
            "gen = lambda spec: tracebw.cli.main(['gen', spec, '--out', sys.argv[3]])\n"
            "assert gen(sys.argv[1]) == 0\n"
            "print(sorted({'datetime', 'tracebw._read', 'fractions', 'decimal'}\n"
            "             & set(sys.modules)))\n"
-           "_gen.plan_jobs = functools.partial(_gen.plan_jobs, n=2)\n"
+           "os.sched_getaffinity, _gen._JOB_FLOOR = lambda pid: {0, 1}, 1  # two job ranges\n"
            "assert gen(sys.argv[2]) == 0\n"
-           "print(sorted({'tracebw._fork', 'tracebw._ranges', 'tracebw._read', 'fractions',\n"
-           "              'decimal'} & set(sys.modules)))\n"
+           "print(sorted({'tracebw._fork', 'tracebw._read', 'fractions', 'decimal'}\n"
+           "             & set(sys.modules)))\n"
            "from tracebw import GenSpec, generate\n"
            "print(type(generate(GenSpec(count=1))[1].rates[0][1]).__name__)\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracebw.cli.__file__))}
@@ -873,6 +873,41 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
                                   (gen, (spec, some, tmp_path / "gen.trace")))]
     assert results == ["[] True\n['datetime'] False\n",
                        "[]\n['tracebw._fork']\nFraction\n"]
+
+
+def test_split_runs_load_only_their_own_command_in_subprocess(tmp_path):
+    # The fork code imports neither command's module: a read split into byte
+    # ranges never loads gen's writer, and gen split into job ranges never
+    # loads the read runner. Each child plans as on two usable CPUs, down to
+    # one byte or one job a range, and counts its forks; it runs without the
+    # site module, as above.
+    trace = tmp_path / "t.trace"
+    trace.write_text((LANL_LINE + "\n") * 4)
+    spec = tmp_path / "s.genspec"
+    spec.write_text("count=5\n")
+    prelude = ("import os, sys\n"
+               "os.sched_getaffinity = lambda pid: {0, 1}\n"
+               "fork, forks = os.fork, []\n"
+               "os.fork = lambda: forks.append(1) or fork()\n")
+    report = ("names = {'tracebw._fork', 'tracebw._read', 'tracebw._gen'}\n"
+              "print(len(forks), sorted(names & set(sys.modules)))\n")
+    children = [
+        "import tracebw._fork\n",
+        "import tracebw.cli, tracebw._read\n"
+        "tracebw._read._RANGE_FLOOR = 1\n"
+        "assert tracebw.cli.main(['rates', sys.argv[1], '--out', os.devnull]) == 0\n",
+        "import tracebw.cli, tracebw._gen\n"
+        "tracebw._gen._JOB_FLOOR = 1\n"
+        "assert tracebw.cli.main(['gen', sys.argv[2], '--out', sys.argv[3]]) == 0\n",
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracebw.cli.__file__))}
+    results = [subprocess.run([sys.executable, "-S", "-c", prelude + child + report, str(trace),
+                               str(spec), str(tmp_path / "gen.trace")],
+                              env=env, capture_output=True, text=True, check=True).stdout
+               for child in children]
+    assert results == ["0 ['tracebw._fork']\n",
+                       "1 ['tracebw._fork', 'tracebw._read']\n",
+                       "1 ['tracebw._fork', 'tracebw._gen']\n"]
 
 
 def test_cli_module_stays_within_the_parser_memory_step():

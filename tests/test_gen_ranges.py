@@ -3,7 +3,6 @@ forked worker: both files and standard error are byte for byte those of one
 range, a failure names what one range would name, and no worker outlives
 the command."""
 
-import functools
 import hashlib
 import io
 import math
@@ -26,7 +25,6 @@ from .test_cli import GEN_PINS, GEN_PINS_SPEC
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="ranges need os.fork")
 
-_PLAN = _gen.plan_jobs
 _RANDOM = random.Random
 
 # The benchmark's spec at seed 1.
@@ -34,18 +32,24 @@ _BENCH_SPEC = GenSpec(seed=1, count=40_000, missing_start_frac=0.05, missing_end
                       missing_mem_frac=0.02)
 
 
+def _split(patch, cpus):
+    """Plan gen as on ``cpus`` usable CPUs, down to ranges of one job."""
+    patch.setattr(_fork, "usable_cpus", lambda: cpus)
+    patch.setattr(_gen, "_JOB_FLOOR", 1)
+
+
 def _no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _gen_run(spec_text, workdir, starts=None, n=None):
+def _gen_run(spec_text, workdir, starts=None, cpus=None):
     """Run gen in process on ``spec_text``; return the exit status, standard
     output, standard error, and the bytes of the trace and the sidecar, or
     None for a file that does not exist.
 
-    ``n`` goes to the job range planner as the number of ranges to ask for;
-    ``starts`` replaces the planner's answer outright.
+    With ``cpus``, the jobs are split as on that many usable CPUs, whatever
+    their count; ``starts`` replaces the planner's answer outright.
     """
     spec = os.path.join(workdir, "s.genspec")
     trace = os.path.join(workdir, "t.trace")
@@ -55,8 +59,8 @@ def _gen_run(spec_text, workdir, starts=None, n=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "stdout", out)
         patch.setattr(sys, "stderr", err)
-        if n is not None:
-            patch.setattr(_gen, "plan_jobs", functools.partial(_PLAN, n=n))
+        if cpus is not None:
+            _split(patch, cpus)
         if starts is not None:
             patch.setattr(_gen, "plan_jobs", lambda count: starts)
         code = main(["gen", spec, "--out", trace])
@@ -181,55 +185,57 @@ _SPLIT_SPECS = {
 def test_every_count_at_two_and_three_ranges(spec_text, tmp_path):
     for count in range(31):
         text = f"{spec_text}count={count}\n"
-        serial = _gen_run(text, str(tmp_path), n=1)
+        serial = _gen_run(text, str(tmp_path), cpus=1)
         assert serial[0] == 0
-        for n in (2, 3):
-            assert _gen_run(text, str(tmp_path), n=n) == serial, (count, n)
+        for cpus in (2, 3):
+            assert _gen_run(text, str(tmp_path), cpus=cpus) == serial, (count, cpus)
 
 
 @pytest.mark.parametrize("spec_text", _SPLIT_SPECS.values(), ids=_SPLIT_SPECS.keys())
 def test_every_job_as_a_boundary(spec_text, tmp_path):
     text = f"{spec_text}count=30\n"
-    serial = _gen_run(text, str(tmp_path), n=1)
+    serial = _gen_run(text, str(tmp_path), cpus=1)
     for start in range(1, 30):
         assert _gen_run(text, str(tmp_path), starts=[0, start]) == serial, start
         if start < 29:
             assert _gen_run(text, str(tmp_path), starts=[0, start, start + 1]) == serial, start
     assert _gen_run(f"{spec_text}count=12\n", str(tmp_path), starts=list(range(12))) \
-        == _gen_run(f"{spec_text}count=12\n", str(tmp_path), n=1)
+        == _gen_run(f"{spec_text}count=12\n", str(tmp_path), cpus=1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_pinned_bytes_at_every_range_count(n, tmp_path):
-    code, out, err, trace, truth = _gen_run(GEN_PINS_SPEC, str(tmp_path), n=n)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pinned_bytes_at_every_range_count(cpus, tmp_path):
+    code, out, err, trace, truth = _gen_run(GEN_PINS_SPEC, str(tmp_path), cpus=cpus)
     assert (code, out, err) == (0, "", "count=1000\nexpected_valid=907\nexpected_omitted=93\n")
     assert [hashlib.sha256(data).hexdigest() for data in (trace, truth)] == GEN_PINS
 
 
 # --- the planner ----------------------------------------------------------
 
-def test_plan_jobs_makes_nonempty_ranges_in_order():
+def test_plan_jobs_makes_nonempty_ranges_in_order(monkeypatch):
     for count in (0, 1, 2, 5, 17, 100):
-        for n in range(1, 9):
-            starts = _PLAN(count, n)
+        for cpus in range(1, 9):
+            _split(monkeypatch, cpus)
+            starts = _gen.plan_jobs(count)
             assert starts[0] == 0 and starts == sorted(set(starts))
-            assert len(starts) == min(n, max(count, 1))
+            assert len(starts) == min(cpus, max(count, 1))
             assert starts[-1] < max(count, 1)
-    assert _PLAN(10, 4) == [0, 2, 5, 7]
+    _split(monkeypatch, 4)
+    assert _gen.plan_jobs(10) == [0, 2, 5, 7]
 
 
 def test_plan_jobs_default():
     floor = _gen._JOB_FLOOR
     for count in (0, 1, floor, 2 * floor - 1):
-        assert _PLAN(count) == [0]
+        assert _gen.plan_jobs(count) == [0]
     cpus = _fork.usable_cpus()
-    assert len(_PLAN(2 * floor)) == min(cpus, 2)
-    assert len(_PLAN(100 * floor)) == min(cpus, 100)
+    assert len(_gen.plan_jobs(2 * floor)) == min(cpus, 2)
+    assert len(_gen.plan_jobs(100 * floor)) == min(cpus, 100)
 
 
 def test_small_runs_never_load_the_fork_code_in_subprocess(tmp_path):
     # perfbench's set-up run has count=0, and a count under twice the floor is
-    # one range: neither loads the fork or byte range code, nor forks.
+    # one range: neither loads the fork code or the read runner, nor forks.
     code = ("import os, sys, tracebw.cli\n"
             "def refuse():\n"
             "    raise AssertionError('forked')\n"
@@ -238,7 +244,7 @@ def test_small_runs_never_load_the_fork_code_in_subprocess(tmp_path):
             "    with open(sys.argv[1], 'w') as spec:\n"
             "        spec.write(f'seed=3\\ncount={count}\\n')\n"
             "    assert tracebw.cli.main(['gen', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "    print(sorted({'tracebw._fork', 'tracebw._ranges'} & set(sys.modules)))\n")
+            "    print(sorted({'tracebw._fork', 'tracebw._read'} & set(sys.modules)))\n")
     result = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "s.genspec"), str(tmp_path / "t.trace"),
          str(2 * _gen._JOB_FLOOR - 1)],
@@ -264,7 +270,7 @@ def test_a_spec_error_names_the_lowest_failing_job(tmp_path):
     # In the parent's range, in one worker's, or in several: the exit status
     # and the error line are those of one range, and both files are kept.
     _keep(str(tmp_path))
-    serial = _gen_run(_LATE_FAILURE, str(tmp_path), n=1)
+    serial = _gen_run(_LATE_FAILURE, str(tmp_path), cpus=1)
     assert serial == (2, "", "tracebw: error: job 25 leaves the timestamp span: epoch_ms "
                              "254619990027711 is outside 0001-01-01 .. 9999-12-31 UTC\n",
                       b"old trace\n", b"old truth\n")
@@ -302,7 +308,7 @@ def test_worker_failure_exits_one_and_keeps_both_files(action, cause, tmp_path, 
     _fail_in_workers(monkeypatch, action)
     # Three ranges of 100 jobs start at jobs 0, 33 and 66; the first
     # worker's failure is the one reported.
-    assert _gen_run("count=100\n", str(tmp_path), n=3) == (
+    assert _gen_run("count=100\n", str(tmp_path), cpus=3) == (
         1, "", f"tracebw: error: I/O failure: the worker writing jobs 34 to 66 failed: {cause}\n",
         b"old trace\n", b"old truth\n")
     assert sorted(os.listdir(tmp_path)) == ["s.genspec", "t.trace", "t.trace.truth"]
@@ -313,7 +319,7 @@ def test_full_device_exits_one_and_reaps(tmp_path, monkeypatch, capsys):
         pytest.skip("no /dev/full")
     spec = tmp_path / "s.genspec"
     spec.write_text("count=300\n")
-    monkeypatch.setattr(_gen, "plan_jobs", functools.partial(_PLAN, n=3))
+    _split(monkeypatch, 3)
     assert main(["gen", str(spec), "--out", "/dev/full", "--truth", str(tmp_path / "truth")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("tracebw: error: ") and "[Errno 28] No space left" in err
@@ -334,7 +340,7 @@ def test_interrupt_kills_and_reaps(tmp_path, monkeypatch):
     monkeypatch.setattr(_fork._Worker, "result", interrupted)
     begun = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        _gen_run("count=100\n", str(tmp_path), n=3)
+        _gen_run("count=100\n", str(tmp_path), cpus=3)
     assert time.monotonic() - begun < 30
     assert len(started) == 1 and started[0] > 0
     _no_children_left()

@@ -4,7 +4,8 @@ outlives the command."""
 
 import contextlib
 import dataclasses
-import functools
+import errno
+import gc
 import io
 import os
 import signal
@@ -12,12 +13,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import event, given, settings
 
-from tracebw import _fork, _gen, _ranges, _read
+from tracebw import _fork, _gen, _read
 from tracebw.cli import EXIT_BROKEN_PIPE, main
 from tracebw.parsing import format_lanl_line
 
@@ -27,7 +29,12 @@ from .test_parsing import LANL_LINE
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="ranges need os.fork")
 
-_PLAN = _read._plan_ranges
+def _split(patch, cpus):
+    """Plan reads and gen as on ``cpus`` usable CPUs, down to ranges of one
+    byte or one job."""
+    patch.setattr(_fork, "usable_cpus", lambda: cpus)
+    patch.setattr(_read, "_RANGE_FLOOR", 1)
+    patch.setattr(_gen, "_JOB_FLOOR", 1)
 
 
 def _no_children_left():
@@ -35,12 +42,12 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _run(argv, workdir, n=None, starts=None, stdout_mode="w", **stdout_options):
+def _run(argv, workdir, cpus=None, starts=None, stdout_mode="w", **stdout_options):
     """Run the CLI in process, its standard output a real file; return the exit
     status, standard output, standard error and, with ``--out``, that file.
 
-    ``n`` goes to the range planner as the number of ranges to ask for;
-    ``starts`` replaces the planner's answer outright.
+    With ``cpus``, the input is split as on that many usable CPUs, whatever
+    its size; ``starts`` replaces the planner's answer outright.
     """
     stdout_path = os.path.join(workdir, "stdout")
     with contextlib.suppress(FileNotFoundError):
@@ -50,8 +57,8 @@ def _run(argv, workdir, n=None, starts=None, stdout_mode="w", **stdout_options):
             pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "stdout", stdout)
         patch.setattr(sys, "stderr", err)
-        if n is not None:
-            patch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=n))
+        if cpus is not None:
+            _split(patch, cpus)
         if starts is not None:
             patch.setattr(_read, "_plan_ranges", lambda fd: starts)
         code = main(argv)
@@ -144,16 +151,17 @@ def test_ranged_run_matches_one_range(format, data):
     strategy, flags = _FORMATS[format]
     text = data.draw(strategy, label="trace")
     command = data.draw(st.sampled_from(_COMMANDS), label="command")
-    n = data.draw(st.integers(2, 5), label="n")
+    cpus = data.draw(st.integers(2, 5), label="cpus")
     to_file = data.draw(st.booleans(), label="to_file")
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "trace")
         with open(path, "wb") as handle:
             handle.write(text)
-        with open(path, "rb") as handle:
-            event(f"ranges: {len(_PLAN(handle.fileno(), n=n))}")
+        with open(path, "rb") as handle, pytest.MonkeyPatch.context() as patch:
+            _split(patch, cpus)
+            event(f"ranges: {len(_read._plan_ranges(handle.fileno()))}")
         argv = _argv(command, path, flags, to_file, workdir)
-        assert _run(argv, workdir, n=n) == _run(argv, workdir, n=1)
+        assert _run(argv, workdir, cpus=cpus) == _run(argv, workdir, cpus=1)
 
 
 # One trace per format with a line of each kind; every line start in turn is
@@ -192,7 +200,7 @@ def test_every_line_start_as_a_boundary(format, text, command, tmp_path):
     with open(path, "wb") as handle:
         handle.write(text)
     argv = _argv(command, path, _FORMATS[format][1], False, str(tmp_path))
-    serial = _run(argv, str(tmp_path), n=1)
+    serial = _run(argv, str(tmp_path), cpus=1)
     line_starts = [i + 1 for i, byte in enumerate(text) if byte == ord("\n") and i + 1 < len(text)]
     assert len(line_starts) >= 6
     for start in line_starts:
@@ -209,16 +217,16 @@ def test_rows_follow_the_output_codec_and_an_appending_stdout(tmp_path):
     argv = ["rates", "--full", path]
     for options in ({"encoding": "ascii", "errors": "backslashreplace"},
                     {"encoding": "utf-8", "stdout_mode": "a"}):
-        runs = [_run(argv, str(tmp_path), n=n, **options) for n in (1, 4)]
+        runs = [_run(argv, str(tmp_path), cpus=cpus, **options) for cpus in (1, 4)]
         assert runs[0] == runs[1]
         assert runs[0][1].count(b"\n") == 7  # the header and three rows a copy
         assert runs[0][1].count(b"\xef\xbf\xbd" if "a" in options.get("stdout_mode", "")
                                 else b"\\ufffd") == 2
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("where", [0, -1], ids=["first-line", "last-line"])
-def test_an_unencodable_job_id_exits_one(where, n, tmp_path):
+def test_an_unencodable_job_id_exits_one(where, cpus, tmp_path):
     # An output codec that cannot encode a job id fails the run as an I/O
     # failure does, in the parent's range or in a worker's; _run checks
     # that no worker is left.
@@ -226,7 +234,8 @@ def test_an_unencodable_job_id_exits_one(where, n, tmp_path):
     ids[where] = "j\xe9"
     path = tmp_path / "trace"
     path.write_text("".join(LANL_LINE.replace("j1", i) + "\n" for i in ids), encoding="utf-8")
-    code, _, err, _ = _run(["rates", "--full", str(path)], str(tmp_path), n=n, encoding="ascii")
+    code, _, err, _ = _run(["rates", "--full", str(path)], str(tmp_path), cpus=cpus,
+                           encoding="ascii")
     assert code == 1
     assert err.startswith("tracebw: error: 'ascii' codec can't encode character '\\xe9'")
     assert err.count("\n") == 1
@@ -234,33 +243,36 @@ def test_an_unencodable_job_id_exits_one(where, n, tmp_path):
 
 # --- the planner ----------------------------------------------------------
 
-def test_line_starts_split_only_after_a_newline(tmp_path):
+def test_line_starts_split_only_after_a_newline(tmp_path, monkeypatch):
     path = tmp_path / "trace"
     text = b"a\r\nbb\n\nccc\rdd\n\xe2\x82\ne"
     path.write_bytes(text)
     fd = os.open(path, os.O_RDONLY)
     try:
-        for n in range(1, 9):
-            starts = _ranges.line_starts(fd, _fork.plan(len(text), 1, n))
+        for cpus in range(1, 9):
+            _split(monkeypatch, cpus)
+            starts = _read.line_starts(fd, _fork.plan(len(text), 1))
             assert starts[0] == 0 and starts == sorted(set(starts))
             assert all(text[start - 1] == ord("\n") for start in starts[1:])
-            assert len(starts) <= n
-        assert _ranges.line_starts(fd, _fork.plan(len(text), 1, 9)) == [0, 3, 6, 7, 14, 17]
+            assert len(starts) <= cpus
+        _split(monkeypatch, 9)
+        assert _read.line_starts(fd, _fork.plan(len(text), 1)) == [0, 3, 6, 7, 14, 17]
     finally:
         os.close(fd)
 
 
-def test_no_newline_no_split(tmp_path):
+def test_no_newline_no_split(tmp_path, monkeypatch):
     path = tmp_path / "trace"
     path.write_bytes(b"a\rb\rc\r" * 100)
     fd = os.open(path, os.O_RDONLY)
     try:
-        assert _ranges.line_starts(fd, _fork.plan(600, 1, 4)) == [0]
+        _split(monkeypatch, 4)
+        assert _read.line_starts(fd, _fork.plan(600, 1)) == [0]
     finally:
         os.close(fd)
 
 
-def test_one_rule_plans_byte_and_job_ranges(tmp_path):
+def test_one_rule_plans_byte_and_job_ranges(tmp_path, monkeypatch):
     # On a file of N newline bytes every offset is already a line start, so
     # the read's plan is the plan of N jobs.
     path = tmp_path / "trace"
@@ -268,31 +280,34 @@ def test_one_rule_plans_byte_and_job_ranges(tmp_path):
         path.write_bytes(b"\n" * size)
         fd = os.open(path, os.O_RDONLY)
         try:
-            for n in range(1, 9):
-                assert _read._plan_ranges(fd, n) == _gen.plan_jobs(size, n), (size, n)
+            for cpus in range(1, 9):
+                _split(monkeypatch, cpus)
+                assert _read._plan_ranges(fd) == _gen.plan_jobs(size), (size, cpus)
         finally:
             os.close(fd)
 
 
-def test_a_fifo_is_one_range(tmp_path):
+def test_a_fifo_is_one_range(tmp_path, monkeypatch):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
         assert _read._plan_ranges(fd) == [0]
-        assert _read._plan_ranges(fd, n=4) == [0]
+        _split(monkeypatch, 4)
+        assert _read._plan_ranges(fd) == [0]
     finally:
         os.close(fd)
 
 
-def test_a_small_file_is_one_range_by_default(tmp_path):
+def test_a_small_file_is_one_range_by_default(tmp_path, monkeypatch):
     path = tmp_path / "trace"
     path.write_bytes((LANL_LINE + "\n").encode() * 1000)
     fd = os.open(path, os.O_RDONLY)
     try:
         assert os.path.getsize(path) < 2 * _read._RANGE_FLOOR
         assert _read._plan_ranges(fd) == [0]
-        assert len(_read._plan_ranges(fd, n=3)) == 3
+        _split(monkeypatch, 3)
+        assert len(_read._plan_ranges(fd)) == 3
     finally:
         os.close(fd)
 
@@ -332,7 +347,7 @@ def test_large_file_default_plan(large_trace, tmp_path):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert len(starts) == min(cpus, os.path.getsize(large_trace) // _read._RANGE_FLOOR)
     argv = ["rates", "--carry-forward", large_trace, "--out", str(tmp_path / "out")]
-    assert _run(argv, str(tmp_path)) == _run(argv, str(tmp_path), n=1)
+    assert _run(argv, str(tmp_path)) == _run(argv, str(tmp_path), cpus=1)
 
 
 def test_closed_pipe_exits_141_in_subprocess(large_trace, tmp_path):
@@ -406,7 +421,7 @@ def test_worker_failure_exits_one_and_keeps_out(action, cause, command, tmp_path
     target = tmp_path / "out"
     target.write_text("keep me\n")
     _fail_in_workers(monkeypatch, action)
-    monkeypatch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=3))
+    _split(monkeypatch, 3)
     assert main([*command, str(path), "--out", str(target)]) == 1
     # Three ranges of 100 lines start at lines 0, 34 and 67; the first
     # worker's failure is the one reported.
@@ -424,7 +439,7 @@ def test_full_device_exits_one_and_reaps(tmp_path, monkeypatch, capsys):
         pytest.skip("no /dev/full")
     path = tmp_path / "trace"
     path.write_bytes((LANL_LINE + "\n").encode() * 100)
-    monkeypatch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=3))
+    _split(monkeypatch, 3)
     assert main(["rates", str(path), "--out", "/dev/full"]) == 1
     assert capsys.readouterr().err.startswith("tracebw: error: [Errno 28] No space left")
     _no_children_left()
@@ -441,11 +456,45 @@ def test_interrupt_kills_and_reaps(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     _fail_in_workers(monkeypatch, lambda: time.sleep(60))
-    monkeypatch.setattr(_read, "_plan_ranges", functools.partial(_PLAN, n=3))
+    _split(monkeypatch, 3)
     monkeypatch.setattr(_fork._Worker, "result", interrupted)
     begun = time.monotonic()
     with pytest.raises(KeyboardInterrupt), contextlib.redirect_stdout(io.StringIO()):
         main(["rates", str(path)])
     assert time.monotonic() - begun < 30
     assert len(started) == 1 and started[0] > 0
+    _no_children_left()
+
+
+def _fail_at_second_spool(monkeypatch):
+    made = []
+
+    def temporary_file():
+        if made:
+            raise OSError(errno.EMFILE, "Too many open files")
+        made.append(True)
+        return real()
+
+    real = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+
+
+def _fail_at_pipe(monkeypatch):
+    def pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+
+
+@pytest.mark.parametrize("fail", [_fail_at_second_spool, _fail_at_pipe])
+def test_a_worker_that_cannot_start_closes_its_spools(fail, monkeypatch):
+    # Out of descriptors before the fork: the spools already opened are
+    # closed, so none is left for the collector to warn about.
+    fail(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OSError, match="Too many open files"):
+            _fork._Worker(_raise, 2, "doing nothing")
+        gc.collect()
+    assert [warning.category for warning in caught] == []
     _no_children_left()
