@@ -11,9 +11,10 @@ loads this module, so a smaller one never compiles or imports it; it
 imports neither command's module.
 
 A worker leaves only through ``os._exit``, and it never touches standard
-output, standard error or the command's output files. Its result comes
-back through a pipe as ``marshal`` data, and the text it writes goes to
-unnamed temporary files as UTF-8, which the parent appends to its outputs
+output, standard error or the command's output files. Everything it
+returns goes to unnamed temporary files, its spools: the text it writes as
+UTF-8, and its result, once it has one, as ``marshal`` data. Once it has
+exited, the parent reads its result and appends its text to its outputs
 in piece order, encoded as each output encodes its own text. A worker that
 fails makes the run fail with an :class:`~tracebw.errors.IoFailure` that
 names the cause, or, for a spec the generator refused, with that
@@ -57,83 +58,75 @@ def plan(total: int, floor: int) -> list[int]:
 class _Worker:
     """A forked process that runs ``task`` over its piece, as
     ``task(*spools)``: each spool an unnamed temporary file, written as
-    UTF-8 text. ``what`` says what the worker does, for its failure."""
+    UTF-8 text. One more spool holds its report, the task's result or
+    failure. ``what`` says what the worker does, for its failure."""
 
     def __init__(self, task: Callable, spools: int, what: str):
-        self.what, self.pid, self._pipe, self.spools = what, None, None, []
+        self.what, self.pid, self.spools = what, None, []
         try:
-            for _ in range(spools):
+            for _ in range(spools + 1):
                 self.spools.append(tempfile.TemporaryFile())
-            self._pipe, write_end = os.pipe()
-            try:
-                self.pid = os.fork()
-            except BaseException:
-                os.close(write_end)
-                raise
+            self.pid = os.fork()
         except BaseException:
             self.close()
             raise
         if self.pid == 0:
-            self._work(task, write_end)
-        os.close(write_end)
+            self._work(task)
 
-    def _work(self, task: Callable, write_end: int) -> None:
+    def _work(self, task: Callable) -> None:
         # Leaves only through os._exit, so nothing that the parent set up to
-        # run on unwinding or at exit runs here. The report is (error, value):
-        # error is "" and value the task's result, or they are the name and
-        # text of the exception that ended it.
+        # run on unwinding or at exit runs here. The report, in the last
+        # spool, is (error, value): error is "" and value the task's result,
+        # or they are the name and text of the exception that ended it.
         code = 1
         try:
+            *spools, report_spool = self.spools
             try:
-                os.close(self._pipe)  # so that a write the parent will not read fails
-                sinks = [io.TextIOWrapper(spool, "utf-8", newline="") for spool in self.spools]
+                sinks = [io.TextIOWrapper(spool, "utf-8", newline="") for spool in spools]
                 value = task(*sinks)
                 for sink in sinks:
                     sink.flush()
                 report, code = ("", value), 0
             except BaseException as exc:
                 report = (type(exc).__name__, str(exc))
-            with open(write_end, "wb") as pipe:
-                marshal.dump(report, pipe)
+            marshal.dump(report, report_spool)
+            report_spool.flush()
         finally:
             os._exit(code)
 
-    def result(self):
-        """Wait for the worker and return its task's result. Raise the task's
-        InvalidSpec as itself, and any other failure as IoFailure."""
-        with open(self._pipe, "rb") as pipe:
-            self._pipe = None
-            try:
-                error, value = marshal.load(pipe)
-            except (EOFError, ValueError, TypeError):
-                error = None  # it reported nothing
+    def collect(self, outs: list[IO[str]], header: bool):
+        """Wait for the worker and return its task's result, once what it
+        wrote to each spool is appended to the matching output in ``outs``;
+        with ``header``, less the first line. Raise the task's InvalidSpec
+        as itself, and any other failure as IoFailure."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if error == "":
-            return value
+        *spools, report_spool = self.spools
+        report_spool.seek(0)
+        try:
+            error, value = marshal.load(report_spool)
+        except (EOFError, ValueError, TypeError):
+            error = None  # it reported nothing, or was cut off mid-report
         if error == InvalidSpec.__name__:
             raise InvalidSpec(value)
-        if error is None:
+        if error != "":
             code = os.waitstatus_to_exitcode(status)
-            cause = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        else:
-            cause = f"{error}: {value}"
-        raise IoFailure(RuntimeError(f"the worker {self.what} failed: {cause}"))
-
-    def append(self, spool: int, out: IO[str], header: bool) -> None:
-        """Append what the worker wrote to spool number ``spool`` to ``out``;
-        with ``header``, less the first line."""
-        self.spools[spool].seek(0)
-        with io.TextIOWrapper(self.spools[spool], "utf-8", newline="") as text:
-            if header:
-                text.readline()
-            # In chunks of the buffers' own size: copyfileobj's 64 KiB default
-            # holds about 300 KiB of copies at once, which raised the parent's
-            # peak RSS by about 0.17 MB.
-            shutil.copyfileobj(text, out, io.DEFAULT_BUFFER_SIZE)
+            cause = (f"{error}: {value}" if error is not None
+                     else f"killed by signal {-code}" if code < 0 else f"exit status {code}")
+            raise IoFailure(RuntimeError(f"the worker {self.what} failed: {cause}"))
+        for spool, out in zip(spools, outs):
+            spool.seek(0)
+            with io.TextIOWrapper(spool, "utf-8", newline="") as text:
+                if header:
+                    text.readline()
+                # In chunks of the buffers' own size: copyfileobj's 64 KiB
+                # default holds about 300 KiB of copies at once, which raised
+                # the parent's peak RSS by about 0.17 MB.
+                shutil.copyfileobj(text, out, io.DEFAULT_BUFFER_SIZE)
+        return value
 
     def close(self) -> None:
-        """Kill and reap the worker if it still runs; release its pipe and files."""
+        """Kill and reap the worker if it still runs; release its files."""
         if self.pid:
             from signal import SIGKILL  # only a failed or interrupted run gets here
 
@@ -141,9 +134,6 @@ class _Worker:
                 os.kill(self.pid, SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        if self._pipe is not None:
-            os.close(self._pipe)
-            self._pipe = None
         for spool in self.spools:
             spool.close()
 
@@ -155,22 +145,19 @@ def fan_out(tasks: list[tuple[Callable, str]], outs: list[IO[str]],
 
     The first task runs in this process, its sinks ``outs``. Each other one
     runs in a forked worker, its sinks one spool per output, and ``what``
-    says what it does, for its failure. The workers' results are read in
-    piece order, so the lowest failing piece is the one raised, and once
-    a worker's result is read, what it wrote to each spool is appended to
-    the matching output; with ``header``, less the first line. However the
-    run ends, each worker still running is killed, and every one is reaped.
+    says what it does, for its failure. The workers are collected one at a
+    time in piece order, so the lowest failing piece is the one raised:
+    once a worker has exited, its result is read and what it wrote to each
+    spool is appended to the matching output; with ``header``, less the
+    first line. However the run ends, each worker still running is killed,
+    and every one is reaped.
     """
     workers: list[_Worker] = []
     try:
         for task, what in tasks[1:]:
             workers.append(_Worker(task, len(outs), what))
-        results = [tasks[0][0](*outs)]
-        for worker in workers:
-            results.append(worker.result())
-            for spool, out in enumerate(outs):
-                worker.append(spool, out, header)
-        return results
+        first = tasks[0][0](*outs)
+        return [first, *(worker.collect(outs, header) for worker in workers)]
     finally:
         for worker in workers:
             worker.close()

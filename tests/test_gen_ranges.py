@@ -332,12 +332,12 @@ def test_interrupt_kills_and_reaps(tmp_path, monkeypatch):
     _keep(str(tmp_path))
     started = []
 
-    def interrupted(self):
+    def interrupted(self, outs, header):
         started.append(self.pid)
         raise KeyboardInterrupt
 
     _fail_in_workers(monkeypatch, lambda: time.sleep(60))
-    monkeypatch.setattr(_fork._Worker, "result", interrupted)
+    monkeypatch.setattr(_fork._Worker, "collect", interrupted)
     begun = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _gen_run("count=100\n", str(tmp_path), cpus=3)

@@ -7,8 +7,10 @@ import dataclasses
 import errno
 import gc
 import io
+import marshal
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -21,6 +23,7 @@ from hypothesis import event, given, settings
 
 from tracebw import _fork, _gen, _read
 from tracebw.cli import EXIT_BROKEN_PIPE, main
+from tracebw.errors import InvalidSpec, IoFailure
 from tracebw.parsing import format_lanl_line
 
 from .conftest import job_records, optional
@@ -299,6 +302,39 @@ def test_a_fifo_is_one_range(tmp_path, monkeypatch):
         os.close(fd)
 
 
+@pytest.mark.parametrize("mode, starts", [
+    (stat.S_IFREG, [0, 4]), (stat.S_IFIFO, [0]), (stat.S_IFCHR, [0]), (stat.S_IFSOCK, [0]),
+], ids=["regular", "fifo", "character-device", "socket"])
+def test_only_a_regular_file_is_split(mode, starts, tmp_path, monkeypatch):
+    # The size alone would split each: fstat reports the file's own size,
+    # twice the floor and more, with the file type of ``mode``.
+    path = tmp_path / "trace"
+    path.write_bytes(b"\n" * 8)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        status = list(os.fstat(fd))
+        status[0] = mode | 0o600  # st_mode; st_size is 8
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(status))
+        _split(monkeypatch, 2)
+        assert _read._plan_ranges(fd) == starts
+    finally:
+        os.close(fd)
+
+
+def test_a_byte_range_reads_exactly_its_bytes(tmp_path):
+    # read() with no size reads to the range's end, past a buffer's size.
+    data = bytes(range(256)) * 80
+    path = tmp_path / "trace"
+    path.write_bytes(data)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        for start, end in [(0, 0), (0, 1), (5, 300), (0, len(data)), (1, 9000),
+                           (8192, 16385), (7, None), (0, None), (len(data), None)]:
+            assert _read._ByteRange(fd, start, end).read() == data[start:end], (start, end)
+    finally:
+        os.close(fd)
+
+
 def test_a_small_file_is_one_range_by_default(tmp_path, monkeypatch):
     path = tmp_path / "trace"
     path.write_bytes((LANL_LINE + "\n").encode() * 1000)
@@ -451,13 +487,13 @@ def test_interrupt_kills_and_reaps(tmp_path, monkeypatch):
     path.write_bytes((LANL_LINE + "\n").encode() * 100)
     started = []
 
-    def interrupted(self):
+    def interrupted(self, outs, header):
         started.append(self.pid)
         raise KeyboardInterrupt
 
     _fail_in_workers(monkeypatch, lambda: time.sleep(60))
     _split(monkeypatch, 3)
-    monkeypatch.setattr(_fork._Worker, "result", interrupted)
+    monkeypatch.setattr(_fork._Worker, "collect", interrupted)
     begun = time.monotonic()
     with pytest.raises(KeyboardInterrupt), contextlib.redirect_stdout(io.StringIO()):
         main(["rates", str(path)])
@@ -466,11 +502,48 @@ def test_interrupt_kills_and_reaps(tmp_path, monkeypatch):
     _no_children_left()
 
 
-def _fail_at_second_spool(monkeypatch):
+def _floats():
+    return [k / 7 for k in range(100_000)]
+
+
+def test_a_result_larger_than_a_pipe_buffer_comes_back_whole():
+    # 100,000 floats marshal to about 900 KB.
+    assert _fork.fan_out([(lambda: "first", "running first"),
+                          (_floats, "returning floats")], []) == ["first", _floats()]
+    _no_children_left()
+
+
+def test_a_long_spec_error_comes_back_whole():
+    message = "count=" + "é9" * 100_000 + " is not a count"
+
+    def refuse():
+        raise InvalidSpec(message)
+
+    with pytest.raises(InvalidSpec) as raised:
+        _fork.fan_out([(lambda: None, "running first"), (refuse, "refusing")], [])
+    assert type(raised.value) is InvalidSpec and str(raised.value) == message
+    _no_children_left()
+
+
+def test_a_worker_killed_mid_report_names_the_signal(monkeypatch):
+    def dump(report, file):
+        data = marshal.dumps(report)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(marshal, "dump", dump)
+    with pytest.raises(IoFailure, match="the worker returning floats failed: killed by signal 9$"):
+        _fork.fan_out([(lambda: None, "running first"), (_floats, "returning floats")], [])
+    _no_children_left()
+
+
+def _fail_after(monkeypatch, count):
+    """Make every ``tempfile.TemporaryFile()`` after the first ``count`` fail."""
     made = []
 
     def temporary_file():
-        if made:
+        if len(made) == count:
             raise OSError(errno.EMFILE, "Too many open files")
         made.append(True)
         return real()
@@ -479,18 +552,12 @@ def _fail_at_second_spool(monkeypatch):
     monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
 
 
-def _fail_at_pipe(monkeypatch):
-    def pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
-    monkeypatch.setattr(os, "pipe", pipe)
-
-
-@pytest.mark.parametrize("fail", [_fail_at_second_spool, _fail_at_pipe])
-def test_a_worker_that_cannot_start_closes_its_spools(fail, monkeypatch):
+# A worker with two output spools opens its report spool third.
+@pytest.mark.parametrize("made", [1, 2], ids=["_fail_at_second_spool", "_fail_at_report_spool"])
+def test_a_worker_that_cannot_start_closes_its_spools(made, monkeypatch):
     # Out of descriptors before the fork: the spools already opened are
     # closed, so none is left for the collector to warn about.
-    fail(monkeypatch)
+    _fail_after(monkeypatch, made)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(OSError, match="Too many open files"):
