@@ -6,101 +6,37 @@ job's bandwidth as memory footprint over wall-clock duration, then
 summarize or export the results as a worksheet or CSV. A deterministic
 rigid-job generator produces fixtures with exact ground truth so the
 whole pipeline is testable without a real trace.
+
+``import tracebw`` loads no submodule: each public name loads the module
+that defines it on first use (PEP 562), so a command loads only what it
+runs. Import a submodule by name, as in ``import tracebw.parsing``.
 """
 
-from .bandwidth import (
-    BYTES_PER_KB,
-    MbBase,
-    MemorySource,
-    compute_rates,
-    duration_ms,
-    iter_rates,
-    partition_jobs,
-    rate,
-    select_bytes,
-    to_output_unit,
-)
-from .errors import InvalidSpec, IoFailure, MalformedLine, MalformedSidecar
-from .export import (
-    CSV_HEADER,
-    WORKSHEET_HEADER,
-    format_sig,
-    summarize,
-    write_csv,
-    write_worksheet,
-)
-from .model import (
-    JobRecord,
-    ParseReport,
-    RateFlag,
-    RateSample,
-    Timestamp,
-    TraceSummary,
-)
-from .parsing import (
-    TraceFormat,
-    TraceStream,
-    format_lanl_line,
-    parse_archive_line,
-    parse_lanl_line,
-    parse_trace,
-    write_lanl_trace,
-)
+# Each public name, by the module that defines it.
+_PUBLIC = {
+    "bandwidth": "BYTES_PER_KB MbBase MemorySource compute_rates duration_ms iter_rates"
+                 " partition_jobs rate select_bytes to_output_unit",
+    "errors": "InvalidSpec IoFailure MalformedLine MalformedSidecar",
+    "export": "CSV_HEADER WORKSHEET_HEADER format_sig summarize write_csv write_worksheet",
+    "model": "JobRecord ParseReport RateFlag RateSample Timestamp TraceSummary",
+    "parsing": "TraceFormat TraceStream format_lanl_line parse_archive_line parse_lanl_line"
+               " parse_trace write_lanl_trace",
+    "synth": "GenSpec GroundTruth generate load_genspec read_sidecar write_sidecar",
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 
-# The generator's names load synth on first use, so the read path never pays
-# for it (PEP 562). Only generate and read_sidecar load fractions, and with it
-# decimal, when called: tracebw gen loads neither.
-_SYNTH_NAMES = frozenset(
-    ("GenSpec", "GroundTruth", "generate", "load_genspec", "read_sidecar", "write_sidecar"))
+__version__ = "0.1.0"
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _SYNTH_NAMES:
-        from . import synth
-        return getattr(synth, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
 
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "BYTES_PER_KB",
-    "CSV_HEADER",
-    "GenSpec",
-    "GroundTruth",
-    "InvalidSpec",
-    "IoFailure",
-    "JobRecord",
-    "MalformedLine",
-    "MalformedSidecar",
-    "MbBase",
-    "MemorySource",
-    "ParseReport",
-    "RateFlag",
-    "RateSample",
-    "Timestamp",
-    "TraceFormat",
-    "TraceStream",
-    "TraceSummary",
-    "WORKSHEET_HEADER",
-    "compute_rates",
-    "duration_ms",
-    "format_lanl_line",
-    "format_sig",
-    "generate",
-    "iter_rates",
-    "load_genspec",
-    "parse_archive_line",
-    "parse_lanl_line",
-    "parse_trace",
-    "partition_jobs",
-    "rate",
-    "read_sidecar",
-    "select_bytes",
-    "summarize",
-    "to_output_unit",
-    "write_csv",
-    "write_lanl_trace",
-    "write_sidecar",
-    "write_worksheet",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

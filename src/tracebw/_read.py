@@ -4,10 +4,13 @@ passed on as the plain tuple of its fields, with no JobRecord or
 RateSample built.
 
 The CLI loads this module only for those three commands, so ``gen`` never
-compiles or imports it. :func:`_read_range` is every range's pipeline and
-:func:`_text` decodes every input. :func:`_plan_ranges` splits a regular
-file of at least twice ``_RANGE_FLOOR`` bytes into one range per usable
-CPU by :func:`tracebw._fork.plan`, each start moved past a newline by
+compiles or imports it. :func:`_run_trace_command` opens the input and the
+command's output once, runs :func:`_read_range`, the whole pipeline of one
+range from parsing to the writer or tally, over each range, and writes the
+merged counts and statistics. :func:`_text` decodes every input.
+:func:`_plan_ranges` splits a regular file of at least twice
+``_RANGE_FLOOR`` bytes into one range per usable CPU by
+:func:`tracebw._fork.plan`, each start moved past a newline by
 :func:`line_starts`. The first range runs in this process and each other
 one in a forked worker, by :func:`tracebw._fork.fan_out`; only such a file
 loads that module. Each range after the first is read with ``os.pread``
@@ -22,19 +25,19 @@ import argparse
 import io
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
 from itertools import chain, count, islice
 from operator import itemgetter
 from stat import S_ISREG
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .bandwidth import MbBase, _rates
 from .cli import _open_output
 from .export import _finish, _tally, write_csv, write_worksheet
 from .model import TraceSummary
-from .parsing import TraceStream, parse_trace
+from .parsing import parse_trace
 
 
 def _text(raw: IO[bytes]) -> IO[str]:
@@ -138,44 +141,40 @@ class _ByteRange(io.RawIOBase):
         return data
 
 
-def _read_bytes(read: Callable[..., tuple], fd: int, start: int, end: int | None,
+def _read_bytes(args: argparse.Namespace, fd: int, start: int, end: int | None,
                 sink: IO[str] | None = None) -> tuple:
-    """Run ``read``, the per-range pipeline, over bytes ``start`` to ``end``
-    of the file open on ``fd``, or to its end when ``end`` is None."""
+    """Run :func:`_read_range` over bytes ``start`` to ``end`` of the file
+    open on ``fd``, or to its end when ``end`` is None."""
     following = () if end is None else _text(_ByteRange(fd, end, None))
-    return read(_text(_ByteRange(fd, start, end)), following, start > 0, sink)
+    return _read_range(args, _text(_ByteRange(fd, start, end)), following, start > 0, sink)
 
 
-def _read_range(parse: Callable[..., TraceStream], run: Callable[..., tuple],
-                text: Iterable[str], following: Iterable[str], seed: bool,
-                sink: IO[str] | None = None) -> tuple:
-    """Parse ``text``, one range of the input, with ``parse(lines)`` and run
-    ``run(records, sink)``, the command's pipeline after parsing, over it.
+def _read_range(args: argparse.Namespace, text: Iterable[str], following: Iterable[str],
+                seed: bool, sink: IO[str] | None = None) -> tuple:
+    """Run the command over ``text``, one range of the input: parse, then
+    rates, then for ``rates`` the writer, to ``sink``, or for ``summary``
+    summarize's tally.
 
-    Returns plain data, ``(valid, tally, parsed, malformed)``: run's result,
-    then the counts of the range's own lines. ``following``, the lines after
-    the range, is read only up to the first record, whose sample this range
-    yields, because only this range knows the end time that carry-forward
-    would give it. With ``seed``, as in a range after the first, the first
-    record, the range's own or else that one, serves only to seed that end
-    time. A read in one range passes ``following=()`` and ``seed=False``.
+    Returns plain data, ``(valid, tally, parsed, malformed)``: the number of
+    samples, the tally or None, then the counts of the range's own lines.
+    ``following``, the lines after the range, is read only up to the first
+    record, whose sample this range yields, because only this range knows
+    the end time that carry-forward would give it. With ``seed``, as in a
+    range after the first, the first record, the range's own or else that
+    one, serves only to seed that end time. A read in one range passes
+    ``following=()`` and ``seed=False``.
     """
-    stream = parse(text)
-    records = chain(stream._fields, islice(parse(following)._fields, 1))
+    scaled = args.per_proc_memory == "scaled"
+    stream = parse_trace(text, args.format, scale_per_proc_memory=scaled)
+    records = chain(stream._fields, islice(
+        parse_trace(following, args.format, scale_per_proc_memory=scaled)._fields, 1))
     if seed:
         first = next(records, None)
         if first is not None:  # its job id and end time, and no start: it yields no sample
             records = chain(((first[0], None, None, first[3]) + (None,) * 12,), records)
-    return (*run(records, sink), stream.report.parsed, stream.report.malformed)
-
-
-def _run_pipeline(args: argparse.Namespace, records: Iterable[tuple],
-                  sink: IO[str] | None) -> tuple:
-    """Run the command over parsed records, each the plain tuple of a
-    JobRecord's fields; return the number of samples and, for ``summary``
-    only, summarize's tally. Rows of ``rates`` go to ``sink``."""
-    # zip pulls a sample before a count, so once the samples are drained
-    # the counter's next value is their number, with no Python call per sample.
+    # Each record is the plain tuple of a JobRecord's fields. zip pulls a
+    # sample before a count, so once the samples are drained the counter's
+    # next value is their number, with no Python call per sample.
     counter = count()
     samples = map(itemgetter(0), zip(
         _rates(records, args.memory, args.carry_forward), counter))
@@ -195,15 +194,12 @@ def _run_pipeline(args: argparse.Namespace, records: Iterable[tuple],
             write_csv(samples, mb, sink)
         else:
             write_worksheet(samples, mb, sink)
-    return next(counter), tally
+    report = stream.report
+    return next(counter), tally, report.parsed, report.malformed
 
 
 def _run_trace_command(args: argparse.Namespace) -> int:
-    parse = partial(parse_trace, format=args.format,
-                    scale_per_proc_memory=args.per_proc_memory == "scaled")
-    read = partial(_read_range, parse, partial(_run_pipeline, args))
-    with _open_input(args.trace) as source, \
-            _open_output(args.out) if args.command == "rates" else nullcontext() as out:
+    with _open_input(args.trace) as source, _open_output(args.out) as out:
         starts = [0] if args.trace == "-" else _plan_ranges(source.fileno())
         if len(starts) > 1:
             from ._fork import fan_out
@@ -211,21 +207,19 @@ def _run_trace_command(args: argparse.Namespace) -> int:
             # Each worker's rows follow the rows before them, less its header line.
             fd = source.fileno()
             results = fan_out(
-                [(partial(_read_bytes, read, fd, start, end),
+                [(partial(_read_bytes, args, fd, start, end),
                   f"reading from byte {start} to {'the end' if end is None else f'byte {end}'}")
                  for start, end in zip(starts, [*starts[1:], None])],
-                [] if out is None else [out], header=True)
+                [out], header=True)
         else:
-            results = [read(source, (), False, out)]
-    # Each result is (valid, tally, parsed, malformed) of one range.
-    valid, tallies, parsed, malformed = zip(*results)
-    counts = map(sum, (parsed, malformed, valid))
-    if args.command == "inspect":
-        with _open_output(args.out) as out:
+            results = [_read_range(args, source, (), False, out)]
+        # Each result is (valid, tally, parsed, malformed) of one range.
+        valid, tallies, parsed, malformed = zip(*results)
+        counts = map(sum, (parsed, malformed, valid))
+        if args.command == "inspect":
             _write_report(*counts, out)
-        return 0
-    if args.command == "summary":
-        with _open_output(args.out) as out:
+            return 0
+        if args.command == "summary":
             _write_summary(_finish(tallies), out)
     _write_report(*counts, sys.stderr)
     return 0

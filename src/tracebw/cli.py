@@ -14,16 +14,18 @@ encode a job id included), 2 on invalid flags or generator specs, and
 the reader of the output goes away early, as with ``| head``; that last
 case writes no error message.
 
-``inspect``, ``rates`` and ``summary`` run one pipeline, parse →
-``tracebw.bandwidth._rates`` → writer or summarize,
-``tracebw._read._read_range``, over each byte range of the input. Only
-these three commands load :mod:`tracebw._read`. A regular file of at least
-twice ``tracebw._read._RANGE_FLOOR`` bytes is split into one range per
-usable CPU by :func:`tracebw._fork.plan`, each range starting just past a
-newline byte; the first range runs in this process and each other one in
-a forked worker (see :func:`tracebw._fork.fan_out`, whose module only a
-split run loads). The rows, counts and statistics are merged
-in range order, so every output byte equals that of a read in one range.
+``inspect``, ``rates`` and ``summary`` run one function,
+``tracebw._read._read_range``: parse → ``tracebw.bandwidth._rates`` →
+writer or summarize, over each byte range of the input, the command's
+output opened once for all of them. Only these three commands load
+:mod:`tracebw._read`, and only :func:`build_parser` imports argparse. A
+regular file of at least twice ``tracebw._read._RANGE_FLOOR`` bytes is
+split into one range per usable CPU by :func:`tracebw._fork.plan`, each
+range starting just past a newline byte; the first range runs in this
+process and each other one in a forked worker (see
+:func:`tracebw._fork.fan_out`, whose module only a split run loads). The
+rows, counts and statistics are merged in range order, so every output
+byte equals that of a read in one range.
 Standard input, a FIFO and a smaller file are one range. ``gen`` writes
 its jobs in job ranges split by the same rule, once there are at least
 twice ``tracebw._gen._JOB_FLOOR`` of them (see :mod:`tracebw._gen`); this
@@ -41,20 +43,26 @@ the package's own.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager, suppress
-from typing import IO, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
 from .bandwidth import MbBase, MemorySource
 from .errors import InvalidSpec, IoFailure
 from .parsing import TraceFormat
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, once the package's modules are compiled: imported
+    # before parsing.py compiles, it raised that compile's peak RSS.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tracebw",
         description="Per-job bandwidth estimation from batch accounting traces.")

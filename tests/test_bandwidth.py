@@ -1,9 +1,9 @@
 """Estimator operations: selection, partitioning, the rate formula, carry-forward."""
 
 import dataclasses
+import io
 import math
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import assume, given
@@ -25,11 +25,13 @@ from tracebw import (
     rate,
     select_bytes,
     to_output_unit,
+    write_csv,
 )
 
 from tracebw import MalformedLine, parsing
 from tracebw._read import _read_range
 from tracebw.bandwidth import _rates, _ready
+from tracebw.cli import build_parser
 from tracebw.parsing import _archive_fields, _lanl_fields, parse_archive_line, parse_lanl_line
 
 from .conftest import assert_rate_close, job_records, rational_rate
@@ -490,16 +492,17 @@ class TestPlainTuples:
         lines = make_lines()
         text, following = lines[300:600], lines[600:]
         source = MemorySource.USED
-
-        def run(records, sink):
-            return (list(_rates(records, source, carry_forward)),)
-
-        (plain, *_) = _read_range(partial(parse_trace, format=format), run,
-                                  text, following, True)
+        args = build_parser().parse_args(
+            ["rates", "--full", "--format", format.value, "--memory", source.value,
+             *["--carry-forward"] * carry_forward, "-"])
+        plain = io.StringIO()
+        _read_range(args, text, following, True, plain)
         first, *rest = parse_trace(text, format)
         seeded = [JobRecord(first.job_id, end_time=first.end_time), *rest,
                   next(iter(parse_trace(following, format)))]
-        self.assert_samples(plain, list(iter_rates(seeded, source, carry_forward)))
+        expected = io.StringIO()
+        write_csv(iter_rates(seeded, source, carry_forward), MbBase.BINARY, expected)
+        assert plain.getvalue() == expected.getvalue()
 
 
 # --- formula and pipeline properties ---------------------------------------

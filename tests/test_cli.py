@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import importlib
 import io
 import os
 import random
@@ -851,19 +852,20 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
              "print(*loaded())\n")
     # gen writes each exact rate from integers, so neither an empty run nor
     # one in two job ranges loads fractions, or decimal, which it imports;
-    # the library's generate still gives Fraction rates.
+    # the library's generate still gives Fraction rates. Nor does gen load
+    # the writers' module, which only the reads run.
     some = tmp_path / "some.genspec"
     some.write_text("count=5\n")
     gen = ("import os, sys, tracebw.cli\n"
            "from tracebw import _gen\n"
            "gen = lambda spec: tracebw.cli.main(['gen', spec, '--out', sys.argv[3]])\n"
            "assert gen(sys.argv[1]) == 0\n"
-           "print(sorted({'datetime', 'tracebw._read', 'fractions', 'decimal'}\n"
-           "             & set(sys.modules)))\n"
+           "print(sorted({'datetime', 'tracebw._read', 'tracebw.export', 'fractions',\n"
+           "              'decimal'} & set(sys.modules)))\n"
            "os.sched_getaffinity, _gen._JOB_FLOOR = lambda pid: {0, 1}, 1  # two job ranges\n"
            "assert gen(sys.argv[2]) == 0\n"
-           "print(sorted({'tracebw._fork', 'tracebw._read', 'fractions', 'decimal'}\n"
-           "             & set(sys.modules)))\n"
+           "print(sorted({'tracebw._fork', 'tracebw._read', 'tracebw.export', 'fractions',\n"
+           "              'decimal'} & set(sys.modules)))\n"
            "from tracebw import GenSpec, generate\n"
            "print(type(generate(GenSpec(count=1))[1].rates[0][1]).__name__)\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracebw.cli.__file__))}
@@ -873,6 +875,65 @@ def test_each_command_loads_only_what_it_uses_in_subprocess(tmp_path):
                                   (gen, (spec, some, tmp_path / "gen.trace")))]
     assert results == ["[] True\n['datetime'] False\n",
                        "[]\n['tracebw._fork']\nFraction\n"]
+
+
+def test_the_package_loads_a_module_only_for_a_name_in_subprocess():
+    # import tracebw loads no submodule, and no submodule is an attribute
+    # until it is imported; a public name loads its own module and those that
+    # module imports, and is then a plain attribute. The command-line module
+    # imports argparse only once it builds its parser, so that argparse
+    # never adds to the compile of the modules it imports. The child runs
+    # without the site module, as above.
+    code = ("import sys, tracebw\n"
+            "def loaded():\n"
+            "    return sorted(name for name in sys.modules if name.startswith('tracebw'))\n"
+            "print(loaded(), hasattr(tracebw, 'parsing'))\n"
+            "print(tracebw.MbBase.BINARY.name, loaded(), 'MbBase' in vars(tracebw))\n"
+            "import tracebw.cli\n"
+            "print('argparse' in sys.modules)\n"
+            "tracebw.cli.build_parser()\n"
+            "print('argparse' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tracebw.cli.__file__))}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == ("['tracebw'] False\n"
+                             "BINARY ['tracebw', 'tracebw.bandwidth', 'tracebw.model'] True\n"
+                             "False\nTrue\n")
+
+
+_PUBLIC_NAMES = {
+    "bandwidth": ["BYTES_PER_KB", "MbBase", "MemorySource", "compute_rates", "duration_ms",
+                  "iter_rates", "partition_jobs", "rate", "select_bytes", "to_output_unit"],
+    "errors": ["InvalidSpec", "IoFailure", "MalformedLine", "MalformedSidecar"],
+    "export": ["CSV_HEADER", "WORKSHEET_HEADER", "format_sig", "summarize", "write_csv",
+               "write_worksheet"],
+    "model": ["JobRecord", "ParseReport", "RateFlag", "RateSample", "Timestamp", "TraceSummary"],
+    "parsing": ["TraceFormat", "TraceStream", "format_lanl_line", "parse_archive_line",
+                "parse_lanl_line", "parse_trace", "write_lanl_trace"],
+    "synth": ["GenSpec", "GroundTruth", "generate", "load_genspec", "read_sidecar",
+              "write_sidecar"],
+}
+
+
+def test_the_package_exports_each_public_name_from_its_module():
+    assert tracebw.__all__ == [
+        "BYTES_PER_KB", "CSV_HEADER", "GenSpec", "GroundTruth", "InvalidSpec", "IoFailure",
+        "JobRecord", "MalformedLine", "MalformedSidecar", "MbBase", "MemorySource",
+        "ParseReport", "RateFlag", "RateSample", "Timestamp", "TraceFormat", "TraceStream",
+        "TraceSummary", "WORKSHEET_HEADER", "compute_rates", "duration_ms",
+        "format_lanl_line", "format_sig", "generate", "iter_rates", "load_genspec",
+        "parse_archive_line", "parse_lanl_line", "parse_trace", "partition_jobs", "rate",
+        "read_sidecar", "select_bytes", "summarize", "to_output_unit", "write_csv",
+        "write_lanl_trace", "write_sidecar", "write_worksheet"]
+    assert sorted(name for names in _PUBLIC_NAMES.values() for name in names) == tracebw.__all__
+    for module, names in _PUBLIC_NAMES.items():
+        defining = importlib.import_module(f"tracebw.{module}")
+        for name in names:
+            assert getattr(tracebw, name) is getattr(defining, name), name
+    assert set(tracebw.__all__) <= set(dir(tracebw))
+    assert {"__version__", "cli"} <= set(dir(tracebw))
+    with pytest.raises(AttributeError, match="module 'tracebw' has no attribute 'no_such_name'"):
+        tracebw.no_such_name
 
 
 def test_split_runs_load_only_their_own_command_in_subprocess(tmp_path):

@@ -428,16 +428,16 @@ def test_closed_pipe_reaps_workers(large_trace, monkeypatch):
 # --- failures ---------------------------------------------------------------
 
 def _fail_in_workers(monkeypatch, action):
-    """Make the pipeline run ``action`` in every worker; the parent runs as before."""
+    """Make each range run ``action`` in every worker; the parent runs as before."""
     parent = os.getpid()
-    pipeline = _read._run_pipeline
+    read_range = _read._read_range
 
-    def run_pipeline(*args):
+    def run_range(*args):
         if os.getpid() != parent:
             action()
-        return pipeline(*args)
+        return read_range(*args)
 
-    monkeypatch.setattr(_read, "_run_pipeline", run_pipeline)
+    monkeypatch.setattr(_read, "_read_range", run_range)
 
 
 def _raise():
@@ -466,6 +466,8 @@ def test_worker_failure_exits_one_and_keeps_out(action, cause, command, tmp_path
                                        f"from byte {34 * line} to byte {67 * line} failed: "
                                        f"{cause}\n")
     assert target.read_text() == "keep me\n"
+    # Every command opens --out before it reads, so the failure must remove
+    # the .out.*.tmp file that it writes beside the target.
     assert sorted(os.listdir(tmp_path)) == ["out", "trace"]
     _no_children_left()
 
